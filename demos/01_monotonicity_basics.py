@@ -19,16 +19,12 @@ from monoinfer import (
     IntLit,
     InternalSession,
     MonotonicitySpec,
+    Strategy,
     emit_script,
     mk_and,
     monotonize_model,
-    solve_lazy,
 )
-from monoinfer.encode import (
-    encode_eager,
-    encode_quant_aggregated,
-    encode_quant_individual,
-)
+from monoinfer.encode import encode, encode_eager, solve
 from monoinfer.terms import Add
 
 f = FunctionSymbol("f", [INT, INT], INT)
@@ -54,29 +50,25 @@ enc = encode_eager(phi, strict)
 print(f"eager encoding adds {enc.lemma_count} ground monotonicity lemmas:")
 print(emit_script([enc.formula]))
 
-for label, spec in (("strict", strict), ("relaxed", relaxed)):
-    session = InternalSession()
-    session.assert_formula(encode_eager(phi, spec).formula)
-    print(f"instantiated-eager, {label} specification:", session.check_sat())
-
-# The lazy loop discovers the same verdicts while asserting only the lemmas
-# that candidate models actually violate.
-for label, spec in (("strict", strict), ("relaxed", relaxed)):
-    verdict = solve_lazy(phi, spec, InternalSession())
-    print(f"instantiated-lazy,  {label} specification:", verdict)
+# `encode` prepares the formula for a strategy and `solve` runs it through a
+# session.  The lazy loop reaches the same verdicts as eager while asserting
+# only the lemmas that candidate models actually violate.
+for strategy in (Strategy.INST_EAGER, Strategy.INST_LAZY):
+    for label, spec in (("strict", strict), ("relaxed", relaxed)):
+        verdict = solve(encode(phi, spec, strategy), spec, InternalSession())
+        print(f"{strategy.value}, {label} specification:", verdict)
 
 # The quantified encodings need quantifier reasoning; the built-in engine
 # only expands quantifiers over finitely bounded sorts, so unbounded Int
 # binders come back as unknown (an external quantifier-capable solver can
 # be plugged in through --solver-cmd / ProcessSession instead).
-for encoder in (encode_quant_individual, encode_quant_aggregated):
-    session = InternalSession()
-    session.assert_formula(encoder(phi, strict).formula)
-    print(f"{encoder.__name__}, strict specification:", session.check_sat())
+for strategy in (Strategy.QUANT_INDIVIDUAL, Strategy.QUANT_AGGREGATED):
+    verdict = solve(encode(phi, strict, strategy), strict, InternalSession())
+    print(f"{strategy.value}, strict specification:", verdict)
 
 # A satisfying model fixes the functions only at the points the formula
 # mentions; monotonization completes it into globally monotone tables.
-verdict = solve_lazy(phi, relaxed, InternalSession())
+verdict = solve(encode(phi, relaxed, Strategy.INST_LAZY), relaxed, InternalSession())
 model = verdict.model
 print()
 print("model of the relaxed problem:", model)

@@ -15,11 +15,11 @@ from monoinfer import (
     decode_solution,
     encode_inference,
     load_problem,
+    Strategy,
     oracle_inference,
-    solve_lazy,
     verify_solution,
 )
-from monoinfer.encode import encode_eager
+from monoinfer.encode import encode, solve
 
 problem = load_problem(Path(__file__).parent.parent / "problems" / "fig1.problem")
 print("variables:   ", [v.name for v in problem.variables])
@@ -32,7 +32,7 @@ print("monotonicity specification:", spec)
 print("encoded conjuncts:", len(formula.args))
 print()
 
-verdict = solve_lazy(formula, spec, InternalSession())
+verdict = solve(encode(formula, spec, Strategy.INST_LAZY), spec, InternalSession())
 print("verdict:", verdict.kind)
 
 tables = decode_solution(verdict.model, problem)
@@ -73,6 +73,6 @@ bad = InferenceProblem(
     problem.variables, problem.regulations, problem.observations + [extra]
 )
 formula_bad, spec_bad = encode_inference(bad)
-session = InternalSession()
-session.assert_formula(encode_eager(formula_bad, spec_bad).formula)
-print("with a contradictory observation:", session.check_sat())
+encoded_bad = encode(formula_bad, spec_bad, Strategy.INST_EAGER)
+verdict_bad = solve(encoded_bad, spec_bad, InternalSession())
+print("with a contradictory observation:", verdict_bad.kind)

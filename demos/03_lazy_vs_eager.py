@@ -9,13 +9,8 @@ check-sat calls and a tiny fraction of the lemma set.
 
 import time
 
-from monoinfer import GeneratorParams, InternalSession, generate_instance
-from monoinfer.encode import (
-    LazyRunStats,
-    eager_lemma_count,
-    encode_eager,
-    solve_lazy,
-)
+from monoinfer import GeneratorParams, InternalSession, Strategy, generate_instance
+from monoinfer.encode import LazyRunStats, encode, solve
 from monoinfer.network import encode_inference
 
 print(f"{'vars':>5} {'arity':>5} {'lemmas':>7} {'eager ms':>9} "
@@ -30,20 +25,20 @@ for n_vars, max_arity in ((10, 4), (20, 6), (30, 8), (40, 10), (50, 12)):
     )
     problem = generate_instance(n_vars, params)
     formula, spec = encode_inference(problem)
-    lemmas = eager_lemma_count(formula, spec)
 
     started = time.perf_counter()
-    session = InternalSession()
-    session.assert_formula(encode_eager(formula, spec).formula)
-    eager_verdict = session.check_sat()
+    eager = encode(formula, spec, Strategy.INST_EAGER)
+    eager_verdict = solve(eager, spec, InternalSession())
     eager_ms = (time.perf_counter() - started) * 1000
 
     stats = LazyRunStats()
     started = time.perf_counter()
-    lazy_verdict = solve_lazy(formula, spec, InternalSession(), stats)
+    lazy = encode(formula, spec, Strategy.INST_LAZY)
+    lazy_verdict = solve(lazy, spec, InternalSession(), stats)
     lazy_ms = (time.perf_counter() - started) * 1000
 
-    assert eager_verdict == lazy_verdict.kind == "sat"
+    lemmas = eager.lemma_count
+    assert eager_verdict.kind == lazy_verdict.kind == "sat"
     print(f"{n_vars:>5} {max_arity:>5} {lemmas:>7} {eager_ms:>9.1f} "
           f"{lazy_ms:>8.1f} {stats.check_sat_calls:>6} "
           f"{len(stats.asserted_lemmas):>8}")

@@ -16,25 +16,34 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .model import Model, Value, ValueVector, evaluate_under
-from .session import UNKNOWN, UNSAT, SolverSession, SolverVerdict
+from .engine import EngineUnsupported
+from .model import (
+    EvaluationError,
+    Model,
+    Value,
+    ValueVector,
+    default_output,
+    evaluate_with,
+)
+from .session import UNKNOWN, UNSAT, SolverProcessError, SolverSession, SolverVerdict
 from .terms import (
     Apply,
     ArgVector,
     BoolLit,
     Cmp,
     CmpOp,
+    Const,
     Forall,
     FunctionSymbol,
     Implies,
     IntLit,
     MonotonicitySpec,
-    Sort,
     Term,
     TermError,
     Var,
     applications_in_order,
     is_quantifier_free,
+    iter_subterms,
     mk_and,
     mk_implies,
     ordering_atom,
@@ -224,24 +233,113 @@ def encode_eager(formula: Term, spec: MonotonicitySpec) -> EncodedProblem:
     return EncodedProblem(mk_and(conjuncts), len(instances), Strategy.INST_EAGER)
 
 
-# -- lemma evaluation and the lazy loop -----------------------------------------
+def encode(formula: Term, spec: MonotonicitySpec, strategy: Strategy) -> EncodedProblem:
+    """The formula `solve` asserts under a strategy.  Lazy keeps the base
+    formula, with the eager lemma count as the bound on its candidates."""
+    if strategy is Strategy.QUANT_INDIVIDUAL:
+        return encode_quant_individual(formula, spec)
+    if strategy is Strategy.QUANT_AGGREGATED:
+        return encode_quant_aggregated(formula, spec)
+    if strategy is Strategy.INST_EAGER:
+        return encode_eager(formula, spec)
+    return EncodedProblem(formula, eager_lemma_count(formula, spec), strategy)
 
 
-def _lemma_relevant_terms(instances: Sequence[LemmaInstance]) -> list[Term]:
-    """Ground terms whose values determine every candidate lemma: argument
-    components and the two applications of each instance."""
-    seen: dict[Term, None] = {}
+# -- solving and the lazy loop --------------------------------------------------
+
+TIMEOUT_REASON = "timeout"
+
+
+def _check(session: SolverSession) -> Optional[SolverVerdict]:
+    """check-sat; the verdict on unsat or unknown, None on sat."""
+    answer = session.check_sat()
+    if answer == UNSAT:
+        return SolverVerdict.unsat()
+    if answer == UNKNOWN:
+        return SolverVerdict.unknown(session.unknown_reason or "solver returned unknown")
+    return None
+
+
+def _sat(session: SolverSession) -> SolverVerdict:
+    try:
+        return SolverVerdict.sat(session.extract_model())
+    except TimeoutError:
+        return SolverVerdict.unknown(TIMEOUT_REASON)
+
+
+def solve(
+    encoded: EncodedProblem,
+    spec: MonotonicitySpec,
+    session: SolverSession,
+    stats: Optional[LazyRunStats] = None,
+) -> SolverVerdict:
+    """Solve an encoded problem through a session: the lazy loop for the
+    lazy strategy, one assert/check/extract for the others."""
+    if encoded.strategy is Strategy.INST_LAZY:
+        return solve_lazy(encoded.formula, spec, session, stats)
+    session.assert_formula(encoded.formula)
+    verdict = _check(session)
+    return verdict if verdict is not None else _sat(session)
+
+
+AppKey = tuple[FunctionSymbol, ArgVector]
+
+
+def _applications(instances: Sequence[LemmaInstance]) -> dict[AppKey, Apply]:
+    apps: dict[AppKey, Apply] = {}
     for inst in instances:
-        for component in itertools.chain(inst.t, inst.s):
-            if not isinstance(component, (IntLit, BoolLit)):
-                seen.setdefault(component)
-        seen.setdefault(Apply(inst.func, inst.t))
-        seen.setdefault(Apply(inst.func, inst.s))
+        for args in (inst.t, inst.s):
+            if (inst.func, args) not in apps:
+                apps[inst.func, args] = Apply(inst.func, args)
+    return apps
+
+
+def _leaves(apps: Mapping[AppKey, Apply]) -> list[Term]:
+    """The constants and applications whose values fix every application's
+    argument vector and result (`f(c1 + 5, 0)` needs `c1` and itself)."""
+    seen: dict[Term, None] = {}
+    for app in apps.values():
+        for t in iter_subterms(app):
+            if isinstance(t, (Const, Apply)):
+                seen.setdefault(t)
     return list(seen)
 
 
-def _lemma_holds(inst: LemmaInstance, valuation: Mapping[Term, Value]) -> bool:
-    return bool(evaluate_under(inst.term, valuation))
+def _violated(
+    pending: Sequence[LemmaInstance],
+    spec: MonotonicitySpec,
+    apps: Mapping[AppKey, Apply],
+    values: Mapping[Term, Value],
+) -> list[LemmaInstance]:
+    """The candidates the values falsify: t precedes s in the specification
+    order while f(t) > f(s) (False < True).  Each application is valued once."""
+
+    def leaf(term: Term) -> Value:
+        if term not in values:
+            raise EvaluationError(f"no value for {term!r}")
+        return values[term]
+
+    points = {
+        key: (
+            tuple(
+                a.value if isinstance(a, (IntLit, BoolLit)) else evaluate_with(a, leaf)
+                for a in app.args
+            ),
+            leaf(app),
+        )
+        for key, app in apps.items()
+    }
+    orders = {
+        func: (spec.monotone(func), spec.anti_monotone(func))
+        for func in {inst.func for inst in pending}
+    }
+    out = []
+    for inst in pending:
+        t_point, t_out = points[inst.func, inst.t]
+        s_point, s_out = points[inst.func, inst.s]
+        if t_out > s_out and _dominates(t_point, s_point, *orders[inst.func]):
+            out.append(inst)
+    return out
 
 
 def violated_lemmas(
@@ -250,13 +348,11 @@ def violated_lemmas(
     valuation: Mapping[Term, Value],
 ) -> set[Term]:
     """Candidate lemmas falsified by the valuation (antecedent holds, consequent
-    fails under the sort's order).  The valuation must cover every argument
-    and application term of the candidates."""
-    out = set()
-    for inst in lemma_instances(formula, spec):
-        if not _lemma_holds(inst, valuation):
-            out.add(inst.term)
-    return out
+    fails under the sort's order).  The valuation must cover every constant
+    and application the candidates' arguments and results mention."""
+    instances = lemma_instances(formula, spec)
+    violated = _violated(instances, spec, _applications(instances), valuation)
+    return {inst.term for inst in violated}
 
 
 @dataclass
@@ -290,27 +386,27 @@ def solve_lazy(
         for inst in lemma_instances(formula, spec)
         if not lemma_is_vacuous(inst.func, inst.t, inst.s, spec)
     ]
-    relevant = _lemma_relevant_terms(candidates)
+    apps = _applications(candidates)
+    leaves = _leaves(apps)
     session.assert_formula(formula)
     pending = list(candidates)
     while True:
-        answer = session.check_sat()
+        verdict = _check(session)
         stats.check_sat_calls += 1
-        if answer == UNSAT:
-            return SolverVerdict.unsat()
-        if answer == UNKNOWN:
-            reason = getattr(session, "unknown_reason", None) or "solver returned unknown"
-            return SolverVerdict.unknown(reason)
+        if verdict is not None:
+            return verdict
         if not pending:
-            return SolverVerdict.sat(session.extract_model())
+            return _sat(session)
         try:
-            values = session.value_of(relevant)
-        except Exception as err:  # backend cannot value a term
+            values = session.value_of(leaves)
+        except TimeoutError:
+            return SolverVerdict.unknown(TIMEOUT_REASON)
+        except (EvaluationError, EngineUnsupported, SolverProcessError) as err:
+            # the backend cannot value one of the leaves
             return SolverVerdict.unknown(f"model value query failed: {err}")
-        valuation = dict(zip(relevant, values))
-        violated = [inst for inst in pending if not _lemma_holds(inst, valuation)]
+        violated = _violated(pending, spec, apps, dict(zip(leaves, values)))
         if not violated:
-            return SolverVerdict.sat(session.extract_model())
+            return _sat(session)
         for inst in violated:
             session.assert_formula(inst.term)
             stats.asserted_lemmas.append(inst.term)
@@ -343,47 +439,36 @@ class MonotoneModel:
     defaults: dict[str, Value]
 
     def evaluate(self, func: FunctionSymbol, args: ValueVector) -> Value:
+        args = tuple(args)
         entries = self.tables.get(func.name)
         if entries is None:
             table = self.base.functions.get(func.name)
             if table is None:
                 raise MonotonizationError(f"no table for symbol {func.name}")
-            return table.lookup(tuple(args))
-        dominated = [
-            out
-            for point, out in entries
-            if _dominates(point, tuple(args), func, self.spec)
-        ]
-        if dominated:
-            return max(dominated)
-        return self.defaults[func.name]
+            return table.lookup(args)
+        mono, anti = self.spec.monotone(func), self.spec.anti_monotone(func)
+        return max(
+            (out for point, out in entries if _dominates(point, args, mono, anti)),
+            default=self.defaults[func.name],
+        )
 
 
 def _dominates(
-    p: ValueVector, q: ValueVector, func: FunctionSymbol, spec: MonotonicitySpec
+    p: ValueVector, q: ValueVector, mono: frozenset[int], anti: frozenset[int]
 ) -> bool:
-    """p precedes q in the specification order: p_i <= q_i on monotone
-    arguments, q_i <= p_i on anti-monotone ones, equality elsewhere."""
-    mono = spec.monotone(func)
-    anti = spec.anti_monotone(func)
-    for i in range(1, len(p) + 1):
+    """p precedes q in the specification order given by a symbol's monotone
+    and anti-monotone index sets: p_i <= q_i on monotone arguments,
+    q_i <= p_i on anti-monotone ones, equality elsewhere."""
+    for i, (a, b) in enumerate(zip(p, q), start=1):
         if i in mono:
-            if not p[i - 1] <= q[i - 1]:
+            if a > b:
                 return False
         elif i in anti:
-            if not q[i - 1] <= p[i - 1]:
+            if b > a:
                 return False
-        elif p[i - 1] != q[i - 1]:
+        elif a != b:
             return False
     return True
-
-
-def _domain_minimum(sort: Sort) -> Value:
-    if sort.is_bool:
-        return False
-    if sort.bounds is not None:
-        return sort.bounds[0]
-    return 0
 
 
 def monotonize_model(base: Model, spec: MonotonicitySpec) -> MonotoneModel:
@@ -398,15 +483,13 @@ def monotonize_model(base: Model, spec: MonotonicitySpec) -> MonotoneModel:
         table = base.functions.get(func.name)
         rows = dict(table.rows) if table is not None else {}
         entries = list(rows.items())
-        if rows:
-            default = min(rows.values())
-        else:
-            default = _domain_minimum(func.result_sort)
+        default = default_output(func.result_sort, rows.values())
         tables[func.name] = entries
         defaults[func.name] = default
+        mono, anti = spec.monotone(func), spec.anti_monotone(func)
         for point, out in rows.items():
             best = max(
-                (o for p, o in entries if _dominates(p, point, func, spec)),
+                (o for p, o in entries if _dominates(p, point, mono, anti)),
                 default=default,
             )
             if best != out:

@@ -35,7 +35,7 @@ from typing import Optional, Union
 
 from . import sat
 from .difflogic import ZERO, DiffConstraint, solve_difference_constraints
-from .model import FunctionTable, Model, Value
+from .model import FunctionTable, Model, Value, default_output, evaluate_with
 from .sat import SatSolver
 from .terms import (
     Add,
@@ -629,60 +629,31 @@ class Engine:
             return lo
         return self._int_values.get(node, 0)
 
-    def _eval(self, term: Term) -> Value:
-        match term:
-            case IntLit(value=v) | BoolLit(value=v):
-                return v
-            case Const(name=name):
-                if term.sort.is_bool:
-                    var = self.bool_unknowns.get(("c", name))
-                    if var is None:
-                        return False
-                    return self.sat.model[var] > 0
-                return self._node_int_value(("c", name))
-            case Apply():
-                node = self.app_node.get(term)
-                if node is not None:
-                    if term.sort.is_bool:
-                        return self.sat.model[self.bool_unknowns[node]] > 0
-                    return self._node_int_value(node)
-                # unseen application: answer through the extracted table
-                table = self.extract_model().functions.get(term.func.name)
-                args = tuple(self._eval(a) for a in term.args)
-                if table is None:
-                    return False if term.sort.is_bool else 0
-                return table.lookup(args)
-            case Add(lhs=l, rhs=r):
-                return self._eval(l) + self._eval(r)
-            case Sub(lhs=l, rhs=r):
-                return self._eval(l) - self._eval(r)
-            case Neg(arg=a):
-                return -self._eval(a)
-            case Not(arg=a):
-                return not self._eval(a)
-            case And(args=args):
-                return all(self._eval(a) for a in args)
-            case Or(args=args):
-                return any(self._eval(a) for a in args)
-            case Implies(lhs=l, rhs=r):
-                return (not self._eval(l)) or self._eval(r)
-            case Cmp(op=op, lhs=l, rhs=r):
-                lv, rv = self._eval(l), self._eval(r)
-                return {
-                    CmpOp.EQ: lv == rv,
-                    CmpOp.NE: lv != rv,
-                    CmpOp.LE: lv <= rv,
-                    CmpOp.LT: lv < rv,
-                    CmpOp.GE: lv >= rv,
-                    CmpOp.GT: lv > rv,
-                }[op]
-            case _:
-                raise EngineUnsupported(f"cannot evaluate {type(term).__name__}")
+    def _node_value(self, node: Node, sort) -> Value:
+        if sort.is_bool:
+            return self.sat.model[self.bool_unknowns[node]] > 0
+        return self._node_int_value(node)
+
+    def _leaf(self, term: Const | Apply) -> Value:
+        """Evaluator leaf over the current SAT model and order ladders."""
+        if isinstance(term, Const):
+            if term.sort.is_bool:
+                var = self.bool_unknowns.get(("c", term.name))
+                return False if var is None else self.sat.model[var] > 0
+            return self._node_int_value(("c", term.name))
+        node = self.app_node.get(term)
+        if node is not None:
+            return self._node_value(node, term.sort)
+        # unseen application: answer through the extracted table
+        table = self.extract_model().functions.get(term.func.name)
+        if table is None:
+            return default_output(term.sort, ())
+        return table.lookup(tuple(evaluate_with(a, self._leaf) for a in term.args))
 
     def evaluate(self, term: Term) -> Value:
         if not self._have_model:
             raise RuntimeError("no model available; call check() first")
-        return self._eval(term)
+        return evaluate_with(term, self._leaf)
 
     def extract_model(self) -> Model:
         if not self._have_model:
@@ -691,60 +662,35 @@ class Engine:
             return self._model_cache
         constants: dict[str, Value] = {}
         for name, const in self.declared_consts.items():
-            constants[name] = self._eval(const)
+            constants[name] = self._leaf(const)
         functions: dict[str, FunctionTable] = {}
         for fname, func in self.declared_funcs.items():
             rows: dict[tuple[Value, ...], Value] = {}
             for app in self.apps_by_symbol.get(fname, []):
-                point = tuple(self._eval(a) for a in app.args)
-                node = self.app_node[app]
-                if func.result_sort.is_bool:
-                    out: Value = self.sat.model[self.bool_unknowns[node]] > 0
-                else:
-                    out = self._node_int_value(node)
-                rows[point] = out
-            default = _default_output(func, rows)
-            functions[fname] = FunctionTable(rows, default)
+                point = tuple(evaluate_with(a, self._leaf) for a in app.args)
+                rows[point] = self._node_value(self.app_node[app], func.result_sort)
+            functions[fname] = FunctionTable(
+                rows, default_output(func.result_sort, rows.values())
+            )
         self._model_cache = Model(constants, functions)
         return self._model_cache
 
 
-def _literal_value(term: Term) -> Optional[Value]:
-    """Fold a literal-only arithmetic term to its value; None if symbolic."""
-    match term:
-        case IntLit(value=v) | BoolLit(value=v):
-            return v
-        case Add(lhs=l, rhs=r):
-            lv, rv = _literal_value(l), _literal_value(r)
-            return None if lv is None or rv is None else lv + rv
-        case Sub(lhs=l, rhs=r):
-            lv, rv = _literal_value(l), _literal_value(r)
-            return None if lv is None or rv is None else lv - rv
-        case Neg(arg=a):
-            av = _literal_value(a)
-            return None if av is None else -av
-        case _:
-            return None
+class _Symbolic(Exception):
+    """Raised by the literal-folding leaf at any constant or application."""
+
+
+def _symbolic_leaf(term: Term) -> Value:
+    raise _Symbolic
 
 
 def _literal_arg_key(app: Apply) -> Optional[tuple]:
-    key = []
-    for arg in app.args:
-        value = _literal_value(arg)
-        if value is None:
-            return None
-        key.append(value)
-    return tuple(key)
-
-
-def _default_output(func: FunctionSymbol, rows: dict) -> Value:
-    if rows:
-        return min(rows.values())
-    if func.result_sort.is_bool:
-        return False
-    if func.result_sort.bounds is not None:
-        return func.result_sort.bounds[0]
-    return 0
+    """The argument values when every argument folds from literals alone;
+    None if any is symbolic."""
+    try:
+        return tuple(evaluate_with(arg, _symbolic_leaf) for arg in app.args)
+    except _Symbolic:
+        return None
 
 
 def _merge(a: dict[Node, int], b: dict[Node, int], sign: int) -> dict[Node, int]:

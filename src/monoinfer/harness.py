@@ -17,16 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .encode import (
-    EncodedProblem,
-    LazyRunStats,
-    Strategy,
-    eager_lemma_count,
-    encode_eager,
-    encode_quant_aggregated,
-    encode_quant_individual,
-    solve_lazy,
-)
+from .encode import Strategy, encode, solve
 from .network import (
     InferenceProblem,
     ProblemError,
@@ -35,16 +26,9 @@ from .network import (
     verify_solution,
 )
 from .problemfile import load_problem
-from .session import (
-    SAT,
-    UNKNOWN,
-    UNSAT,
-    SolverProcessError,
-    SolverVerdict,
-    open_session,
-)
+from .session import SAT, UNKNOWN, UNSAT, SolverProcessError, open_session
 from .smtlib import emit_smtlib, collect_declarations
-from .terms import And, Term
+from .terms import And
 
 TIMEOUT = "timeout"
 CRASH = "crash"
@@ -112,18 +96,6 @@ def _classify_unknown(reason: Optional[str]) -> tuple[Optional[str], Optional[st
     return UNKNOWN, None
 
 
-def encode_for_strategy(
-    formula: Term, spec, strategy: Strategy
-) -> Optional[EncodedProblem]:
-    if strategy is Strategy.QUANT_INDIVIDUAL:
-        return encode_quant_individual(formula, spec)
-    if strategy is Strategy.QUANT_AGGREGATED:
-        return encode_quant_aggregated(formula, spec)
-    if strategy is Strategy.INST_EAGER:
-        return encode_eager(formula, spec)
-    return None  # lazy asserts the base formula itself
-
-
 def run_single(
     problem: InferenceProblem,
     strategy: Strategy,
@@ -148,34 +120,18 @@ def run_single(
     session = None
     try:
         formula, spec = encode_inference(problem, simplify=simplify)
-        encoded = encode_for_strategy(formula, spec, strategy)
+        encoded = encode(formula, spec, strategy)
         # quantified: number of axioms; eager: ground lemmas; lazy: the
         # candidate-set bound (same as eager's count)
-        lemma_count = (
-            encoded.lemma_count
-            if encoded is not None
-            else eager_lemma_count(formula, spec)
-        )
+        lemma_count = encoded.lemma_count
         if emit_path is not None:
-            target = encoded.formula if encoded is not None else formula
+            target = encoded.formula
             assertions = list(target.args) if isinstance(target, And) else [target]
             script = emit_smtlib(collect_declarations(assertions), assertions)
             Path(emit_path).write_text(script, encoding="utf-8")
         session = open_session(solver_cmd)
         session.set_time_limit(time_limit_ms)
-        stats = LazyRunStats()
-        if strategy is Strategy.INST_LAZY:
-            verdict = solve_lazy(formula, spec, session, stats)
-        else:
-            session.assert_formula(encoded.formula)
-            answer = session.check_sat()
-            if answer == SAT:
-                verdict = SolverVerdict.sat(session.extract_model())
-            elif answer == UNSAT:
-                verdict = SolverVerdict.unsat()
-            else:
-                reason = getattr(session, "unknown_reason", None) or "unknown"
-                verdict = SolverVerdict.unknown(reason)
+        verdict = solve(encoded, spec, session)
         checks = session.check_sat_count
         wall_ms = (time.perf_counter() - start) * 1000.0
         if verdict.kind == UNKNOWN:

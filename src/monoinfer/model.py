@@ -1,15 +1,21 @@
-"""Finite model presentation and the internal ground-term evaluator.
+"""Finite model presentation and the one ground-term evaluator.
 
 A Model assigns values to constants and finite lookup tables (with a
 default) to uninterpreted functions; it is the shape produced both by the
 internal engine and by parsing an external solver's `get-model` response.
-The evaluator is deliberately independent of any solving machinery so it
+
+There is one evaluator, `evaluate_with`: it computes literals, arithmetic,
+comparisons and connectives, and asks a caller-supplied leaf for the value
+of each constant and application.  The engine supplies a leaf that reads its
+SAT model; the lazy loop supplies one that reads values a session returned.
+`evaluate` supplies the model-checking leaf, which reads only the Model's
+constants and tables, so it stays independent of any solving machinery and
 can serve as the second leg of round-trip checks.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .terms import (
     Add,
@@ -26,6 +32,7 @@ from .terms import (
     Neg,
     Not,
     Or,
+    Sort,
     Sub,
     Term,
     TermError,
@@ -71,15 +78,16 @@ class Model:
         self.constants = dict(constants or {})
         self.functions = dict(functions or {})
 
-    def value_of_constant(self, name: str) -> Value:
-        if name not in self.constants:
-            raise EvaluationError(f"model has no value for constant {name}")
-        return self.constants[name]
-
-    def table_of(self, name: str) -> FunctionTable:
-        if name not in self.functions:
-            raise EvaluationError(f"model has no table for function {name}")
-        return self.functions[name]
+    def leaf_value(self, term: Const | Apply) -> Value:
+        """The model-checking leaf: constants and tables, nothing else."""
+        if isinstance(term, Const):
+            if term.name not in self.constants:
+                raise EvaluationError(f"model has no value for constant {term.name}")
+            return self.constants[term.name]
+        table = self.functions.get(term.func.name)
+        if table is None:
+            raise EvaluationError(f"model has no table for function {term.func.name}")
+        return table.lookup(tuple(evaluate_with(a, self.leaf_value) for a in term.args))
 
     def __eq__(self, other):
         return (
@@ -90,6 +98,18 @@ class Model:
 
     def __repr__(self):
         return f"Model(constants={self.constants!r}, functions={self.functions!r})"
+
+
+def default_output(sort: Sort, outputs: Iterable[Value]) -> Value:
+    """A table's output off its rows: the least row output, else the least
+    value of the result sort (False, the lower bound, or 0)."""
+    if sort.is_bool:
+        least: Value = False
+    elif sort.bounds is not None:
+        least = sort.bounds[0]
+    else:
+        least = 0
+    return min(outputs, default=least)
 
 
 def _cmp(op: CmpOp, lhs: Value, rhs: Value) -> bool:
@@ -106,69 +126,36 @@ def _cmp(op: CmpOp, lhs: Value, rhs: Value) -> bool:
     return lhs > rhs
 
 
-def evaluate(term: Term, model: Model) -> Value:
-    """Evaluate a ground term under a model (quantifier-free fragment only)."""
+def evaluate_with(term: Term, leaf: Callable[[Term], Value]) -> Value:
+    """Evaluate a quantifier-free ground term; `leaf` values its Const and
+    Apply nodes, everything above them is computed here."""
     match term:
         case IntLit(value=v) | BoolLit(value=v):
             return v
-        case Const(name=name):
-            return model.value_of_constant(name)
-        case Apply(func=f, args=args):
-            vals = tuple(evaluate(a, model) for a in args)
-            return model.table_of(f.name).lookup(vals)
+        case Const() | Apply():
+            return leaf(term)
         case Add(lhs=l, rhs=r):
-            return evaluate(l, model) + evaluate(r, model)
+            return evaluate_with(l, leaf) + evaluate_with(r, leaf)
         case Sub(lhs=l, rhs=r):
-            return evaluate(l, model) - evaluate(r, model)
+            return evaluate_with(l, leaf) - evaluate_with(r, leaf)
         case Neg(arg=a):
-            return -evaluate(a, model)
+            return -evaluate_with(a, leaf)
         case Cmp(op=op, lhs=l, rhs=r):
-            return _cmp(op, evaluate(l, model), evaluate(r, model))
+            return _cmp(op, evaluate_with(l, leaf), evaluate_with(r, leaf))
         case Not(arg=a):
-            return not evaluate(a, model)
+            return not evaluate_with(a, leaf)
         case And(args=args):
-            return all(evaluate(a, model) for a in args)
+            return all(evaluate_with(a, leaf) for a in args)
         case Or(args=args):
-            return any(evaluate(a, model) for a in args)
+            return any(evaluate_with(a, leaf) for a in args)
         case Implies(lhs=l, rhs=r):
-            return (not evaluate(l, model)) or evaluate(r, model)
+            return (not evaluate_with(l, leaf)) or evaluate_with(r, leaf)
         case Forall() | Exists():
             raise EvaluationError("cannot evaluate a quantified term against a model")
         case _:
             raise EvaluationError(f"unhandled node {type(term).__name__}")
 
 
-def evaluate_under(term: Term, valuation: Mapping[Term, Value]) -> Value:
-    """Evaluate a ground term under a point valuation of opaque subterms.
-
-    The valuation maps whole terms (typically constants and function
-    applications) to values; arithmetic and logical structure above the
-    valued leaves is computed here.  Missing entries are an error.
-    """
-    if term in valuation:
-        return valuation[term]
-    match term:
-        case IntLit(value=v) | BoolLit(value=v):
-            return v
-        case Add(lhs=l, rhs=r):
-            return evaluate_under(l, valuation) + evaluate_under(r, valuation)
-        case Sub(lhs=l, rhs=r):
-            return evaluate_under(l, valuation) - evaluate_under(r, valuation)
-        case Neg(arg=a):
-            return -evaluate_under(a, valuation)
-        case Cmp(op=op, lhs=l, rhs=r):
-            return _cmp(op, evaluate_under(l, valuation), evaluate_under(r, valuation))
-        case Not(arg=a):
-            return not evaluate_under(a, valuation)
-        case And(args=args):
-            return all(evaluate_under(a, valuation) for a in args)
-        case Or(args=args):
-            return any(evaluate_under(a, valuation) for a in args)
-        case Implies(lhs=l, rhs=r):
-            return (not evaluate_under(l, valuation)) or evaluate_under(r, valuation)
-        case Const(name=name):
-            raise EvaluationError(f"no valuation entry for constant {name}")
-        case Apply():
-            raise EvaluationError(f"no valuation entry for application {term!r}")
-        case _:
-            raise EvaluationError(f"unhandled node {type(term).__name__}")
+def evaluate(term: Term, model: Model) -> Value:
+    """Evaluate a ground term under a model (quantifier-free fragment only)."""
+    return evaluate_with(term, model.leaf_value)

@@ -33,7 +33,6 @@ from .terms import Const, FunctionSymbol, Term
 
 ENV_SOLVER_CMD = "MONOINFER_SOLVER_CMD"
 INTERNAL_SOLVER = "internal"
-DEFAULT_PROCESS_SOLVER = "monoinfer-smt"
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -139,6 +138,11 @@ class SolverSession:
                 f"model query in state {self._state!r}; requires a sat answer"
             )
         return self._extract_model()
+
+    @property
+    def unknown_reason(self) -> Optional[str]:
+        """Why the last check answered unknown, when the backend knows."""
+        return None
 
     def set_time_limit(self, milliseconds: int) -> None:
         self._deadline = time.monotonic() + milliseconds / 1000.0

@@ -20,11 +20,13 @@ from monoinfer.encode import (
     LazyRunStats,
     Strategy,
     eager_lemma_count,
+    encode,
     encode_eager,
     encode_quant_aggregated,
     encode_quant_individual,
     lemma_instances,
     monotonize_model,
+    solve,
     solve_lazy,
 )
 from monoinfer.generate import GeneratorParams, generate_instance
@@ -62,9 +64,7 @@ def _flat(term):
 
 
 def _solve(formula, spec, encoder):
-    session = InternalSession()
-    session.assert_formula(encoder(formula, spec).formula)
-    return session.check_sat()
+    return solve(encoder(formula, spec), spec, InternalSession()).kind
 
 
 # -- criterion 1 -------------------------------------------------------------------
@@ -207,17 +207,18 @@ def sweep_results():
         problem = generate_instance(seed, params)
         formula, spec = encode_inference(problem)
 
-        eager_session = InternalSession()
-        eager_session.assert_formula(encode_eager(formula, spec).formula)
-        eager_verdict = eager_session.check_sat()
+        eager = solve(
+            encode(formula, spec, Strategy.INST_EAGER), spec, InternalSession()
+        )
         eager_ok = None
-        if eager_verdict == "sat":
-            tables = decode_solution(eager_session.extract_model(), problem)
+        if eager.is_sat:
+            tables = decode_solution(eager.model, problem)
             eager_ok = verify_solution(problem, tables).ok
 
         stats = LazyRunStats()
-        lazy_session = InternalSession()
-        lazy = solve_lazy(formula, spec, lazy_session, stats)
+        lazy = solve(
+            encode(formula, spec, Strategy.INST_LAZY), spec, InternalSession(), stats
+        )
         lazy_ok = None
         if lazy.is_sat:
             lazy_ok = verify_solution(
@@ -227,19 +228,21 @@ def sweep_results():
         oracle_verdict = oracle_inference(problem).verdict
 
         raw_formula, raw_spec = encode_inference(problem, simplify=False)
-        raw_session = InternalSession()
-        raw_session.assert_formula(encode_eager(raw_formula, raw_spec).formula)
-        raw_verdict = raw_session.check_sat()
+        raw = solve(
+            encode(raw_formula, raw_spec, Strategy.INST_EAGER),
+            raw_spec,
+            InternalSession(),
+        )
 
         results.append(
             {
                 "seed": seed,
-                "eager": eager_verdict,
+                "eager": eager.kind,
                 "eager_verified": eager_ok,
                 "lazy": lazy.kind,
                 "lazy_verified": lazy_ok,
                 "oracle": oracle_verdict,
-                "raw": raw_verdict,
+                "raw": raw.kind,
                 "checks": stats.check_sat_calls,
                 "bound": eager_lemma_count(formula, spec) + 1,
                 "asserted": set(stats.asserted_lemmas),

@@ -10,12 +10,7 @@ import random
 
 from conftest import REPL_SOLVER_CMD
 
-from monoinfer.encode import (
-    encode_eager,
-    encode_quant_aggregated,
-    encode_quant_individual,
-    solve_lazy,
-)
+from monoinfer.encode import Strategy, encode, encode_eager, solve
 from monoinfer.oracle import oracle_mono_sat
 from monoinfer.session import InternalSession, ProcessSession
 from monoinfer.terms import (
@@ -91,16 +86,12 @@ def test_four_strategies_and_oracle_agree_on_bounded_instances():
     for trial in range(60):
         phi, spec = _random_instance(rng)
         expected = oracle_mono_sat(phi, spec, GRID, budget=1 << 22)
-        verdicts = {}
-        for name, encoder in (
-            ("individual", encode_quant_individual),
-            ("aggregated", encode_quant_aggregated),
-            ("eager", encode_eager),
-        ):
-            session = InternalSession()
-            session.assert_formula(encoder(phi, spec).formula)
-            verdicts[name] = session.check_sat()
-        verdicts["lazy"] = solve_lazy(phi, spec, InternalSession()).kind
+        verdicts = {
+            strategy.value: solve(
+                encode(phi, spec, strategy), spec, InternalSession()
+            ).kind
+            for strategy in Strategy
+        }
         for name, verdict in verdicts.items():
             assert verdict == expected, (trial, name, verdict, expected, phi, spec)
         if expected == "sat":
@@ -149,10 +140,8 @@ def test_boolean_sort_strategies_agree():
             elif roll < 0.7:
                 anti.add(i)
         spec = MonotonicitySpec({p: (mono, anti)})
-        verdicts = set()
-        for encoder in (encode_quant_individual, encode_quant_aggregated, encode_eager):
-            session = InternalSession()
-            session.assert_formula(encoder(phi, spec).formula)
-            verdicts.add(session.check_sat())
-        verdicts.add(solve_lazy(phi, spec, InternalSession()).kind)
+        verdicts = {
+            solve(encode(phi, spec, strategy), spec, InternalSession()).kind
+            for strategy in Strategy
+        }
         assert len(verdicts) == 1, (trial, phi, spec, verdicts)

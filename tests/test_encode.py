@@ -1,22 +1,28 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from monoinfer.encode import (
     EncodingError,
     LazyRunStats,
     Strategy,
     eager_lemma_count,
+    encode,
     encode_eager,
     encode_quant_aggregated,
     encode_quant_individual,
     lemma_instances,
     lemma_is_vacuous,
     monotonicity_lemma,
+    solve,
     solve_lazy,
     violated_lemmas,
 )
+from monoinfer.generate import GeneratorParams, generate_instance
 from monoinfer.model import Model, FunctionTable, evaluate
+from monoinfer.network import encode_inference
 from monoinfer.session import InternalSession
 from monoinfer.terms import (
     BOOL,
@@ -337,6 +343,73 @@ def test_violated_lemmas_missing_entry(ex1):
         violated_lemmas(ex1.phi, ex1.spec, {ex1.c1: 0})
 
 
+_SORTS = {"int": INT, "bounded": bounded_int(0, 3), "bool": BOOL}
+
+
+@st.composite
+def _lemma_case(draw):
+    """A symbol with signed and unsigned positions over Int, bounded-Int and
+    Bool sorts, two argument vectors mixing literals, constants and compound
+    components, and values for every leaf."""
+    arity = draw(st.integers(1, 3))
+    sorts = [_SORTS[draw(st.sampled_from(sorted(_SORTS)))] for _ in range(arity)]
+    result_sort = _SORTS[draw(st.sampled_from(sorted(_SORTS)))]
+    roles = [draw(st.sampled_from(["mono", "anti", "unsigned"])) for _ in range(arity)]
+    func = FunctionSymbol("f", sorts, result_sort)
+    spec = MonotonicitySpec(
+        {
+            func: (
+                {i + 1 for i, r in enumerate(roles) if r == "mono"},
+                {i + 1 for i, r in enumerate(roles) if r == "anti"},
+            )
+        }
+    )
+
+    def domain(sort):
+        return st.booleans() if sort.is_bool else st.integers(-1, 4)
+
+    constants = {}
+    values = {}
+    for i, sort in enumerate(sorts):
+        for name in ("a", "b"):
+            const = Const(f"{name}{i}", sort)
+            constants[const.name] = draw(domain(sort))
+            values[const] = constants[const.name]
+
+    def component(i, sort):
+        kind = draw(st.sampled_from(["literal", "const", "compound"]))
+        const = Const(draw(st.sampled_from(["a", "b"])) + str(i), sort)
+        if kind == "literal":
+            value = draw(domain(sort))
+            return BoolLit(value) if sort.is_bool else IntLit(value)
+        if kind == "compound" and not sort.is_bool:
+            return Add(const, IntLit(draw(st.integers(-2, 5))))  # like c1 + 5
+        return const
+
+    t = tuple(component(i, s) for i, s in enumerate(sorts))
+    s_vec = tuple(component(i, s) for i, s in enumerate(sorts))
+    assume(t != s_vec)
+    probe = Model(constants, {})
+    points = [tuple(evaluate(a, probe) for a in vec) for vec in (t, s_vec)]
+    outs = [draw(domain(result_sort)) for _ in points]
+    if points[0] == points[1]:
+        outs[1] = outs[0]  # one table row per point
+    table = FunctionTable(dict(zip(points, outs)), outs[0])
+    values[Apply(func, t)], values[Apply(func, s_vec)] = outs
+    return func, spec, t, s_vec, values, Model(constants, {"f": table})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lemma_case())
+def test_value_level_check_agrees_with_lemma_evaluation(case):
+    func, spec, t, s, values, model = case
+    phi = Cmp(CmpOp.EQ, Apply(func, t), Apply(func, s))
+    violated = violated_lemmas(phi, spec, values)
+    for a, b in ((t, s), (s, t)):
+        lemma = monotonicity_lemma(func, a, b, spec)
+        assert (lemma in violated) == (not evaluate(lemma, model))
+
+
 # -- lazy loop --------------------------------------------------------------------------------
 
 
@@ -366,6 +439,26 @@ def test_lazy_asserted_lemmas_subset_of_eager(ex1):
     assert set(stats.asserted_lemmas) <= eager_set
 
 
+def test_lazy_asserted_lemma_order_pinned():
+    # every regulation essential: five checks, lemmas asserted over four rounds
+    params = GeneratorParams(
+        n_vars=6, max_arity=3, domain_size=3, n_observations=2, essential_ratio=1.0
+    )
+    formula, spec = encode_inference(generate_instance(3, params))
+    stats = LazyRunStats()
+    verdict = solve_lazy(formula, spec, InternalSession(), stats)
+    eager = [inst.term for inst in lemma_instances(formula, spec)]
+    assert verdict.is_sat
+    assert stats.check_sat_calls == 5
+    assert [eager.index(term) for term in stats.asserted_lemmas] == [
+        0, 2, 47, 49, 51, 54, 55, 56, 57, 58, 61, 63, 65, 68, 83, 97, 111, 118,
+        120, 122, 124, 135, 174, 175, 176, 177, 182, 184, 195,
+        59, 207,
+        40, 41, 43, 48, 209, 210,
+        19,
+    ]
+
+
 def test_lazy_rejects_quantified_input(ex1):
     from monoinfer.terms import Forall, Var
 
@@ -392,10 +485,8 @@ def test_all_strategies_agree_on_bounded_formula():
         base += [Cmp(CmpOp.LE, IntLit(0), t), Cmp(CmpOp.LE, t, IntLit(2))]
     phi = mk_and(base)
     spec = MonotonicitySpec({h: ({1}, set())})  # h(0)=2 > h(2)=0 contradicts
-    verdicts = []
-    for encode in (encode_quant_individual, encode_quant_aggregated, encode_eager):
-        session = InternalSession()
-        session.assert_formula(encode(phi, spec).formula)
-        verdicts.append(session.check_sat())
-    verdicts.append(solve_lazy(phi, spec, InternalSession()).kind)
+    verdicts = [
+        solve(encode(phi, spec, strategy), spec, InternalSession()).kind
+        for strategy in Strategy
+    ]
     assert verdicts == ["unsat"] * 4

@@ -281,3 +281,29 @@ def test_cli_emit_smt2(tmp_path):
         "--emit-smt2", str(target), expect=0,
     )
     assert target.read_text().startswith("(set-logic UFLIA)")
+
+
+STALLING_SOLVER = """\
+import sys, time
+for line in sys.stdin:
+    if line.startswith("(check-sat"):
+        print("sat", flush=True)
+    elif line.startswith("(get-"):
+        time.sleep(60)
+"""
+
+
+@pytest.mark.parametrize("strategy", [Strategy.INST_LAZY, Strategy.INST_EAGER])
+def test_run_single_model_query_timeout_is_timeout(fig1, tmp_path, strategy):
+    # the solver answers sat, then stalls on get-value / get-model
+    script = tmp_path / "stalling_solver.py"
+    script.write_text(STALLING_SOLVER)
+    record, _ = run_single(
+        fig1,
+        strategy,
+        solver_cmd=f"{sys.executable} {script}",
+        time_limit_ms=1000,
+        instance_name="fig1",
+    )
+    assert record.failure == "timeout", record
+    assert record.verdict is None
