@@ -58,8 +58,6 @@ from .network import (
     Regulation,
     Sign,
     UpdateFunctionTable,
-    build_monotonicity_spec,
-    build_signature,
     decode_solution,
     encode_inference,
     verify_solution,

@@ -27,7 +27,7 @@ from .harness import (
 from .oracle import OracleBudgetError, count_solutions, oracle_inference
 from .network import ProblemError, verify_solution
 from .problemfile import ProblemParseError, load_problem, save_problem
-from .session import ENV_SOLVER_CMD, default_solver_command
+from .session import ENV_SOLVER_CMD
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -129,11 +129,10 @@ def _cmd_solve(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     strategy = Strategy(args.encoding)
-    solver_cmd = args.solver_cmd if args.solver_cmd is not None else default_solver_command()
     record, tables = run_single(
         problem,
         strategy,
-        solver_cmd=solver_cmd,
+        solver_cmd=args.solver_cmd,
         time_limit_ms=args.timeout_ms,
         verify=args.verify,
         simplify=not args.no_simplify,
@@ -193,14 +192,13 @@ def _cmd_bench(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    solver_cmd = args.solver_cmd if args.solver_cmd is not None else default_solver_command()
     try:
         records = run_batch(
             args.directory,
             strategies,
             parallelism=args.parallel,
             time_limit_ms=args.timeout_ms,
-            solver_cmd=solver_cmd,
+            solver_cmd=args.solver_cmd,
             verify=args.verify,
         )
     except FileNotFoundError as err:

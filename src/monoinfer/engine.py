@@ -316,14 +316,7 @@ class Engine:
             if c1 == -1 and c2 == 1:
                 (n1, c1), (n2, c2) = (n2, c2), (n1, c1)
             if c1 == 1 and c2 == -1:  # n1 - n2 <= k
-                lad1, lad2 = self._is_laddered(n1), self._is_laddered(n2)
-                if lad1 and lad2:
-                    return self._ladder_le_lit(n1, n2, k)
-                if not lad1 and not lad2:
-                    return self._atom_lit(n1, n2, k)
-                raise EngineUnsupported(
-                    "atom mixes a small-bounded unknown with an unbounded one"
-                )
+                return self._node_le_lit(n1, n2, k)
         raise EngineUnsupported(
             "integer atom outside the difference fragment "
             f"(coefficients {sorted(coeffs.values())})"

@@ -23,6 +23,7 @@ from .network import (
     ProblemError,
     UpdateFunctionTable,
     decode_solution,
+    encode_inference,
     verify_solution,
 )
 from .problemfile import load_problem
@@ -112,8 +113,6 @@ def run_single(
     captured in the record rather than raised.  With verify=True a sat model
     is decoded and independently checked, and the result noted.
     """
-    from .network import encode_inference
-
     start = time.perf_counter()
     tables: Optional[list[UpdateFunctionTable]] = None
     record = None

@@ -2,11 +2,12 @@
 
 Translates an inference problem into a quantifier-free formula with a
 monotonicity specification: an uninterpreted update function per variable
-(arity = its regulators, in variable-list order), essentiality constraints
-(some context where varying one regulator changes the output), fixed-point
-constraints (one per observation, skolemized), and bounds on every bounded
-integer application and skolem constant.  Also decodes solver models back
-into complete update tables and verifies them independently.
+(`problem.signature`; arity = its regulators, in variable-list order),
+essentiality constraints (some context where varying one regulator changes
+the output), fixed-point constraints (one per observation, skolemized), and
+bounds on every bounded integer application and skolem constant, paired
+with `problem.spec`.  Also decodes solver models back into complete update
+tables and verifies them independently.
 """
 
 from __future__ import annotations
@@ -102,21 +103,19 @@ class FixedPointObservation:
             if var.name in seen:
                 raise ProblemError(f"observation assigns {var.name} twice")
             seen.add(var.name)
-            if var.domain.is_bounded:
-                if value not in var.values():
-                    raise ProblemError(
-                        f"value {value!r} outside the domain of {var.name}"
-                    )
-            elif not isinstance(value, int) or isinstance(value, bool):
+            # bool is an int subclass: 1 == True, so check the kind first
+            if not isinstance(value, int) or isinstance(value, bool) != var.is_boolean:
                 raise ProblemError(
-                    f"value {value!r} is not an integer for {var.name}"
+                    f"value {value!r} does not have the sort of {var.name}"
                 )
+            if var.domain.is_bounded and value not in var.values():
+                raise ProblemError(
+                    f"value {value!r} outside the domain of {var.name}"
+                )
+        object.__setattr__(self, "_values", dict(self.assignments))
 
     def value_of(self, var: NetworkVariable) -> Optional[Value]:
-        for v, value in self.assignments:
-            if v == var:
-                return value
-        return None
+        return self._values.get(var)
 
     @classmethod
     def of(cls, pairs, name: str = "") -> "FixedPointObservation":
@@ -125,6 +124,15 @@ class FixedPointObservation:
 
 @dataclass
 class InferenceProblem:
+    """An influence graph with fixed-point observations.
+
+    Construction validates the problem and indexes it once: the regulators
+    of each variable, the regulation of each (source, target) pair,
+    `signature` (each variable's update symbol) and `spec` (their
+    monotonicity specification).  Every reader uses that index, so the
+    lists must not be mutated after construction.
+    """
+
     variables: list[NetworkVariable]
     regulations: list[Regulation]
     observations: list[FixedPointObservation]
@@ -133,36 +141,59 @@ class InferenceProblem:
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise ProblemError("duplicate variable names")
-        declared = set(self.variables)
-        pairs = set()
+        # keyed by variable-list positions: small ints hash far faster than
+        # variables, and sorting them orders regulators as the list does
+        self._position = {v: i for i, v in enumerate(self.variables)}
+        self._regulation: dict[tuple[int, int], Regulation] = {}
+        sources: list[list[int]] = [[] for _ in self.variables]
         for reg in self.regulations:
-            if reg.source not in declared or reg.target not in declared:
+            source = self._position.get(reg.source)
+            target = self._position.get(reg.target)
+            if source is None or target is None:
                 raise ProblemError(
                     f"regulation {reg.source.name} -> {reg.target.name} "
                     "references an undeclared variable"
                 )
-            key = (reg.source.name, reg.target.name)
-            if key in pairs:
-                raise ProblemError(f"duplicate regulation {key[0]} -> {key[1]}")
-            pairs.add(key)
+            if (source, target) in self._regulation:
+                raise ProblemError(
+                    f"duplicate regulation {reg.source.name} -> {reg.target.name}"
+                )
+            self._regulation[source, target] = reg
+            sources[target].append(source)
         for obs in self.observations:
             for var, _ in obs.assignments:
-                if var not in declared:
+                if var not in self._position:
                     raise ProblemError(
                         f"observation references undeclared variable {var.name}"
                     )
+        self._regulators: dict[NetworkVariable, tuple[NetworkVariable, ...]] = {}
+        self.signature: dict[NetworkVariable, FunctionSymbol] = {}
+        entries = {}
+        for target, var in enumerate(self.variables):
+            positions = sorted(sources[target])
+            regulators = tuple(self.variables[i] for i in positions)
+            signs = [self._regulation[i, target].sign for i in positions]
+            func = FunctionSymbol(
+                update_symbol_name(var), [r.domain for r in regulators], var.domain
+            )
+            self._regulators[var] = regulators
+            self.signature[var] = func
+            entries[func] = (
+                {i for i, s in enumerate(signs, start=1) if s == Sign.MONOTONE},
+                {i for i, s in enumerate(signs, start=1) if s == Sign.ANTI_MONOTONE},
+            )
+        self.spec = MonotonicitySpec(entries)
 
     def regulators_of(self, target: NetworkVariable) -> list[NetworkVariable]:
         """Regulators in variable-list index order (fixes argument positions)."""
-        index = {v: i for i, v in enumerate(self.variables)}
-        sources = [r.source for r in self.regulations if r.target == target]
-        return sorted(sources, key=lambda v: index[v])
+        return list(self._regulators.get(target, ()))
 
     def regulation(self, source: NetworkVariable, target: NetworkVariable) -> Regulation:
-        for r in self.regulations:
-            if r.source == source and r.target == target:
-                return r
-        raise ProblemError(f"no regulation {source.name} -> {target.name}")
+        key = (self._position.get(source), self._position.get(target))
+        reg = self._regulation.get(key)
+        if reg is None:
+            raise ProblemError(f"no regulation {source.name} -> {target.name}")
+        return reg
 
     def all_bounded(self) -> bool:
         return all(v.domain.is_bounded for v in self.variables)
@@ -199,37 +230,6 @@ def update_symbol_name(var: NetworkVariable) -> str:
     return f"f_{var.name}"
 
 
-def build_signature(problem: InferenceProblem) -> dict[NetworkVariable, FunctionSymbol]:
-    """One uninterpreted update symbol per variable; argument order follows
-    the variable list, result sort is the target's domain."""
-    out = {}
-    for var in problem.variables:
-        regulators = problem.regulators_of(var)
-        out[var] = FunctionSymbol(
-            update_symbol_name(var),
-            [r.domain for r in regulators],
-            var.domain,
-        )
-    return out
-
-
-def build_monotonicity_spec(problem: InferenceProblem) -> MonotonicitySpec:
-    signature = build_signature(problem)
-    entries = {}
-    for var in problem.variables:
-        regulators = problem.regulators_of(var)
-        mono = set()
-        anti = set()
-        for i, reg_var in enumerate(regulators, start=1):
-            sign = problem.regulation(reg_var, var).sign
-            if sign == Sign.MONOTONE:
-                mono.add(i)
-            elif sign == Sign.ANTI_MONOTONE:
-                anti.add(i)
-        entries[signature[var]] = (mono, anti)
-    return MonotonicitySpec(entries)
-
-
 def essentiality_constraint(
     problem: InferenceProblem,
     target: NetworkVariable,
@@ -244,8 +244,7 @@ def essentiality_constraint(
         raise ProblemError(
             f"regulation {source.name} -> {target.name} is not declared essential"
         )
-    signature = build_signature(problem)
-    func = signature[target]
+    func = problem.signature[target]
     regulators = problem.regulators_of(target)
     position = regulators.index(source) + 1
     context = {
@@ -287,7 +286,6 @@ def fixed_point_constraint(
     the raw schema quantifies over all variables and keeps the value
     equations as separate conjuncts.
     """
-    signature = build_signature(problem)
     state: dict[NetworkVariable, Term] = {}
     binders: list[Var] = []
     for var in problem.variables:
@@ -300,7 +298,8 @@ def fixed_point_constraint(
             binders.append(v)
     conjuncts: list[Term] = []
     for var in problem.variables:
-        app = Apply(signature[var], tuple(state[r] for r in problem.regulators_of(var)))
+        regulators = problem.regulators_of(var)
+        app = Apply(problem.signature[var], tuple(state[r] for r in regulators))
         observed = observation.value_of(var)
         if simplify and observed is not None:
             conjuncts.append(Cmp(CmpOp.EQ, app, value_lit(observed)))
@@ -354,7 +353,7 @@ def encode_inference(
     if bounds:
         parts = list(core.args) if isinstance(core, And) else [core]
         core = mk_and(parts + bounds)
-    return core, build_monotonicity_spec(problem)
+    return core, problem.spec
 
 
 # -- decoding and verification ----------------------------------------------------
@@ -367,12 +366,9 @@ def decode_solution(
     unconstrained points through monotonization."""
     if not problem.all_bounded():
         raise ProblemError("cannot decode tables over unbounded domains")
-    signature = build_signature(problem)
-    spec = build_monotonicity_spec(problem)
-    mono: MonotoneModel = monotonize_model(model, spec)
+    mono: MonotoneModel = monotonize_model(model, problem.spec)
     tables = []
-    for var in problem.variables:
-        func = signature[var]
+    for func in problem.signature.values():
         grid = itertools.product(*(s.values() for s in func.arg_sorts))
         rows = {}
         for point in grid:
@@ -502,15 +498,16 @@ def _extends_to_fixed_point(
             f"fixed-point extension space {count} exceeds budget {max_states}"
         )
     base = {v: observation.value_of(v) for v in problem.variables}
+    updates = [
+        (var, tables[update_symbol_name(var)], problem.regulators_of(var))
+        for var in problem.variables
+    ]
     for combo in itertools.product(*(v.values() for v in free)):
         state = dict(base)
         state.update(zip(free, combo))
         if all(
-            tables[update_symbol_name(var)].lookup(
-                tuple(state[r] for r in problem.regulators_of(var))
-            )
-            == state[var]
-            for var in problem.variables
+            table.lookup(tuple(state[r] for r in regulators)) == state[var]
+            for var, table, regulators in updates
         ):
             return True
     return False

@@ -27,8 +27,6 @@ from .network import (
     NetworkVariable,
     ProblemError,
     UpdateFunctionTable,
-    build_monotonicity_spec,
-    build_signature,
     update_symbol_name,
 )
 
@@ -179,30 +177,43 @@ def _forced_rows(
 ) -> Optional[dict[NetworkVariable, dict[ValueVector, Value]]]:
     """Fixed rows each update table must satisfy for every state in `states`
     to be a fixed point; None if two states force the same row differently."""
-    forced: dict[NetworkVariable, dict[ValueVector, Value]] = {
-        v: {} for v in problem.variables
-    }
-    for state in states:
-        for var in problem.variables:
-            point = tuple(state[r] for r in problem.regulators_of(var))
+    forced: dict[NetworkVariable, dict[ValueVector, Value]] = {}
+    for var in problem.variables:
+        regulators = problem.regulators_of(var)
+        rows = forced[var] = {}
+        for state in states:
+            point = tuple(state[r] for r in regulators)
             value = state[var]
-            known = forced[var].get(point)
+            known = rows.get(point)
             if known is not None and known != value:
                 return None
-            forced[var][point] = value
+            rows[point] = value
     return forced
 
 
-def _variable_constraints(problem: InferenceProblem, var: NetworkVariable):
-    spec = build_monotonicity_spec(problem)
-    func = build_signature(problem)[var]
-    regulators = problem.regulators_of(var)
+def _tables_of(
+    problem: InferenceProblem,
+    var: NetworkVariable,
+    forced: Optional[dict[ValueVector, Value]],
+    budget: _Budget,
+) -> Iterator[dict[ValueVector, Value]]:
+    """Every table of `var`'s update symbol meeting its regulation signs,
+    its essential regulations and the forced rows."""
+    func = problem.signature[var]
     essential = [
         i
-        for i, reg_var in enumerate(regulators, start=1)
-        if problem.regulation(reg_var, var).essential
+        for i, source in enumerate(problem.regulators_of(var), start=1)
+        if problem.regulation(source, var).essential
     ]
-    return func, spec.monotone(func), spec.anti_monotone(func), essential
+    return enumerate_tables(
+        [s.values() for s in func.arg_sorts],
+        func.result_sort.values(),
+        problem.spec.monotone(func),
+        problem.spec.anti_monotone(func),
+        essential,
+        forced,
+        budget,
+    )
 
 
 def oracle_inference(
@@ -217,7 +228,6 @@ def oracle_inference(
     if not problem.all_bounded():
         raise ProblemError("oracle requires bounded domains")
     tracker = _Budget(budget)
-    signature = build_signature(problem)
     extensions = _observation_extensions(problem, tracker)
     for combo in itertools.product(*extensions):
         forced = _forced_rows(problem, combo)
@@ -225,20 +235,10 @@ def oracle_inference(
             continue
         witness = []
         for var in problem.variables:
-            func, mono, anti, essential = _variable_constraints(problem, var)
-            gen = enumerate_tables(
-                [s.values() for s in func.arg_sorts],
-                func.result_sort.values(),
-                mono,
-                anti,
-                essential,
-                forced[var],
-                tracker,
-            )
-            rows = next(gen, None)
+            rows = next(_tables_of(problem, var, forced[var], tracker), None)
             if rows is None:
                 break
-            witness.append(UpdateFunctionTable(func, rows))
+            witness.append(UpdateFunctionTable(problem.signature[var], rows))
         else:
             return OracleResult("sat", witness)
     return OracleResult("unsat")
@@ -268,40 +268,16 @@ def count_solutions(problem: InferenceProblem, budget: int = DEFAULT_BUDGET) -> 
             return 0
         total = 1
         for var in problem.variables:
-            func, mono, anti, essential = _variable_constraints(problem, var)
-            count = sum(
-                1
-                for _ in enumerate_tables(
-                    [s.values() for s in func.arg_sorts],
-                    func.result_sort.values(),
-                    mono,
-                    anti,
-                    essential,
-                    forced[var],
-                    tracker,
-                )
-            )
-            total *= count
+            total *= sum(1 for _ in _tables_of(problem, var, forced[var], tracker))
             if total == 0:
                 return 0
         return total
     # general path: candidate lists per variable, observation check per tuple
     candidates: list[list[UpdateFunctionTable]] = []
     for var in problem.variables:
-        func, mono, anti, essential = _variable_constraints(problem, var)
-        tables = [
-            UpdateFunctionTable(func, rows)
-            for rows in enumerate_tables(
-                [s.values() for s in func.arg_sorts],
-                func.result_sort.values(),
-                mono,
-                anti,
-                essential,
-                None,
-                tracker,
-            )
-        ]
-        candidates.append(tables)
+        func = problem.signature[var]
+        tables = _tables_of(problem, var, None, tracker)
+        candidates.append([UpdateFunctionTable(func, rows) for rows in tables])
     total = 0
     for combo in itertools.product(*candidates):
         tracker.spend()
@@ -319,16 +295,17 @@ def _has_fixed_point(
 ) -> bool:
     free = [v for v in problem.variables if observation.value_of(v) is None]
     base = {v: observation.value_of(v) for v in problem.variables}
+    updates = [
+        (var, tables[update_symbol_name(var)], problem.regulators_of(var))
+        for var in problem.variables
+    ]
     for combo in itertools.product(*(v.values() for v in free)):
         tracker.spend()
         state = dict(base)
         state.update(zip(free, combo))
         if all(
-            tables[update_symbol_name(var)].lookup(
-                tuple(state[r] for r in problem.regulators_of(var))
-            )
-            == state[var]
-            for var in problem.variables
+            table.lookup(tuple(state[r] for r in regulators)) == state[var]
+            for var, table, regulators in updates
         ):
             return True
     return False

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .model import FunctionTable, Model, Value
+from .model import FunctionTable, Model, Value, default_output
 from .terms import (
     Add,
     And,
@@ -375,13 +375,14 @@ def model_to_sexpr(model: Model, signature: Sequence[Union[Const, FunctionSymbol
     lines = ["("]
     for item in signature:
         if isinstance(item, Const):
-            value = model.constants.get(item.name, 0 if item.sort.is_int else False)
+            value = model.constants.get(item.name, default_output(item.sort, ()))
             lines.append(
                 f"  (define-fun {item.name} () {sort_to_sexpr(item.sort)} "
                 f"{value_to_sexpr(value)})"
             )
         else:
-            table = model.functions.get(item.name, FunctionTable({}, _default_for(item)))
+            default = default_output(item.result_sort, ())
+            table = model.functions.get(item.name, FunctionTable({}, default))
             if item.arity == 0:
                 lines.append(
                     f"  (define-fun {item.name} () {sort_to_sexpr(item.result_sort)} "
@@ -404,7 +405,3 @@ def model_to_sexpr(model: Model, signature: Sequence[Union[Const, FunctionSymbol
             )
     lines.append(")")
     return "\n".join(lines)
-
-
-def _default_for(func: FunctionSymbol) -> Value:
-    return False if func.result_sort.is_bool else 0

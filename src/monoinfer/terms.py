@@ -467,20 +467,8 @@ def lit(value: Value) -> Term:
     return BoolLit(value) if isinstance(value, bool) else IntLit(value)
 
 
-def eq(lhs: Term, rhs: Term) -> Term:
-    return Cmp(CmpOp.EQ, lhs, rhs)
-
-
 def ne(lhs: Term, rhs: Term) -> Term:
     return Cmp(CmpOp.NE, lhs, rhs)
-
-
-def le(lhs: Term, rhs: Term) -> Term:
-    return Cmp(CmpOp.LE, lhs, rhs)
-
-
-def lt(lhs: Term, rhs: Term) -> Term:
-    return Cmp(CmpOp.LT, lhs, rhs)
 
 
 def ordering_atom(lhs: Term, rhs: Term) -> Term:

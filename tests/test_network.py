@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from monoinfer.encode import encode_eager
+from monoinfer.generate import GeneratorParams, generate_instance
 from monoinfer.model import FunctionTable, Model
 from monoinfer.network import (
     FixedPointObservation,
@@ -13,8 +15,6 @@ from monoinfer.network import (
     Sign,
     UpdateFunctionTable,
     bounds_constraints,
-    build_monotonicity_spec,
-    build_signature,
     decode_solution,
     encode_inference,
     essentiality_constraint,
@@ -65,6 +65,11 @@ def test_problem_validation():
         FixedPointObservation.of([])
     with pytest.raises(ProblemError):
         FixedPointObservation.of([(a, 5)])
+    n = NetworkVariable("n", bounded_int(0, 2))
+    with pytest.raises(ProblemError):
+        FixedPointObservation.of([(a, 1)])  # 1 == True, but not a Boolean
+    with pytest.raises(ProblemError):
+        FixedPointObservation.of([(n, True)])  # True == 1, but not an integer
     with pytest.raises(ProblemError):
         NetworkVariable("x", bounded_int(1, 3))  # integer domains start at 0
 
@@ -73,7 +78,7 @@ def test_problem_validation():
 
 
 def test_fig1_signature_arities(fig1):
-    signature = build_signature(fig1)
+    signature = fig1.signature
     arities = {f.name: f.arity for f in signature.values()}
     assert arities == {"f_a": 3, "f_b": 2, "f_c": 1}
 
@@ -81,7 +86,7 @@ def test_fig1_signature_arities(fig1):
 def test_input_free_variable_gets_constant_symbol():
     a, b = _bool_var("a"), _bool_var("b")
     problem = InferenceProblem([a, b], [Regulation(a, b)], [])
-    signature = build_signature(problem)
+    signature = problem.signature
     assert signature[a].arity == 0
     assert signature[b].arity == 1
 
@@ -89,7 +94,7 @@ def test_input_free_variable_gets_constant_symbol():
 def test_self_loop_only_arity_one():
     v = _bool_var("v")
     problem = InferenceProblem([v], [Regulation(v, v)], [])
-    assert build_signature(problem)[v].arity == 1
+    assert problem.signature[v].arity == 1
 
 
 def test_regulator_order_follows_variable_list():
@@ -102,12 +107,43 @@ def test_regulator_order_follows_variable_list():
     assert problem.regulators_of(b) == [a, c]
 
 
+@pytest.mark.parametrize(
+    "seed, params",
+    [
+        (9000 + i, GeneratorParams(30 + 5 * i, max_arity=8 + i, essential_ratio=0.25))
+        for i in range(3)
+    ]
+    + [
+        (1, GeneratorParams(n_vars=10, max_arity=3, domain_size=3, n_observations=3)),
+        (2, GeneratorParams(n_vars=11, max_arity=2, domain_size=4, n_observations=3)),
+    ],
+)
+def test_regulation_order_does_not_matter(seed, params):
+    problem = generate_instance(seed, params)
+    regulations = list(problem.regulations)
+    random.Random(seed).shuffle(regulations)
+    assert regulations != problem.regulations
+    shuffled = InferenceProblem(problem.variables, regulations, problem.observations)
+    for var in problem.variables:
+        assert shuffled.regulators_of(var) == problem.regulators_of(var)
+    formula, spec = encode_inference(problem)
+    shuffled_formula, shuffled_spec = encode_inference(shuffled)
+    assert shuffled_formula == formula
+    assert shuffled_spec == spec
+    assert list(shuffled_spec.entries) == list(spec.entries)
+    tables = decode_solution(_solve_eager(problem), problem)
+    shuffled_tables = decode_solution(_solve_eager(shuffled), shuffled)
+    assert shuffled_tables == tables
+    assert verify_solution(shuffled, shuffled_tables) == verify_solution(problem, tables)
+    assert verify_solution(problem, tables).ok
+
+
 # -- monotonicity specification -------------------------------------------------------
 
 
 def test_fig1_monotonicity_spec(fig1):
-    signature = build_signature(fig1)
-    spec = build_monotonicity_spec(fig1)
+    signature = fig1.signature
+    spec = fig1.spec
     names = _fig1_vars(fig1)
     assert spec.monotone(signature[names["a"]]) == {3}
     assert spec.anti_monotone(signature[names["a"]]) == {2}
@@ -119,16 +155,16 @@ def test_fig1_monotonicity_spec(fig1):
 def test_all_unknown_signs_unconstrained():
     a, b = _bool_var("a"), _bool_var("b")
     problem = InferenceProblem([a, b], [Regulation(a, b, Sign.UNKNOWN)], [])
-    spec = build_monotonicity_spec(problem)
-    f_b = build_signature(problem)[b]
+    spec = problem.spec
+    f_b = problem.signature[b]
     assert spec.constrained_indices(f_b) == frozenset()
 
 
 def test_positive_self_loop_spec():
     v = _bool_var("v")
     problem = InferenceProblem([v], [Regulation(v, v, Sign.MONOTONE)], [])
-    f_v = build_signature(problem)[v]
-    assert build_monotonicity_spec(problem).monotone(f_v) == {1}
+    f_v = problem.signature[v]
+    assert problem.spec.monotone(f_v) == {1}
 
 
 # -- essentiality -----------------------------------------------------------------------
@@ -157,7 +193,7 @@ def test_essentiality_boolean_source_instantiated():
     a, b = _bool_var("a"), _bool_var("b")
     problem = InferenceProblem([a, b], [Regulation(a, b, essential=True)], [])
     eta = essentiality_constraint(problem, b, a)
-    f_b = build_signature(problem)[b]
+    f_b = problem.signature[b]
     assert eta == Cmp(
         CmpOp.NE, Apply(f_b, (BoolLit(True),)), Apply(f_b, (BoolLit(False),))
     )
@@ -181,7 +217,7 @@ def test_fixed_point_fully_observed_is_ground(fig1):
     f3 = fig1.observations[2]
     tau = fixed_point_constraint(fig1, f3)
     assert is_quantifier_free(tau) and free_vars(tau) == set()
-    signature = build_signature(fig1)
+    signature = fig1.signature
     expected = And(
         [
             Cmp(
@@ -207,7 +243,7 @@ def test_fixed_point_partial_observation_shape(fig1):
     assert isinstance(tau, Exists)
     assert [v.name for v in tau.bound] == ["x_b", "x_c"]
     conjuncts = tau.body.args
-    signature = build_signature(fig1)
+    signature = fig1.signature
     x_b, x_c = tau.bound
     assert conjuncts[0] == Cmp(
         CmpOp.EQ, Apply(signature[names["a"]], (IntLit(0), x_b, x_c)), IntLit(0)
@@ -224,7 +260,7 @@ def test_fixed_point_self_loop_single_variable():
         [v], [Regulation(v, v)], [FixedPointObservation.of([(v, 1)])]
     )
     tau = fixed_point_constraint(problem, problem.observations[0])
-    f_v = build_signature(problem)[v]
+    f_v = problem.signature[v]
     assert tau == Cmp(CmpOp.EQ, Apply(f_v, (IntLit(1),)), IntLit(1))
 
 
@@ -326,8 +362,8 @@ def test_fully_observed_fixed_points_have_no_skolems():
 # -- decode / verify -----------------------------------------------------------------------------
 
 
-def _solve_fig1(fig1):
-    formula, spec = encode_inference(fig1)
+def _solve_eager(problem):
+    formula, spec = encode_inference(problem)
     session = InternalSession()
     session.assert_formula(encode_eager(formula, spec).formula)
     assert session.check_sat() == "sat"
@@ -335,7 +371,7 @@ def _solve_fig1(fig1):
 
 
 def test_decode_fig1_forced_rows(fig1):
-    model = _solve_fig1(fig1)
+    model = _solve_eager(fig1)
     tables = {t.symbol.name: t for t in decode_solution(model, fig1)}
     f_b = tables["f_b"]
     assert f_b.lookup((0, 0)) == 0
@@ -347,7 +383,7 @@ def test_decode_fig1_forced_rows(fig1):
 
 
 def test_decode_then_verify_round_trip(fig1):
-    model = _solve_fig1(fig1)
+    model = _solve_eager(fig1)
     tables = decode_solution(model, fig1)
     assert verify_solution(fig1, tables).ok
 
@@ -382,7 +418,7 @@ def test_decode_rejects_unbounded():
 
 def _intro_solution_tables(fig1):
     names = _fig1_vars(fig1)
-    signature = build_signature(fig1)
+    signature = fig1.signature
     domain = range(4)
 
     def f_a(a, b, c):
