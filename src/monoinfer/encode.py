@@ -4,9 +4,11 @@ Two quantified encodings turn the specification into universal axioms (one
 per constrained argument, or one aggregated axiom per symbol).  The
 instantiation-based encodings exploit locality: ground instances of the
 aggregated axiom at pairs of application argument vectors occurring in the
-formula suffice for equisatisfiability.  The eager encoding asserts all of
-them up front; the lazy loop asserts only those violated by successive
-candidate models.
+formula suffice for equisatisfiability.  Both read one index of the
+formula's applications, built in a single traversal.  The eager encoding
+asserts every instance up front; the lazy loop values the applications
+under each candidate model and builds a lemma only for a pair the model
+violates.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .engine import EngineUnsupported
 from .model import (
@@ -41,14 +43,12 @@ from .terms import (
     Term,
     TermError,
     Var,
-    applications_in_order,
     is_quantifier_free,
     iter_subterms,
     mk_and,
     mk_implies,
     ordering_atom,
     subst_at,
-    symbols_in_order,
 )
 
 
@@ -80,13 +80,25 @@ def _check_spec(spec: MonotonicitySpec) -> None:
             raise EncodingError(f"constrained symbol {func.name} is interpreted")
 
 
-def _spec_symbols(formula: Term, spec: MonotonicitySpec) -> list[FunctionSymbol]:
-    """Constrained symbols, ordered by first application in the formula, then
-    remaining specification entries by name (determinism for emission)."""
+def _application_index(
+    formula: Term, spec: MonotonicitySpec
+) -> dict[FunctionSymbol, list[Apply]]:
+    """The distinct applications of each constrained symbol, in one traversal.
+
+    Symbols are ordered by first application in the formula, then the
+    remaining constrained symbols by name; applications are deduplicated
+    syntactically, in first-occurrence (left-to-right preorder) order.  This
+    order fixes the emission order reproduced by the golden files.
+    """
+    _check_spec(spec)
     constrained = set(spec.constrained_symbols())
-    ordered = [f for f in symbols_in_order(formula) if f in constrained]
-    rest = sorted(constrained.difference(ordered), key=lambda f: f.name)
-    return ordered + rest
+    index: dict[FunctionSymbol, dict[Apply, None]] = {}
+    for t in iter_subterms(formula):
+        if isinstance(t, Apply) and t.func in constrained:
+            index.setdefault(t.func, {}).setdefault(t)
+    for func in sorted(constrained.difference(index), key=lambda f: f.name):
+        index[func] = {}
+    return {func: list(apps) for func, apps in index.items()}
 
 
 def _bound_vars(func: FunctionSymbol, prefix: str) -> list[Var]:
@@ -100,10 +112,9 @@ def encode_quant_individual(formula: Term, spec: MonotonicitySpec) -> EncodedPro
     """One universally quantified constraint per constrained argument:
     for every i in f's monotone (anti-monotone) set,
     forall x, y: x_i <= y -> f(x) <= f(x[i := y])  (>= for anti-monotone)."""
-    _check_spec(spec)
     conjuncts = [formula]
     count = 0
-    for func in _spec_symbols(formula, spec):
+    for func in _application_index(formula, spec):
         xs = _bound_vars(func, "x")
         x_vec: ArgVector = tuple(xs)
         for i in sorted(spec.constrained_indices(func)):
@@ -144,10 +155,9 @@ def _aggregated_body(
 
 def encode_quant_aggregated(formula: Term, spec: MonotonicitySpec) -> EncodedProblem:
     """One aggregated universal constraint per constrained symbol."""
-    _check_spec(spec)
     conjuncts = [formula]
     count = 0
-    for func in _spec_symbols(formula, spec):
+    for func in _application_index(formula, spec):
         xs = _bound_vars(func, "x")
         ys = _bound_vars(func, "y")
         body = _aggregated_body(func, spec, xs, ys)
@@ -168,59 +178,20 @@ def monotonicity_lemma(
     return _aggregated_body(func, spec, t, s)
 
 
-def lemma_is_vacuous(func: FunctionSymbol, t: ArgVector, s: ArgVector, spec: MonotonicitySpec) -> bool:
-    """True if the lemma antecedent folds to false on numeral comparisons alone."""
-    mono = spec.monotone(func)
-    anti = spec.anti_monotone(func)
-    for i in range(1, func.arity + 1):
-        a, b = t[i - 1], s[i - 1]
-        if isinstance(a, IntLit) and isinstance(b, IntLit):
-            av, bv = a.value, b.value
-        elif isinstance(a, BoolLit) and isinstance(b, BoolLit):
-            av, bv = a.value, b.value
-        else:
-            continue
-        if i in mono:
-            holds = av <= bv
-        elif i in anti:
-            holds = bv <= av
-        else:
-            holds = av == bv
-        if not holds:
-            return True
-    return False
-
-
-@dataclass
-class LemmaInstance:
-    func: FunctionSymbol
-    t: ArgVector
-    s: ArgVector
-    term: Term
-
-
-def lemma_instances(formula: Term, spec: MonotonicitySpec) -> list[LemmaInstance]:
-    """All ordered-pair ground lemmas for applications occurring in the formula.
-
-    Pairs are ordered and the diagonal is dropped (the lemma at (t, t) is
-    valid); applications are deduplicated syntactically, in first-occurrence
-    order, which fixes the emission order reproduced by the golden files.
-    """
-    _check_spec(spec)
-    out: list[LemmaInstance] = []
-    for func in _spec_symbols(formula, spec):
-        apps = applications_in_order(formula, func)
-        for t, s in itertools.permutations(apps, 2):
-            out.append(LemmaInstance(func, t, s, monotonicity_lemma(func, t, s, spec)))
-    return out
+def ground_lemmas(formula: Term, spec: MonotonicitySpec) -> list[Term]:
+    """All ordered-pair ground lemmas for applications occurring in the
+    formula, in emission order.  The diagonal is dropped: the lemma at
+    (t, t) is valid."""
+    return [
+        monotonicity_lemma(func, t.args, s.args, spec)
+        for func, apps in _application_index(formula, spec).items()
+        for t, s in itertools.permutations(apps, 2)
+    ]
 
 
 def eager_lemma_count(formula: Term, spec: MonotonicitySpec) -> int:
-    total = 0
-    for func in spec.constrained_symbols():
-        n = len(applications_in_order(formula, func))
-        total += n * (n - 1)
-    return total
+    index = _application_index(formula, spec)
+    return sum(len(apps) * (len(apps) - 1) for apps in index.values())
 
 
 def encode_eager(formula: Term, spec: MonotonicitySpec) -> EncodedProblem:
@@ -228,9 +199,8 @@ def encode_eager(formula: Term, spec: MonotonicitySpec) -> EncodedProblem:
     the quantified encoding by locality).  Requires a quantifier-free input."""
     if not is_quantifier_free(formula):
         raise EncodingError("eager instantiation requires a quantifier-free formula")
-    instances = lemma_instances(formula, spec)
-    conjuncts = [formula] + [inst.term for inst in instances]
-    return EncodedProblem(mk_and(conjuncts), len(instances), Strategy.INST_EAGER)
+    lemmas = ground_lemmas(formula, spec)
+    return EncodedProblem(mk_and([formula] + lemmas), len(lemmas), Strategy.INST_EAGER)
 
 
 def encode(formula: Term, spec: MonotonicitySpec, strategy: Strategy) -> EncodedProblem:
@@ -282,64 +252,59 @@ def solve(
     return verdict if verdict is not None else _sat(session)
 
 
-AppKey = tuple[FunctionSymbol, ArgVector]
+# a lemma candidate: the symbol and the positions of its two applications
+# in the application index
+Pair = tuple[FunctionSymbol, int, int]
 
 
-def _applications(instances: Sequence[LemmaInstance]) -> dict[AppKey, Apply]:
-    apps: dict[AppKey, Apply] = {}
-    for inst in instances:
-        for args in (inst.t, inst.s):
-            if (inst.func, args) not in apps:
-                apps[inst.func, args] = Apply(inst.func, args)
-    return apps
-
-
-def _leaves(apps: Mapping[AppKey, Apply]) -> list[Term]:
+def _leaves(apps: Iterable[Apply]) -> list[Term]:
     """The constants and applications whose values fix every application's
     argument vector and result (`f(c1 + 5, 0)` needs `c1` and itself)."""
     seen: dict[Term, None] = {}
-    for app in apps.values():
+    for app in apps:
         for t in iter_subterms(app):
             if isinstance(t, (Const, Apply)):
                 seen.setdefault(t)
     return list(seen)
 
 
-def _violated(
-    pending: Sequence[LemmaInstance],
+def _violated_pairs(
+    index: Mapping[FunctionSymbol, Sequence[Apply]],
     spec: MonotonicitySpec,
-    apps: Mapping[AppKey, Apply],
-    values: Mapping[Term, Value],
-) -> list[LemmaInstance]:
-    """The candidates the values falsify: t precedes s in the specification
-    order while f(t) > f(s) (False < True).  Each application is valued once."""
-
-    def leaf(term: Term) -> Value:
-        if term not in values:
-            raise EvaluationError(f"no value for {term!r}")
-        return values[term]
-
-    points = {
-        key: (
-            tuple(
-                a.value if isinstance(a, (IntLit, BoolLit)) else evaluate_with(a, leaf)
-                for a in app.args
-            ),
-            leaf(app),
-        )
-        for key, app in apps.items()
-    }
-    orders = {
-        func: (spec.monotone(func), spec.anti_monotone(func))
-        for func in {inst.func for inst in pending}
-    }
+    value: Callable[[Term], Value],
+    asserted: set[Pair],
+) -> list[Pair]:
+    """The pairs (f, i, j) whose lemma the values falsify, in emission order:
+    application i precedes application j in the specification order while
+    its result is larger (False < True).  Each application is valued once;
+    pairs in `asserted` are skipped.  A pair whose numeral arguments break
+    the order breaks it on values too, so it is never flagged."""
     out = []
-    for inst in pending:
-        t_point, t_out = points[inst.func, inst.t]
-        s_point, s_out = points[inst.func, inst.s]
-        if t_out > s_out and _dominates(t_point, s_point, *orders[inst.func]):
-            out.append(inst)
+    for func, apps in index.items():
+        if len(apps) < 2:
+            continue
+        mono, anti = spec.monotone(func), spec.anti_monotone(func)
+        points = [
+            (
+                tuple(
+                    a.value if isinstance(a, (IntLit, BoolLit)) else evaluate_with(a, value)
+                    for a in app.args
+                ),
+                value(app),
+            )
+            for app in apps
+        ]
+        for (i, (p, p_out)), (j, (q, q_out)) in itertools.permutations(enumerate(points), 2):
+            if p_out > q_out and (func, i, j) not in asserted and _dominates(p, q, mono, anti):
+                out.append((func, i, j))
     return out
+
+
+def _lemma(
+    index: Mapping[FunctionSymbol, Sequence[Apply]], spec: MonotonicitySpec, pair: Pair
+) -> Term:
+    func, i, j = pair
+    return monotonicity_lemma(func, index[func][i].args, index[func][j].args, spec)
 
 
 def violated_lemmas(
@@ -350,16 +315,20 @@ def violated_lemmas(
     """Candidate lemmas falsified by the valuation (antecedent holds, consequent
     fails under the sort's order).  The valuation must cover every constant
     and application the candidates' arguments and results mention."""
-    instances = lemma_instances(formula, spec)
-    violated = _violated(instances, spec, _applications(instances), valuation)
-    return {inst.term for inst in violated}
+
+    def value(term: Term) -> Value:
+        if term not in valuation:
+            raise EvaluationError(f"no value for {term!r}")
+        return valuation[term]
+
+    index = _application_index(formula, spec)
+    return {_lemma(index, spec, pair) for pair in _violated_pairs(index, spec, value, set())}
 
 
 @dataclass
 class LazyRunStats:
     check_sat_calls: int = 0
     asserted_lemmas: list[Term] = field(default_factory=list)
-    iterations: int = 0
 
 
 def solve_lazy(
@@ -369,33 +338,28 @@ def solve_lazy(
     stats: Optional[LazyRunStats] = None,
 ) -> SolverVerdict:
     """Lazy instantiation: assert the formula, then repeatedly pull a model,
-    collect the lemmas it violates, and assert them, until either no lemma is
-    violated (sat) or the solver reports unsat.
+    find the ground lemmas it violates, and assert them, until either no
+    lemma is violated (sat) or the solver reports unsat.
 
-    The candidate set is precomputed once from the formula (it never grows);
-    lemmas whose antecedent folds to false are pruned from the candidates
-    since no model can violate them.  Terminates within (eager lemma count
-    + 1) satisfiability checks.
+    The applications are indexed once from the formula (the set never
+    grows); each candidate model values them once, and a lemma Term is built
+    only for a violated pair.  Every round asserts at least one new lemma,
+    so the loop terminates within (eager lemma count + 1) checks.
     """
     if not is_quantifier_free(formula):
         raise EncodingError("lazy instantiation requires a quantifier-free formula")
     if stats is None:
         stats = LazyRunStats()
-    candidates = [
-        inst
-        for inst in lemma_instances(formula, spec)
-        if not lemma_is_vacuous(inst.func, inst.t, inst.s, spec)
-    ]
-    apps = _applications(candidates)
-    leaves = _leaves(apps)
+    index = _application_index(formula, spec)
+    leaves = _leaves(app for apps in index.values() if len(apps) > 1 for app in apps)
     session.assert_formula(formula)
-    pending = list(candidates)
+    asserted: set[Pair] = set()
     while True:
         verdict = _check(session)
         stats.check_sat_calls += 1
         if verdict is not None:
             return verdict
-        if not pending:
+        if not leaves:  # no symbol has two applications, so no lemma exists
             return _sat(session)
         try:
             values = session.value_of(leaves)
@@ -404,15 +368,15 @@ def solve_lazy(
         except (EvaluationError, EngineUnsupported, SolverProcessError) as err:
             # the backend cannot value one of the leaves
             return SolverVerdict.unknown(f"model value query failed: {err}")
-        violated = _violated(pending, spec, apps, dict(zip(leaves, values)))
+        value = dict(zip(leaves, values)).__getitem__
+        violated = _violated_pairs(index, spec, value, asserted)
         if not violated:
             return _sat(session)
-        for inst in violated:
-            session.assert_formula(inst.term)
-            stats.asserted_lemmas.append(inst.term)
-        violated_set = {id(v) for v in violated}
-        pending = [inst for inst in pending if id(inst) not in violated_set]
-        stats.iterations += 1
+        for pair in violated:
+            lemma = _lemma(index, spec, pair)
+            session.assert_formula(lemma)
+            stats.asserted_lemmas.append(lemma)
+        asserted.update(violated)
 
 
 # -- model monotonization ---------------------------------------------------------
@@ -481,20 +445,16 @@ def monotonize_model(base: Model, spec: MonotonicitySpec) -> MonotoneModel:
     defaults: dict[str, Value] = {}
     for func in spec.entries:
         table = base.functions.get(func.name)
-        rows = dict(table.rows) if table is not None else {}
-        entries = list(rows.items())
-        default = default_output(func.result_sort, rows.values())
-        tables[func.name] = entries
-        defaults[func.name] = default
-        mono, anti = spec.monotone(func), spec.anti_monotone(func)
-        for point, out in rows.items():
-            best = max(
-                (o for p, o in entries if _dominates(p, point, mono, anti)),
-                default=default,
-            )
+        rows = table.rows if table is not None else {}
+        tables[func.name] = list(rows.items())
+        defaults[func.name] = default_output(func.result_sort, rows.values())
+    model = MonotoneModel(base, spec, tables, defaults)
+    for func in spec.entries:
+        for point, out in tables[func.name]:
+            best = model.evaluate(func, point)
             if best != out:
                 raise MonotonizationError(
                     f"{func.name}{point} maps to {out} but a dominated point "
                     f"forces at least {best}; base model violates a ground lemma"
                 )
-    return MonotoneModel(base, spec, tables, defaults)
+    return model

@@ -111,48 +111,44 @@ def generate_instance(seed: int, params: GeneratorParams) -> InferenceProblem:
     domain = BOOL if params.domain_size == 2 else bounded_int(0, params.domain_size - 1)
     lo, hi = 0, params.domain_size - 1
     variables = [NetworkVariable(f"v{i}", domain) for i in range(params.n_vars)]
+    # variables are referred to by position below: states are tuples in
+    # variable order, so a trajectory step hashes no variable
 
     # influence graph: each variable gets 1..max_arity distinct regulators
-    regulators: dict[NetworkVariable, list[NetworkVariable]] = {}
-    signs: dict[tuple[str, str], str] = {}
-    for target in variables:
+    regulators: list[list[int]] = []
+    signs: dict[tuple[int, int], str] = {}
+    for target in range(params.n_vars):
         arity = rng.randint(1, min(params.max_arity, params.n_vars))
-        sources = rng.sample(variables, arity)
-        sources.sort(key=variables.index)
-        regulators[target] = sources
+        sources = sorted(rng.sample(range(params.n_vars), arity))
+        regulators.append(sources)
         for source in sources:
             if rng.random() < params.sign_ratio:
                 sign = Sign.MONOTONE if rng.random() < 0.5 else Sign.ANTI_MONOTONE
             else:
                 sign = Sign.UNKNOWN
-            signs[(source.name, target.name)] = sign
+            signs[source, target] = sign
 
     # hidden ground-truth tables through a planted state
-    planted_state = {v: rng.randint(lo, hi) for v in variables}
-    hidden: dict[NetworkVariable, _ThresholdFunction] = {}
-    for target in variables:
+    planted_state = tuple(rng.randint(lo, hi) for _ in variables)
+    hidden: list[_ThresholdFunction] = []
+    for target, sources in enumerate(regulators):
         fn = _ThresholdFunction(
-            rng,
-            len(regulators[target]),
-            [signs[(s.name, target.name)] for s in regulators[target]],
-            lo,
-            hi,
+            rng, len(sources), [signs[source, target] for source in sources], lo, hi
         )
-        point = tuple(planted_state[s] for s in regulators[target])
-        fn.interpolate(point, planted_state[target])
-        hidden[target] = fn
+        fn.interpolate(tuple(planted_state[s] for s in sources), planted_state[target])
+        hidden.append(fn)
 
-    def step(state: dict[NetworkVariable, int]) -> dict[NetworkVariable, int]:
-        return {
-            v: hidden[v](tuple(state[s] for s in regulators[v])) for v in variables
-        }
+    def step(state: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(
+            fn(tuple(state[s] for s in sources)) for fn, sources in zip(hidden, regulators)
+        )
 
     # observations: genuine fixed points found by trajectory probes
-    fixed_points = [dict(planted_state)]
+    fixed_points = [planted_state]
     for _ in range(params.fixed_point_probes):
         if len(fixed_points) >= params.n_observations:
             break
-        state = {v: rng.randint(lo, hi) for v in variables}
+        state = tuple(rng.randint(lo, hi) for _ in variables)
         for _ in range(4 * params.n_vars + 8):
             nxt = step(state)
             if nxt == state:
@@ -164,20 +160,20 @@ def generate_instance(seed: int, params: GeneratorParams) -> InferenceProblem:
 
     # essential flags only where the hidden table genuinely depends on the arg
     regulations = []
-    for target in variables:
-        fn = hidden[target]
-        sources = regulators[target]
+    for target, sources in enumerate(regulators):
         for position, source in enumerate(sources):
-            depends = _depends_on(fn, sources, position, lo, hi)
+            depends = _depends_on(hidden[target], len(sources), position, lo, hi)
             essential = depends and rng.random() < params.essential_ratio
             regulations.append(
-                Regulation(source, target, signs[(source.name, target.name)], essential)
+                Regulation(
+                    variables[source], variables[target], signs[source, target], essential
+                )
             )
 
     observations = []
     for i, state in enumerate(fixed_points):
         pairs = [
-            (v, bool(state[v]) if v.is_boolean else state[v]) for v in variables
+            (v, bool(value) if v.is_boolean else value) for v, value in zip(variables, state)
         ]
         observations.append(FixedPointObservation.of(pairs, f"F{i + 1}"))
 
@@ -196,15 +192,13 @@ def generate_instance(seed: int, params: GeneratorParams) -> InferenceProblem:
 
 def _depends_on(
     fn: _ThresholdFunction,
-    sources: list[NetworkVariable],
+    arity: int,
     position: int,
     lo: int,
     hi: int,
 ) -> bool:
     """Exact essentiality of the hidden table in one argument (grid scan)."""
-    other_domains = [
-        range(lo, hi + 1) for i, _ in enumerate(sources) if i != position
-    ]
+    other_domains = [range(lo, hi + 1) for i in range(arity) if i != position]
     for context in itertools.product(*other_domains):
         outputs = set()
         for value in range(lo, hi + 1):

@@ -370,10 +370,10 @@ def decode_solution(
     tables = []
     for func in problem.signature.values():
         grid = itertools.product(*(s.values() for s in func.arg_sorts))
+        out_values = func.result_sort.values()
         rows = {}
         for point in grid:
             out = mono.evaluate(func, point)
-            out_values = func.result_sort.values()
             if out not in out_values:
                 # model values may exceed the domain only where the formula
                 # never constrained the point; clamp into the target domain
@@ -459,10 +459,10 @@ def _monotonicity_violation(
     table: UpdateFunctionTable, position: int, sign: str
 ) -> Optional[tuple[ValueVector, ValueVector]]:
     """First pair of rows differing only at `position` that violates the sign."""
-    arg_sorts = table.symbol.arg_sorts
     idx = position - 1
+    values = table.symbol.arg_sorts[idx].values()
     for point, out in table.rows.items():
-        for next_value in arg_sorts[idx].values():
+        for next_value in values:
             if next_value <= point[idx]:
                 continue
             neighbour = point[:idx] + (next_value,) + point[idx + 1 :]

@@ -45,7 +45,7 @@ class Sort:
     term of Int sort is expected.
     """
 
-    __slots__ = ("kind", "bounds")
+    __slots__ = ("kind", "bounds", "_hash")
 
     def __init__(self, kind: SortKind, bounds: Optional[tuple[int, int]] = None):
         if bounds is not None:
@@ -57,6 +57,7 @@ class Sort:
             bounds = (int(lo), int(hi))
         self.kind = kind
         self.bounds = bounds
+        self._hash = hash((kind, bounds))
 
     @property
     def is_bool(self) -> bool:
@@ -91,7 +92,7 @@ class Sort:
         )
 
     def __hash__(self):
-        return hash((self.kind, self.bounds))
+        return self._hash
 
     def __repr__(self):
         if self.bounds is not None:
@@ -576,18 +577,9 @@ def subterms(term: Term) -> set[Term]:
     return set(iter_subterms(term))
 
 
-def applications_in_order(term: Term, func: FunctionSymbol) -> list[ArgVector]:
-    """Argument vectors of all applications of `func`, deduplicated syntactically,
-    in order of first occurrence (left-to-right preorder)."""
-    seen: dict[ArgVector, None] = {}
-    for t in iter_subterms(term):
-        if isinstance(t, Apply) and t.func == func:
-            seen.setdefault(t.args)
-    return list(seen)
-
-
 def applications_of(term: Term, func: FunctionSymbol) -> set[ArgVector]:
-    return set(applications_in_order(term, func))
+    """Argument vectors of all applications of `func`, deduplicated syntactically."""
+    return {t.args for t in iter_subterms(term) if isinstance(t, Apply) and t.func == func}
 
 
 def symbols_in_order(term: Term) -> list[FunctionSymbol]:

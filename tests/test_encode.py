@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from monoinfer import encode as encode_module
 from monoinfer.encode import (
     EncodingError,
     LazyRunStats,
@@ -13,8 +14,7 @@ from monoinfer.encode import (
     encode_eager,
     encode_quant_aggregated,
     encode_quant_individual,
-    lemma_instances,
-    lemma_is_vacuous,
+    ground_lemmas,
     monotonicity_lemma,
     solve,
     solve_lazy,
@@ -185,8 +185,6 @@ def test_lemma_vacuous_under_relaxed_spec(ex1):
     lemma = monotonicity_lemma(ex1.f, t, s, ex1.spec_relaxed)
     # unconstrained second argument pins 2 = 0, which folds false
     assert Cmp(CmpOp.EQ, IntLit(2), IntLit(0)) in subterms(lemma)
-    assert lemma_is_vacuous(ex1.f, t, s, ex1.spec_relaxed)
-    assert not lemma_is_vacuous(ex1.f, t, s, ex1.spec)
 
 
 def test_vacuous_lemma_true_under_every_model(ex1):
@@ -435,7 +433,7 @@ def test_lazy_empty_spec_single_check(ex1):
 def test_lazy_asserted_lemmas_subset_of_eager(ex1):
     stats = LazyRunStats()
     solve_lazy(ex1.phi, ex1.spec, InternalSession(), stats)
-    eager_set = {inst.term for inst in lemma_instances(ex1.phi, ex1.spec)}
+    eager_set = set(ground_lemmas(ex1.phi, ex1.spec))
     assert set(stats.asserted_lemmas) <= eager_set
 
 
@@ -447,7 +445,7 @@ def test_lazy_asserted_lemma_order_pinned():
     formula, spec = encode_inference(generate_instance(3, params))
     stats = LazyRunStats()
     verdict = solve_lazy(formula, spec, InternalSession(), stats)
-    eager = [inst.term for inst in lemma_instances(formula, spec)]
+    eager = ground_lemmas(formula, spec)
     assert verdict.is_sat
     assert stats.check_sat_calls == 5
     assert [eager.index(term) for term in stats.asserted_lemmas] == [
@@ -457,6 +455,25 @@ def test_lazy_asserted_lemma_order_pinned():
         40, 41, 43, 48, 209, 210,
         19,
     ]
+
+
+def test_lazy_builds_only_the_lemmas_it_asserts(monkeypatch):
+    params = GeneratorParams(
+        n_vars=6, max_arity=3, domain_size=3, n_observations=2, essential_ratio=1.0
+    )
+    formula, spec = encode_inference(generate_instance(3, params))
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return monotonicity_lemma(*args)
+
+    monkeypatch.setattr(encode_module, "monotonicity_lemma", counting)
+    stats = LazyRunStats()
+    assert solve_lazy(formula, spec, InternalSession(), stats).is_sat
+    assert stats.asserted_lemmas
+    assert len(built) == len(stats.asserted_lemmas)
+    assert len(built) < eager_lemma_count(formula, spec)
 
 
 def test_lazy_rejects_quantified_input(ex1):

@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
 from monoinfer.encode import Strategy
-from monoinfer.generate import GeneratorParams, generate_instance
+from monoinfer.generate import PERTURBED, GeneratorParams, generate_instance
 from monoinfer.harness import run_single
 from monoinfer.network import ProblemError, verify_solution
 from monoinfer.oracle import oracle_inference
@@ -15,6 +17,27 @@ def test_deterministic_in_seed():
     assert one == two
     other = serialize_problem(generate_instance(43, params))
     assert other != one
+
+
+def test_instance_text_pinned():
+    # any change to the generator's random draws or output changes these
+    cases = [
+        (
+            9000,
+            GeneratorParams(n_vars=30, max_arity=8, essential_ratio=0.25, n_observations=2),
+            "1338d15c081d5d060a70153133082b3fe030822df906ebc0c4142d49eed2935a",
+        ),
+        (
+            9202,
+            GeneratorParams(
+                n_vars=11, max_arity=3, domain_size=3, n_observations=3, mode=PERTURBED
+            ),
+            "4ec0765aebbdd34d8f5bf0d42af7b0d89c05401e44ee83c94963ee4f19f5f8fd",
+        ),
+    ]
+    for seed, params, digest in cases:
+        text = serialize_problem(generate_instance(seed, params))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, seed
 
 
 def test_parameter_validation():
