@@ -73,4 +73,4 @@ model = verdict.model
 print()
 print("model of the relaxed problem:", model)
 mono = monotonize_model(model, relaxed)
-print("monotonized g on 0..6:", [mono.evaluate(g, (x,)) for x in range(7)])
+print("monotonized g on 0..6:", [mono.functions[g.name].lookup((x,)) for x in range(7)])

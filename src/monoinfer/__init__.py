@@ -41,7 +41,6 @@ from .model import FunctionTable, Model, evaluate
 from .encode import (
     EncodedProblem,
     LazyRunStats,
-    MonotoneModel,
     Strategy,
     encode_eager,
     encode_quant_aggregated,

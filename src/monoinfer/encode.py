@@ -9,6 +9,10 @@ formula's applications, built in a single traversal.  The eager encoding
 asserts every instance up front; the lazy loop values the applications
 under each candidate model and builds a lemma only for a pair the model
 violates.
+
+Monotonization replaces each constrained symbol's table by a MonotoneTable,
+whose lookup is the monotone completion of its rows, so a monotonized model
+is a plain Model and `model.evaluate` values terms under it.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .engine import EngineUnsupported
 from .model import (
     EvaluationError,
+    FunctionTable,
     Model,
     Value,
     ValueVector,
@@ -387,33 +392,31 @@ class MonotonizationError(ValueError):
     eager encoding), so its table cannot be reproduced monotonically."""
 
 
-@dataclass
-class MonotoneModel:
-    """A model completed into globally monotone total functions.
+class MonotoneTable(FunctionTable):
+    """A finite table completed into a globally monotone total function.
 
-    For each symbol, the completed function maps x to the maximum table
-    output over table points dominated by x in the specification order, or
-    to the default (minimum table output, else the domain minimum) when no
-    point is dominated.
+    `lookup(x)` is the largest output among the rows whose points x
+    dominates in the specification order given by the symbol's monotone
+    and anti-monotone sets, or the default when x dominates none.  With no
+    signed argument this is the plain lookup.
     """
 
-    base: Model
-    spec: MonotonicitySpec
-    tables: dict[str, list[tuple[ValueVector, Value]]]
-    defaults: dict[str, Value]
+    def __init__(
+        self,
+        rows: Mapping[ValueVector, Value],
+        default: Value,
+        mono: frozenset[int],
+        anti: frozenset[int],
+    ):
+        super().__init__(rows, default)
+        self.mono = mono
+        self.anti = anti
 
-    def evaluate(self, func: FunctionSymbol, args: ValueVector) -> Value:
-        args = tuple(args)
-        entries = self.tables.get(func.name)
-        if entries is None:
-            table = self.base.functions.get(func.name)
-            if table is None:
-                raise MonotonizationError(f"no table for symbol {func.name}")
-            return table.lookup(args)
-        mono, anti = self.spec.monotone(func), self.spec.anti_monotone(func)
+    def lookup(self, args: ValueVector) -> Value:
+        mono, anti = self.mono, self.anti
         return max(
-            (out for point, out in entries if _dominates(point, args, mono, anti)),
-            default=self.defaults[func.name],
+            (out for point, out in self.rows.items() if _dominates(point, args, mono, anti)),
+            default=self.default,
         )
 
 
@@ -435,26 +438,31 @@ def _dominates(
     return True
 
 
-def monotonize_model(base: Model, spec: MonotonicitySpec) -> MonotoneModel:
+def monotonize_model(base: Model, spec: MonotonicitySpec) -> Model:
     """Complete the finite tables of a model into globally monotone functions.
 
-    Raises MonotonizationError if a table value cannot be reproduced, which
-    happens exactly when the base model violates some ground lemma.
+    Each constrained symbol's table becomes a MonotoneTable (a symbol with
+    no table gets empty rows); constants and other tables are kept.  The
+    default is the minimum row output, else the domain minimum.  Raises
+    MonotonizationError if a row cannot be reproduced, which happens
+    exactly when the base model violates some ground lemma.
     """
-    tables: dict[str, list[tuple[ValueVector, Value]]] = {}
-    defaults: dict[str, Value] = {}
+    functions = dict(base.functions)
     for func in spec.entries:
         table = base.functions.get(func.name)
         rows = table.rows if table is not None else {}
-        tables[func.name] = list(rows.items())
-        defaults[func.name] = default_output(func.result_sort, rows.values())
-    model = MonotoneModel(base, spec, tables, defaults)
-    for func in spec.entries:
-        for point, out in tables[func.name]:
-            best = model.evaluate(func, point)
+        completed = MonotoneTable(
+            rows,
+            default_output(func.result_sort, rows.values()),
+            spec.monotone(func),
+            spec.anti_monotone(func),
+        )
+        for point, out in rows.items():
+            best = completed.lookup(point)
             if best != out:
                 raise MonotonizationError(
                     f"{func.name}{point} maps to {out} but a dominated point "
                     f"forces at least {best}; base model violates a ground lemma"
                 )
-    return model
+        functions[func.name] = completed
+    return Model(base.constants, functions)

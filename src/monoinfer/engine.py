@@ -86,7 +86,6 @@ class Engine:
         self.true_var = self.sat.new_var()
         self.sat.add_clause([self.true_var])
         self.atom_var: dict[tuple, int] = {}  # (x, y, k) meaning x - y <= k
-        self.var_atom: dict[int, tuple] = {}
         self.atom_pairs: dict[tuple, list[tuple[int, int]]] = {}
         self.theory_rounds = 0
         self.bool_unknowns: dict[Node, int] = {}
@@ -95,7 +94,6 @@ class Engine:
         self.symbolic_apps: dict[str, list[Apply]] = {}
         self.ground_reps: dict[str, dict[tuple, Node]] = {}
         self.app_node: dict[Apply, Node] = {}
-        self.int_consts: dict[str, Node] = {}
         self.declared_consts: dict[str, Const] = {}
         self.declared_funcs: dict[str, FunctionSymbol] = {}
         self.node_bounds: dict[Node, Optional[tuple[int, int]]] = {}
@@ -113,9 +111,7 @@ class Engine:
         if const.sort.is_bool:
             self._bool_var(("c", const.name))
         else:
-            node = ("c", const.name)
-            self.int_consts.setdefault(const.name, node)
-            self._register_int_node(node, const.sort.bounds)
+            self._register_int_node(("c", const.name), const.sort.bounds)
 
     def declare_function(self, func: FunctionSymbol) -> None:
         self.declared_funcs.setdefault(func.name, func)
@@ -220,7 +216,6 @@ class Engine:
         if var is None:
             var = self.sat.new_var()
             self.atom_var[key] = var
-            self.var_atom[var] = key
             # initial phase = truth under the all-zero valuation, so default
             # assignments start out theory-consistent
             self.sat.phase[var] = k >= 0

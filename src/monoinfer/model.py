@@ -1,8 +1,10 @@
 """Finite model presentation and the one ground-term evaluator.
 
 A Model assigns values to constants and finite lookup tables (with a
-default) to uninterpreted functions; it is the shape produced both by the
-internal engine and by parsing an external solver's `get-model` response.
+default) to uninterpreted functions; it is the shape produced by the
+internal engine, by parsing an external solver's `get-model` response, and
+by monotonization, whose completed functions are tables with their own
+`lookup`.
 
 There is one evaluator, `evaluate_with`: it computes literals, arithmetic,
 comparisons and connectives, and asks a caller-supplied leaf for the value
@@ -57,14 +59,12 @@ class FunctionTable:
         return self.rows.get(args, self.default)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FunctionTable)
-            and other.rows == self.rows
-            and other.default == self.default
-        )
+        # a subclass completes the rows differently, so it never equals a
+        # plain table with the same rows
+        return type(other) is type(self) and vars(other) == vars(self)
 
     def __repr__(self):
-        return f"FunctionTable({self.rows!r}, default={self.default!r})"
+        return f"{type(self).__name__}({self.rows!r}, default={self.default!r})"
 
 
 class Model:

@@ -7,16 +7,18 @@ essentiality constraints (some context where varying one regulator changes
 the output), fixed-point constraints (one per observation, skolemized), and
 bounds on every bounded integer application and skolem constant, paired
 with `problem.spec`.  Also decodes solver models back into complete update
-tables and verifies them independently.
+tables, reading each symbol's monotone completion, and verifies them
+independently: sign and essentiality on the steps between adjacent rows,
+fixed points by enumerating the unobserved variables.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .encode import MonotoneModel, monotonize_model
+from .encode import monotonize_model
 from .model import Model, Value, ValueVector
 from .terms import (
     And,
@@ -366,14 +368,15 @@ def decode_solution(
     unconstrained points through monotonization."""
     if not problem.all_bounded():
         raise ProblemError("cannot decode tables over unbounded domains")
-    mono: MonotoneModel = monotonize_model(model, problem.spec)
+    completed = monotonize_model(model, problem.spec)
     tables = []
     for func in problem.signature.values():
+        lookup = completed.functions[func.name].lookup
         grid = itertools.product(*(s.values() for s in func.arg_sorts))
         out_values = func.result_sort.values()
         rows = {}
         for point in grid:
-            out = mono.evaluate(func, point)
+            out = lookup(point)
             if out not in out_values:
                 # model values may exceed the domain only where the formula
                 # never constrained the point; clamp into the target domain
@@ -398,14 +401,19 @@ class VerificationResult:
         return self.ok
 
 
+# the largest number of unobserved-variable assignments verify enumerates
+# for one observation
+MAX_EXTENSION_STATES = 1 << 20
+
+
 def verify_solution(
-    problem: InferenceProblem,
-    tables: Sequence[UpdateFunctionTable],
-    max_extension_states: int = 1 << 20,
+    problem: InferenceProblem, tables: Sequence[UpdateFunctionTable]
 ) -> VerificationResult:
     """Check complete tables directly against the problem semantics:
     (1) every signed regulation is monotone/anti-monotone over the full grid,
     (2) every essential regulation changes the output in some context,
+    both read off the steps between adjacent rows (order is transitive, and
+    a context's outputs differ only if some adjacent step changes them),
     (3) every observation extends to a fixed point of the table dynamics.
     Returns the first violation found."""
     if not problem.all_bounded():
@@ -424,7 +432,7 @@ def verify_solution(
         for position, reg_var in enumerate(regulators, start=1):
             reg = problem.regulation(reg_var, var)
             if reg.sign != Sign.UNKNOWN:
-                bad = _monotonicity_violation(table, position, reg.sign)
+                bad = _sign_violation(table, position, reg.sign)
                 if bad is not None:
                     return VerificationResult(
                         False,
@@ -432,8 +440,8 @@ def verify_solution(
                             "monotonicity",
                             f"{table.symbol.name} argument {position} "
                             f"({reg_var.name} -> {var.name}, {reg.sign}): "
-                            f"rows {bad[0]} -> {table.rows[bad[0]]!r} and "
-                            f"{bad[1]} -> {table.rows[bad[1]]!r}",
+                            f"rows {bad[0]} -> {bad[1]!r} and "
+                            f"{bad[2]} -> {bad[3]!r}",
                         ),
                     )
             if reg.essential and not _is_essential(table, position):
@@ -446,7 +454,7 @@ def verify_solution(
                     ),
                 )
     for obs in problem.observations:
-        if not _extends_to_fixed_point(problem, by_name, obs, max_extension_states):
+        if not _extends_to_fixed_point(problem, by_name, obs):
             label = obs.name or str(dict((v.name, val) for v, val in obs.assignments))
             return VerificationResult(
                 False,
@@ -455,47 +463,51 @@ def verify_solution(
     return VerificationResult(True)
 
 
-def _monotonicity_violation(
-    table: UpdateFunctionTable, position: int, sign: str
-) -> Optional[tuple[ValueVector, ValueVector]]:
-    """First pair of rows differing only at `position` that violates the sign."""
+Step = tuple[ValueVector, Value, ValueVector, Value]
+
+
+def _steps(table: UpdateFunctionTable, position: int) -> Iterator[Step]:
+    """The pairs of rows that differ only at `position`, where the second
+    row holds the next larger value there, as (point, out, point', out'),
+    in row order of the first."""
     idx = position - 1
     values = table.symbol.arg_sorts[idx].values()
-    for point, out in table.rows.items():
-        for next_value in values:
-            if next_value <= point[idx]:
-                continue
-            neighbour = point[:idx] + (next_value,) + point[idx + 1 :]
-            other = table.rows[neighbour]
-            if sign == Sign.MONOTONE and not out <= other:
-                return point, neighbour
-            if sign == Sign.ANTI_MONOTONE and not other <= out:
-                return point, neighbour
+    following = dict(zip(values, values[1:]))
+    rows = table.rows
+    for point, out in rows.items():
+        larger = following.get(point[idx])
+        if larger is not None:
+            neighbour = point[:idx] + (larger,) + point[idx + 1 :]
+            yield point, out, neighbour, rows[neighbour]
+
+
+def _sign_violation(
+    table: UpdateFunctionTable, position: int, sign: str
+) -> Optional[Step]:
+    """The first step that breaks the sign of the regulation at `position`."""
+    for step in _steps(table, position):
+        _, out, _, other = step
+        if (out > other) if sign == Sign.MONOTONE else (other > out):
+            return step
     return None
 
 
 def _is_essential(table: UpdateFunctionTable, position: int) -> bool:
-    idx = position - 1
-    groups: dict[tuple, set] = {}
-    for point, out in table.rows.items():
-        context = point[:idx] + point[idx + 1 :]
-        groups.setdefault(context, set()).add(out)
-    return any(len(outputs) > 1 for outputs in groups.values())
+    return any(out != other for _, out, _, other in _steps(table, position))
 
 
 def _extends_to_fixed_point(
     problem: InferenceProblem,
     tables: dict[str, UpdateFunctionTable],
     observation: FixedPointObservation,
-    max_states: int,
 ) -> bool:
     free = [v for v in problem.variables if observation.value_of(v) is None]
     count = 1
     for v in free:
         count *= len(v.values())
-    if count > max_states:
+    if count > MAX_EXTENSION_STATES:
         raise ProblemError(
-            f"fixed-point extension space {count} exceeds budget {max_states}"
+            f"fixed-point extension space {count} exceeds budget {MAX_EXTENSION_STATES}"
         )
     base = {v: observation.value_of(v) for v in problem.variables}
     updates = [

@@ -18,7 +18,7 @@ import threading
 import time
 from typing import Optional, Sequence, Union
 
-from .engine import Engine, EngineLimits, EngineUnsupported
+from .engine import Engine, EngineUnsupported
 from .model import Model, Value
 from .smtlib import (
     SmtParseError,
@@ -108,10 +108,6 @@ class SolverSession:
         for item in collect_declarations(assertions):
             self.declare(item)
 
-    @property
-    def declarations(self) -> list[Union[Const, FunctionSymbol]]:
-        return list(self._declared.values())
-
     # -- protocol ----------------------------------------------------------------
 
     def assert_formula(self, term: Term) -> None:
@@ -179,9 +175,9 @@ class SolverSession:
 class InternalSession(SolverSession):
     """In-process session over the built-in engine."""
 
-    def __init__(self, limits: Optional[EngineLimits] = None):
+    def __init__(self) -> None:
         super().__init__()
-        self.engine = Engine(limits)
+        self.engine = Engine()
         self._unsupported: Optional[str] = None
 
     def _declare_new(self, item) -> None:
@@ -248,7 +244,7 @@ class _PipeReader:
 class ProcessSession(SolverSession):
     """Drives an external SMT-LIB2 solver process in interactive mode."""
 
-    def __init__(self, command: Union[str, Sequence[str]], logic: str = "UFLIA"):
+    def __init__(self, command: Union[str, Sequence[str]]):
         super().__init__()
         if isinstance(command, str):
             command = shlex.split(command)
@@ -264,7 +260,7 @@ class ProcessSession(SolverSession):
         except OSError as err:
             raise SolverProcessError(f"cannot launch solver {self.command}: {err}") from err
         self.reader = _PipeReader(self.process.stdout)
-        self._send(f"(set-logic {logic})")
+        self._send("(set-logic UFLIA)")
         self._send("(set-option :produce-models true)")
 
     def _send(self, line: str) -> None:
@@ -370,12 +366,8 @@ def default_solver_command() -> str:
     return os.environ.get(ENV_SOLVER_CMD, INTERNAL_SOLVER)
 
 
-def open_session(
-    solver_cmd: Optional[str] = None,
-    limits: Optional[EngineLimits] = None,
-    logic: str = "UFLIA",
-) -> SolverSession:
+def open_session(solver_cmd: Optional[str] = None) -> SolverSession:
     cmd = solver_cmd if solver_cmd is not None else default_solver_command()
     if cmd == INTERNAL_SOLVER:
-        return InternalSession(limits)
-    return ProcessSession(cmd, logic=logic)
+        return InternalSession()
+    return ProcessSession(cmd)

@@ -6,8 +6,7 @@ assertions produce byte-identical scripts, which the golden-file tests pin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .model import FunctionTable, Model, Value, default_output
 from .terms import (
@@ -120,38 +119,25 @@ def select_logic(assertions: Sequence[Term]) -> str:
     return "UF"
 
 
-@dataclass
-class EmitOptions:
-    logic: Optional[str] = None  # None -> selected from content
-    produce_models: bool = True
-    check_sat: bool = True
-    get_model: bool = False
-
-
 def emit_smtlib(
     declarations: Sequence[Union[Const, FunctionSymbol]],
     assertions: Sequence[Term],
-    options: Optional[EmitOptions] = None,
 ) -> str:
-    options = options or EmitOptions()
-    logic = options.logic or select_logic(assertions)
-    lines = [f"(set-logic {logic})"]
-    if options.produce_models:
-        lines.append("(set-option :produce-models true)")
+    lines = [
+        f"(set-logic {select_logic(assertions)})",
+        "(set-option :produce-models true)",
+    ]
     for decl in declarations:
         lines.append(declaration_to_sexpr(decl))
     for a in assertions:
         lines.append(f"(assert {term_to_sexpr(a)})")
-    if options.check_sat:
-        lines.append("(check-sat)")
-    if options.get_model:
-        lines.append("(get-model)")
+    lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
 
 
-def emit_script(assertions: Sequence[Term], options: Optional[EmitOptions] = None) -> str:
+def emit_script(assertions: Sequence[Term]) -> str:
     """Convenience wrapper: declarations collected from the assertions themselves."""
-    return emit_smtlib(collect_declarations(assertions), assertions, options)
+    return emit_smtlib(collect_declarations(assertions), assertions)
 
 
 # -- s-expression reading ------------------------------------------------------

@@ -1,4 +1,6 @@
-"""A conformant SMT-LIB2 interactive solver over the built-in engine.
+"""A conformant SMT-LIB2 interactive solver over the built-in engine, held
+through an InternalSession (its sat-only value and model queries, and its
+unknown answer for unsupported input, are the server's).
 
 Installed as the `monoinfer-smt` console script; reads commands from
 standard input (set-logic, declare-fun/declare-const, assert, check-sat,
@@ -13,8 +15,9 @@ from __future__ import annotations
 import sys
 from typing import Optional, Union
 
-from .engine import Engine, EngineUnsupported
+from .engine import EngineUnsupported
 from .model import EvaluationError
+from .session import InternalSession, SessionUsageError
 from .smtlib import (
     SExpr,
     SmtParseError,
@@ -78,10 +81,8 @@ class SmtServer:
         self._reset()
 
     def _reset(self) -> None:
-        self.engine = Engine()
+        self.session = InternalSession()
         self.signature: dict[str, Union[Const, FunctionSymbol]] = {}
-        self.unsupported: Optional[str] = None
-        self.last_answer: Optional[str] = None
 
     # -- term parsing ----------------------------------------------------------
 
@@ -184,29 +185,20 @@ class SmtServer:
             term = self.parse_term(command[1], {})
             if not term.sort.is_bool:
                 raise CommandError("asserted term is not Boolean")
-            self.last_answer = None
-            if self.unsupported is None:
-                try:
-                    self.engine.assert_term(term)
-                except EngineUnsupported as err:
-                    self.unsupported = str(err)
+            self.session.assert_formula(term)
             return None
         if head == "check-sat":
-            if self.unsupported is not None:
-                self.last_answer = "unknown"
-            else:
-                self.last_answer = self.engine.check()
-            return self.last_answer
+            return self.session.check_sat()
         if head == "get-value":
             if len(command) != 2 or not isinstance(command[1], list):
                 raise CommandError("malformed get-value")
             return self._get_value(command[1])
         if head == "get-model":
-            if self.last_answer != "sat":
-                raise CommandError("get-model requires a preceding sat answer")
-            return model_to_sexpr(
-                self.engine.extract_model(), list(self.signature.values())
-            )
+            try:
+                model = self.session.extract_model()
+            except SessionUsageError as err:
+                raise CommandError(str(err))
+            return model_to_sexpr(model, list(self.signature.values()))
         if head == "reset":
             self._reset()
             return None
@@ -220,25 +212,23 @@ class SmtServer:
         if name in self.signature:
             raise CommandError(f"symbol {name!r} already declared")
         if not arg_sorts:
-            const = Const(name, _parse_sort(result))
-            self.signature[name] = const
-            self.engine.declare_const(const)
+            item: Union[Const, FunctionSymbol] = Const(name, _parse_sort(result))
         else:
-            func = FunctionSymbol(
+            item = FunctionSymbol(
                 name, [_parse_sort(s) for s in arg_sorts], _parse_sort(result)
             )
-            self.signature[name] = func
-            self.engine.declare_function(func)
+        self.signature[name] = item
+        self.session.declare(item)
         return None
 
     def _get_value(self, queries: list) -> str:
-        if self.last_answer != "sat":
-            raise CommandError("get-value requires a preceding sat answer")
         pairs = []
         for q in queries:
             term = self.parse_term(q, {})
             try:
-                value = self.engine.evaluate(term)
+                [value] = self.session.value_of([term])
+            except SessionUsageError as err:
+                raise CommandError(str(err))
             except (EvaluationError, EngineUnsupported) as err:
                 raise CommandError(f"cannot evaluate {term_to_sexpr(term)}: {err}")
             pairs.append(f"({term_to_sexpr(term)} {value_to_sexpr(value)})")

@@ -740,7 +740,7 @@ def check_term(term: Term, bound: frozenset[Var] = frozenset()) -> Sort:
     """Full recursive sort check; raises on any violation.
 
     Constructors already enforce local correctness, so this is a defensive
-    re-verification used by property tests and the problem ingestion path.
+    re-verification for tests; no library path calls it.
     """
     match term:
         case IntLit() | BoolLit() | Const():

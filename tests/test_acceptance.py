@@ -150,7 +150,7 @@ def test_criterion_4_monotonization_regression():
             Model({}, {"g": FunctionTable({(0,): 1, (4,): 2}, 0)}), spec_g
         )
         for x in range(-30, 70):  # 100 sampled points
-            assert mono_g.evaluate(g, (x,)) == (2 if x >= 4 else 1)
+            assert mono_g.functions[g.name].lookup((x,)) == (2 if x >= 4 else 1)
 
         f = FunctionSymbol("f", [INT, INT], INT)
         spec_f = MonotonicitySpec({f: ({1}, set())})
@@ -161,7 +161,7 @@ def test_criterion_4_monotonization_regression():
         assert len(samples) == 100
         for x, y in samples:
             expected = 4 if (x >= 6 and y == 2) else 0
-            assert mono_f.evaluate(f, (x, y)) == expected, (x, y)
+            assert mono_f.functions[f.name].lookup((x, y)) == expected, (x, y)
 
 
 # -- criteria 5, 6, 7: shared instance sweep ------------------------------------------

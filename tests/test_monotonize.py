@@ -28,7 +28,7 @@ def test_unary_monotonization_exact():
     # g^(x) = 2 if x >= 4 else 1, sampled over a wide grid
     for x in range(-40, 60):
         expected = 2 if x >= 4 else 1
-        assert mono.evaluate(g, (x,)) == expected
+        assert mono.functions[g.name].lookup((x,)) == expected
 
 
 def test_binary_monotonization_exact():
@@ -43,22 +43,22 @@ def test_binary_monotonization_exact():
                 expected = 4
             else:
                 expected = 0
-            assert mono.evaluate(f, (x, y)) == expected, (x, y)
+            assert mono.functions[f.name].lookup((x, y)) == expected, (x, y)
 
 
 def test_empty_table_boolean_defaults_false():
     p = FunctionSymbol("p", [BOOL], BOOL)
     spec = MonotonicitySpec({p: ({1}, set())})
     mono = monotonize_model(Model({}, {}), spec)
-    assert mono.evaluate(p, (False,)) is False
-    assert mono.evaluate(p, (True,)) is False
+    assert mono.functions[p.name].lookup((False,)) is False
+    assert mono.functions[p.name].lookup((True,)) is False
 
 
 def test_default_is_minimum_table_output():
     g, spec, base = _g_model()
     mono = monotonize_model(base, spec)
-    assert mono.defaults["g"] == 1
-    assert mono.evaluate(g, (-100,)) == 1
+    assert mono.functions["g"].default == 1
+    assert mono.functions[g.name].lookup((-100,)) == 1
 
 
 def test_anti_monotone_direction():
@@ -66,11 +66,11 @@ def test_anti_monotone_direction():
     spec = MonotonicitySpec({g: (set(), {1})})
     base = Model({}, {"g": FunctionTable({(0,): 5, (3,): 2}, 0)})
     mono = monotonize_model(base, spec)
-    assert mono.evaluate(g, (-1,)) == 5
-    assert mono.evaluate(g, (0,)) == 5
-    assert mono.evaluate(g, (1,)) == 2  # dominated only by the (3,) point
-    assert mono.evaluate(g, (3,)) == 2
-    assert mono.evaluate(g, (4,)) == 2  # below every point: default = min = 2
+    assert mono.functions[g.name].lookup((-1,)) == 5
+    assert mono.functions[g.name].lookup((0,)) == 5
+    assert mono.functions[g.name].lookup((1,)) == 2  # dominated only by the (3,) point
+    assert mono.functions[g.name].lookup((3,)) == 2
+    assert mono.functions[g.name].lookup((4,)) == 2  # below every point: default = min = 2
 
 
 def test_inconsistent_base_table_rejected():
@@ -86,9 +86,9 @@ def test_unconstrained_symbol_keeps_exact_points():
     spec = MonotonicitySpec({f: (set(), set())})
     base = Model({}, {"f": FunctionTable({(0,): 3, (1,): 1}, 0)})
     mono = monotonize_model(base, spec)
-    assert mono.evaluate(f, (0,)) == 3
-    assert mono.evaluate(f, (1,)) == 1
-    assert mono.evaluate(f, (2,)) == 1  # default: minimum output
+    assert mono.functions[f.name].lookup((0,)) == 3
+    assert mono.functions[f.name].lookup((1,)) == 1
+    assert mono.functions[f.name].lookup((2,)) == 1  # default: minimum output
 
 
 def test_monotonized_function_is_grid_monotone():
@@ -105,37 +105,18 @@ def test_monotonized_function_is_grid_monotone():
         itertools.product(grid, grid), repeat=2
     ):
         if x1 <= x2 and y2 <= y1:
-            assert mono.evaluate(f, (x1, y1)) <= mono.evaluate(f, (x2, y2))
+            assert mono.functions[f.name].lookup((x1, y1)) <= mono.functions[
+                f.name
+            ].lookup((x2, y2))
 
 
 def test_table_pairwise_invariant_holds():
     g, spec, base = _g_model()
     mono = monotonize_model(base, spec)
-    entries = mono.tables["g"]
+    entries = mono.functions["g"].rows.items()
     for (p, out_p), (q, out_q) in itertools.product(entries, repeat=2):
         if p[0] <= q[0]:
             assert out_p <= out_q
-
-
-def _as_plain_model(mono, formula, constants):
-    """Materialize a MonotoneModel into a plain Model at the points the
-    formula actually evaluates (independent re-evaluation leg)."""
-    from monoinfer.terms import Apply, iter_subterms
-    from monoinfer.model import evaluate
-
-    probe = Model(dict(constants), {})
-    # applications are nested at most through arithmetic here, so a few
-    # passes reach a fixed point of resolvable argument values
-    for _ in range(4):
-        for t in iter_subterms(formula):
-            if isinstance(t, Apply):
-                try:
-                    args = tuple(evaluate(a, probe) for a in t.args)
-                except Exception:
-                    continue
-                table = probe.functions.setdefault(t.func.name, FunctionTable({}, 0))
-                table.rows[args] = mono.evaluate(t.func, args)
-    return probe
 
 
 def test_monotonization_soundness_on_eager_models(ex1):
@@ -147,6 +128,4 @@ def test_monotonization_soundness_on_eager_models(ex1):
     session.assert_formula(encode_eager(ex1.phi, ex1.spec_relaxed).formula)
     assert session.check_sat() == "sat"
     base = session.extract_model()
-    mono = monotonize_model(base, ex1.spec_relaxed)
-    completed = _as_plain_model(mono, ex1.phi, base.constants)
-    assert evaluate(ex1.phi, completed) is True
+    assert evaluate(ex1.phi, monotonize_model(base, ex1.spec_relaxed)) is True

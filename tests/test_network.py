@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoinfer.encode import encode_eager
 from monoinfer.generate import GeneratorParams, generate_instance
@@ -472,6 +474,60 @@ def test_verify_catches_broken_fixed_point(fig1):
     result = verify_solution(fig1, tables)
     assert not result.ok
     assert result.violation.kind == "fixed-point"
+
+
+def _all_pairs_verdict(problem, table):
+    """Sign and essentiality of the last variable's regulations, checked on
+    every pair of rows that differ at one position."""
+    target = problem.variables[-1]
+    rows = table.rows
+    for i, source in enumerate(problem.regulators_of(target)):
+        reg = problem.regulation(source, target)
+        pairs = [
+            (p, q)
+            for p, q in itertools.product(rows, repeat=2)
+            if p[i] < q[i] and p[:i] + p[i + 1 :] == q[:i] + q[i + 1 :]
+        ]
+        if reg.sign == Sign.MONOTONE and any(rows[p] > rows[q] for p, q in pairs):
+            return "monotonicity"
+        if reg.sign == Sign.ANTI_MONOTONE and any(rows[p] < rows[q] for p, q in pairs):
+            return "monotonicity"
+        if reg.essential and all(rows[p] == rows[q] for p, q in pairs):
+            return "essentiality"
+    return "ok"
+
+
+@st.composite
+def _verify_case(draw):
+    # one target with 1-3 regulators over Bool or 0..3; the regulators are
+    # constant, so only the target's regulations can be violated
+    domains = st.sampled_from([BOOL, bounded_int(0, 3)])
+    sources = [
+        NetworkVariable(f"r{i}", draw(domains)) for i in range(draw(st.integers(1, 3)))
+    ]
+    target = NetworkVariable("t", draw(domains))
+    regulations = [
+        Regulation(s, target, draw(st.sampled_from(Sign.ALL)), draw(st.booleans()))
+        for s in sources
+    ]
+    problem = InferenceProblem(sources + [target], regulations, [])
+    func = problem.signature[target]
+    grid = list(itertools.product(*(s.values() for s in func.arg_sorts)))
+    outputs = draw(
+        st.lists(st.sampled_from(target.values()), min_size=len(grid), max_size=len(grid))
+    )
+    tables = [UpdateFunctionTable(problem.signature[s], {(): s.values()[0]}) for s in sources]
+    tables.append(UpdateFunctionTable(func, dict(zip(grid, outputs))))
+    return problem, tables
+
+
+@settings(max_examples=300, deadline=None)
+@given(_verify_case())
+def test_verify_agrees_with_all_pairs_check(case):
+    problem, tables = case
+    result = verify_solution(problem, tables)
+    kind = "ok" if result.ok else result.violation.kind
+    assert kind == _all_pairs_verdict(problem, tables[-1])
 
 
 # -- propagation equivalence ------------------------------------------------------------------

@@ -6,7 +6,6 @@ from monoinfer.model import FunctionTable, Model, evaluate
 from monoinfer.network import encode_inference
 from monoinfer.encode import encode_eager
 from monoinfer.smtlib import (
-    EmitOptions,
     SmtParseError,
     UnsupportedModelError,
     balanced,
@@ -98,8 +97,8 @@ def test_emit_ground_fixed_point_constraints(fig1):
 
 
 def test_emit_empty_assertion_set():
-    script = emit_smtlib([], [], EmitOptions(produce_models=False))
-    assert script == "(set-logic UF)\n(check-sat)\n"
+    script = emit_smtlib([], [])
+    assert script == "(set-logic UF)\n(set-option :produce-models true)\n(check-sat)\n"
 
 
 def test_logic_selection():
