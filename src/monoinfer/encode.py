@@ -22,7 +22,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .engine import EngineUnsupported
 from .model import (
     EvaluationError,
     FunctionTable,
@@ -32,7 +31,7 @@ from .model import (
     default_output,
     evaluate_with,
 )
-from .session import UNKNOWN, UNSAT, SolverProcessError, SolverSession, SolverVerdict
+from .session import UNKNOWN, UNSAT, SolverSession, SolverVerdict
 from .terms import (
     Apply,
     ArgVector,
@@ -64,10 +63,6 @@ class Strategy(enum.Enum):
     INST_LAZY = "instantiated-lazy"
 
 
-QUANTIFIED_STRATEGIES = (Strategy.QUANT_INDIVIDUAL, Strategy.QUANT_AGGREGATED)
-INSTANTIATED_STRATEGIES = (Strategy.INST_EAGER, Strategy.INST_LAZY)
-
-
 @dataclass
 class EncodedProblem:
     formula: Term  # conjunction root
@@ -77,12 +72,6 @@ class EncodedProblem:
 
 class EncodingError(TermError):
     """Monotonicity specification incompatible with the formula/strategy."""
-
-
-def _check_spec(spec: MonotonicitySpec) -> None:
-    for func in spec.entries:
-        if not func.uninterpreted:
-            raise EncodingError(f"constrained symbol {func.name} is interpreted")
 
 
 def _application_index(
@@ -95,7 +84,6 @@ def _application_index(
     syntactically, in first-occurrence (left-to-right preorder) order.  This
     order fixes the emission order reproduced by the golden files.
     """
-    _check_spec(spec)
     constrained = set(spec.constrained_symbols())
     index: dict[FunctionSymbol, dict[Apply, None]] = {}
     for t in iter_subterms(formula):
@@ -370,9 +358,6 @@ def solve_lazy(
             values = session.value_of(leaves)
         except TimeoutError:
             return SolverVerdict.unknown(TIMEOUT_REASON)
-        except (EvaluationError, EngineUnsupported, SolverProcessError) as err:
-            # the backend cannot value one of the leaves
-            return SolverVerdict.unknown(f"model value query failed: {err}")
         value = dict(zip(leaves, values)).__getitem__
         violated = _violated_pairs(index, spec, value, asserted)
         if not violated:

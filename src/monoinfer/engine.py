@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import sat
@@ -67,21 +66,18 @@ class EngineUnsupported(Exception):
     """Input outside the engine's decidable fragment."""
 
 
-@dataclass
-class EngineLimits:
-    max_quantifier_instances: int = 1 << 16
-    max_theory_rounds: int = 1 << 20
-    # bounded-sort unknowns with ranges up to this size are unary (order)
-    # encoded straight into SAT; larger or unbounded ones go to the
-    # difference-logic theory
-    max_order_encoding_range: int = 64
+MAX_QUANTIFIER_INSTANCES = 1 << 16
+MAX_THEORY_ROUNDS = 1 << 20
+# bounded-sort unknowns with ranges up to this size are unary (order)
+# encoded straight into SAT; larger or unbounded ones go to the
+# difference-logic theory
+MAX_ORDER_ENCODING_RANGE = 64
 
 
 class Engine:
     """One incremental solving context (assertions are cumulative)."""
 
-    def __init__(self, limits: Optional[EngineLimits] = None):
-        self.limits = limits or EngineLimits()
+    def __init__(self):
         self.sat = SatSolver()
         self.true_var = self.sat.new_var()
         self.sat.add_clause([self.true_var])
@@ -130,7 +126,7 @@ class Engine:
         ladder (x >= j variables with chain clauses) at registration."""
         if node in self.node_bounds:
             return
-        if bounds is not None and bounds[1] - bounds[0] > self.limits.max_order_encoding_range:
+        if bounds is not None and bounds[1] - bounds[0] > MAX_ORDER_ENCODING_RANGE:
             bounds = None
         self.node_bounds[node] = bounds
         if bounds is None:
@@ -524,11 +520,7 @@ class Engine:
         for a in args:
             if isinstance(a, Forall):
                 total += self._forall_instance_count(a)
-        if total > self.limits.max_quantifier_instances:
-            raise EngineUnsupported(
-                f"quantifier expansion budget exceeded "
-                f"({total} > {self.limits.max_quantifier_instances})"
-            )
+        _check_expansion_budget(total)
 
     def assert_term(self, term: Term) -> None:
         self._have_model = False
@@ -564,11 +556,7 @@ class Engine:
         count = self._forall_instance_count(term)
         domains = [v.sort.values() for v in term.bound]
         self.quant_instances += count
-        if self.quant_instances > self.limits.max_quantifier_instances:
-            raise EngineUnsupported(
-                f"quantifier expansion budget exceeded "
-                f"({self.quant_instances} > {self.limits.max_quantifier_instances})"
-            )
+        _check_expansion_budget(self.quant_instances)
         instances = []
         for combo in itertools.product(*domains):
             mapping = {v: value_lit(val) for v, val in zip(term.bound, combo)}
@@ -579,7 +567,7 @@ class Engine:
 
     def check(self, deadline: Optional[float] = None) -> str:
         self._model_cache = None
-        for _ in range(self.limits.max_theory_rounds):
+        for _ in range(MAX_THEORY_ROUNDS):
             result = self.sat.solve(deadline)
             if result != sat.SAT:
                 return result
@@ -662,6 +650,14 @@ class Engine:
             )
         self._model_cache = Model(constants, functions)
         return self._model_cache
+
+
+def _check_expansion_budget(total: int) -> None:
+    if total > MAX_QUANTIFIER_INSTANCES:
+        raise EngineUnsupported(
+            f"quantifier expansion budget exceeded "
+            f"({total} > {MAX_QUANTIFIER_INSTANCES})"
+        )
 
 
 class _Symbolic(Exception):

@@ -29,6 +29,7 @@ from .terms import BOOL, bounded_int
 
 PLANTED = "planted"
 PERTURBED = "perturbed"
+FIXED_POINT_PROBES = 64  # trajectory restarts when hunting fixed points
 
 
 @dataclass
@@ -40,7 +41,6 @@ class GeneratorParams:
     essential_ratio: float = 0.5  # fraction of dependent regulations flagged
     n_observations: int = 2
     mode: str = PLANTED
-    fixed_point_probes: int = 64  # trajectory restarts when hunting fixed points
 
     def validate(self) -> None:
         if self.n_vars < 1:
@@ -145,7 +145,7 @@ def generate_instance(seed: int, params: GeneratorParams) -> InferenceProblem:
 
     # observations: genuine fixed points found by trajectory probes
     fixed_points = [planted_state]
-    for _ in range(params.fixed_point_probes):
+    for _ in range(FIXED_POINT_PROBES):
         if len(fixed_points) >= params.n_observations:
             break
         state = tuple(rng.randint(lo, hi) for _ in variables)

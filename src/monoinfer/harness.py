@@ -27,8 +27,8 @@ from .network import (
     verify_solution,
 )
 from .problemfile import load_problem
-from .session import SAT, UNKNOWN, UNSAT, SolverProcessError, open_session
-from .smtlib import emit_smtlib, collect_declarations
+from .session import SAT, UNKNOWN, UNSAT, open_session
+from .smtlib import emit_script
 from .terms import And
 
 TIMEOUT = "timeout"
@@ -126,7 +126,7 @@ def run_single(
         if emit_path is not None:
             target = encoded.formula
             assertions = list(target.args) if isinstance(target, And) else [target]
-            script = emit_smtlib(collect_declarations(assertions), assertions)
+            script = emit_script(assertions)
             Path(emit_path).write_text(script, encoding="utf-8")
         session = open_session(solver_cmd)
         session.set_time_limit(time_limit_ms)
@@ -165,15 +165,6 @@ def run_single(
                     # e.g. unbounded domains: tables are only defined over
                     # finite grids, so the verdict stands unverified
                     record.detail = f"verification unavailable: {err}"
-    except SolverProcessError as err:
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        record = RunRecord(
-            instance_name,
-            strategy.value,
-            failure=CRASH,
-            wall_ms=wall_ms,
-            detail=str(err),
-        )
     except Exception as err:  # harness must never crash on one instance
         wall_ms = (time.perf_counter() - start) * 1000.0
         record = RunRecord(
@@ -190,7 +181,7 @@ def run_single(
 
 
 def _batch_job(args) -> RunRecord:
-    path, strategy_value, solver_cmd, time_limit_ms, verify, simplify = args
+    path, strategy_value, solver_cmd, time_limit_ms, verify = args
     started = time.perf_counter()
     try:
         problem = load_problem(path)
@@ -209,7 +200,6 @@ def _batch_job(args) -> RunRecord:
         solver_cmd=solver_cmd,
         time_limit_ms=time_limit_ms,
         verify=verify,
-        simplify=simplify,
         instance_name=Path(path).stem,
     )
     # recorded time covers all initialization overhead, parsing included
@@ -224,7 +214,6 @@ def run_batch(
     time_limit_ms: int = DEFAULT_TIME_LIMIT_MS,
     solver_cmd: Optional[str] = None,
     verify: bool = False,
-    simplify: bool = True,
 ) -> list[RunRecord]:
     """Run every .problem file under instance_dir against every strategy.
 
@@ -237,7 +226,7 @@ def run_batch(
     if not paths:
         raise FileNotFoundError(f"no .problem files under {instance_dir}")
     jobs = [
-        (path, strategy.value, solver_cmd, time_limit_ms, verify, simplify)
+        (path, strategy.value, solver_cmd, time_limit_ms, verify)
         for path in paths
         for strategy in strategies
     ]

@@ -121,20 +121,13 @@ def check_symbol_name(name: str) -> str:
 class FunctionSymbol:
     """A (possibly 0-ary) function symbol of a signature."""
 
-    __slots__ = ("name", "arg_sorts", "result_sort", "uninterpreted", "_hash")
+    __slots__ = ("name", "arg_sorts", "result_sort", "_hash")
 
-    def __init__(
-        self,
-        name: str,
-        arg_sorts: Sequence[Sort],
-        result_sort: Sort,
-        uninterpreted: bool = True,
-    ):
+    def __init__(self, name: str, arg_sorts: Sequence[Sort], result_sort: Sort):
         self.name = name
         self.arg_sorts = tuple(arg_sorts)
         self.result_sort = result_sort
-        self.uninterpreted = uninterpreted
-        self._hash = hash((name, self.arg_sorts, result_sort, uninterpreted))
+        self._hash = hash((name, self.arg_sorts, result_sort))
 
     @property
     def arity(self) -> int:
@@ -146,7 +139,6 @@ class FunctionSymbol:
             and self.name == other.name
             and self.arg_sorts == other.arg_sorts
             and self.result_sort == other.result_sort
-            and self.uninterpreted == other.uninterpreted
         )
 
     def __hash__(self):
@@ -501,10 +493,6 @@ class MonotonicitySpec:
         for func, (mono, anti) in entries.items():
             mono = frozenset(mono)
             anti = frozenset(anti)
-            if not func.uninterpreted:
-                raise TermError(
-                    f"monotonicity specification for interpreted symbol {func.name}"
-                )
             if mono & anti:
                 raise TermError(
                     f"{func.name}: monotone and anti-monotone index sets overlap"
@@ -663,22 +651,19 @@ def substitute(term: Term, mapping: Mapping[Var, Term]) -> Term:
 
 
 class NameSupply:
-    """Deterministic source of fresh reserved-prefix constant names.
+    """Deterministic source of fresh `!sk<n>` constant names.
 
     Confine one supply to a single encoding query; reserved prefixes are
     rejected from user signatures, so fresh names cannot collide with them.
     """
 
-    def __init__(self, prefix: str = "!sk", avoid: Iterable[str] = ()):
-        if prefix not in RESERVED_PREFIXES:
-            raise TermError(f"fresh-name prefix must be one of {RESERVED_PREFIXES}")
-        self._prefix = prefix
+    def __init__(self, avoid: Iterable[str] = ()):
         self._next = 0
         self._avoid = set(avoid)
 
     def fresh(self, sort: Sort) -> Const:
         while True:
-            name = f"{self._prefix}{self._next}"
+            name = f"!sk{self._next}"
             self._next += 1
             if name not in self._avoid:
                 self._avoid.add(name)

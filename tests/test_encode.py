@@ -99,16 +99,6 @@ def test_quant_individual_anti_axiom_reverses_consequent():
     assert axiom.body.rhs == Cmp(CmpOp.LE, Apply(g, (y,)), Apply(g, (x,)))
 
 
-def test_interpreted_symbol_rejected(ex1):
-    plus = FunctionSymbol("plus", [INT, INT], INT, uninterpreted=False)
-    spec = MonotonicitySpec.__new__(MonotonicitySpec)
-    spec.entries = {plus: (frozenset({1}), frozenset())}
-    with pytest.raises(EncodingError):
-        encode_quant_individual(ex1.phi, spec)
-    with pytest.raises(EncodingError):
-        encode_eager(ex1.phi, spec)
-
-
 # -- quantified aggregated ------------------------------------------------------------
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from monoinfer.difflogic import ZERO, DiffConstraint, solve_difference_constraints
-from monoinfer.engine import Engine, EngineLimits, EngineUnsupported
+from monoinfer.engine import Engine, EngineUnsupported
 from monoinfer.model import evaluate
 from monoinfer.oracle import oracle_mono_sat
 from monoinfer.sat import SatSolver
@@ -153,8 +153,8 @@ def test_difference_bounds_through_zero_node():
 # -- engine over terms ----------------------------------------------------------------
 
 
-def _check(assertions, limits=None):
-    engine = Engine(limits)
+def _check(assertions):
+    engine = Engine()
     for a in assertions:
         engine.assert_term(a)
     return engine
@@ -269,20 +269,22 @@ def test_engine_rejects_unbounded_quantifier():
 
 def test_engine_expansion_budget():
     dom = bounded_int(0, 3)
-    g = FunctionSymbol("g", [dom, dom, dom], dom)
-    xs = [Var(f"x{i}", dom) for i in range(3)]
+    g = FunctionSymbol("g", [dom] * 9, dom)
+    xs = [Var(f"x{i}", dom) for i in range(9)]
+    # 4^9 = 262,144 instances, beyond the shipped budget
     axiom = Forall(xs, Cmp(CmpOp.LE, Apply(g, tuple(xs)), IntLit(3)))
-    engine = Engine(EngineLimits(max_quantifier_instances=10))
+    engine = Engine()
     with pytest.raises(EngineUnsupported):
         engine.assert_term(axiom)
 
 
 def test_engine_budget_prechecked_for_conjunctions():
     dom = bounded_int(0, 3)
-    g = FunctionSymbol("g", [dom, dom, dom], dom)
-    xs = [Var(f"x{i}", dom) for i in range(3)]
+    g = FunctionSymbol("g", [dom] * 9, dom)
+    xs = [Var(f"x{i}", dom) for i in range(9)]
+    # 4^9 = 262,144 instances, beyond the shipped budget
     axiom = Forall(xs, Cmp(CmpOp.LE, Apply(g, tuple(xs)), IntLit(3)))
-    engine = Engine(EngineLimits(max_quantifier_instances=10))
+    engine = Engine()
     with pytest.raises(EngineUnsupported):
         engine.assert_term(And([BoolLit(True), axiom]))
     assert engine.quant_instances == 0  # refused before grounding anything

@@ -307,3 +307,31 @@ def test_run_single_model_query_timeout_is_timeout(fig1, tmp_path, strategy):
     )
     assert record.failure == "timeout", record
     assert record.verdict is None
+
+
+REFUSING_SOLVER = """\
+import sys
+for line in sys.stdin:
+    if line.startswith("(check-sat"):
+        print("sat", flush=True)
+    elif line.startswith("(get-"):
+        print('(error "cannot answer")', flush=True)
+"""
+
+
+@pytest.mark.parametrize("strategy", [Strategy.INST_LAZY, Strategy.INST_EAGER])
+def test_run_single_model_query_error_is_crash(fig1, tmp_path, strategy):
+    # the solver answers sat, then errors on get-value / get-model: a backend
+    # failure, not an unknown verdict
+    script = tmp_path / "refusing_solver.py"
+    script.write_text(REFUSING_SOLVER)
+    record, _ = run_single(
+        fig1,
+        strategy,
+        solver_cmd=f"{sys.executable} {script}",
+        time_limit_ms=10_000,
+        instance_name="fig1",
+    )
+    assert record.failure == "crash", record
+    assert record.verdict is None
+    assert "SolverProcessError" in record.detail

@@ -8,6 +8,7 @@ from conftest import GOLDEN_DIR, REPL_SOLVER_CMD
 
 from monoinfer.encode import LazyRunStats, encode_eager, solve_lazy
 from monoinfer.model import evaluate
+from monoinfer.network import encode_inference
 from monoinfer.session import (
     InternalSession,
     ProcessSession,
@@ -103,6 +104,27 @@ def test_conflicting_redeclaration_rejected():
     session.assert_formula(Cmp(CmpOp.LE, Const("x", INT), IntLit(0)))
     with pytest.raises(SessionUsageError):
         session.declare(Const("x", BOOL))
+
+
+def test_constants_numbered_before_applications_and_gates(fig1):
+    # the declaration walk in assert_formula declares every constant before
+    # the engine grounds the assertion; the SAT heap breaks activity ties by
+    # variable number, so this order decides what is branched on first
+    session = InternalSession()
+    session.assert_formula(encode_eager(*encode_inference(fig1)).formula)
+    engine = session.engine
+
+    def node_vars(kind):
+        out = [v for node, v in engine.bool_unknowns.items() if node[0] == kind]
+        for node, ladder in engine.order_vars.items():
+            if node[0] == kind:
+                out.extend(ladder.values())
+        return out
+
+    constants = node_vars("c")
+    later = node_vars("a") + list(engine.gate_cache.values())
+    assert constants and later
+    assert max(constants) < min(later)
 
 
 def test_lazy_loop_through_process_session(ex1):

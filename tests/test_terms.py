@@ -17,7 +17,6 @@ from monoinfer.terms import (
     Implies,
     IntLit,
     MonotonicitySpec,
-    NameSupply,
     Not,
     Or,
     SkolemizationError,
@@ -282,20 +281,12 @@ def test_free_vars():
     assert free_vars(phi) == {y}
 
 
-def test_name_supply_rejects_foreign_prefix():
-    with pytest.raises(TermError):
-        NameSupply(prefix="sk")
-
-
 def test_monotonicity_spec_validation():
     f = FunctionSymbol("f", [INT, INT], INT)
     with pytest.raises(TermError):
         MonotonicitySpec({f: ({1}, {1})})
     with pytest.raises(TermError):
         MonotonicitySpec({f: ({3}, set())})
-    plus = FunctionSymbol("+", [INT, INT], INT, uninterpreted=False)
-    with pytest.raises(TermError):
-        MonotonicitySpec({plus: ({1}, set())})
     spec = MonotonicitySpec({f: ({1}, {2})})
     assert spec.monotone(f) == {1} and spec.anti_monotone(f) == {2}
 
