@@ -1,10 +1,11 @@
 """The built-in decision engine.
 
 Decides ground formulas over Bool and Int with uninterpreted functions by
-grounding to CNF: uninterpreted applications become opaque unknowns related
-by Ackermann congruence constraints, integer atoms are normalized to
-difference constraints (x - y <= k), and a CDCL SAT core is run in a lazy
-theory loop against the difference-constraint checker.  Universal
+grounding to CNF: uninterpreted applications become opaque unknowns, integer
+atoms are normalized to difference constraints (x - y <= k), and a CDCL SAT
+core is run in a lazy theory loop against the difference-constraint checker
+and Ackermann congruence, grounded on demand for each application pair that a
+candidate model values at one point with two results.  Universal
 quantifiers are expanded finitely when every binder sort is Boolean or a
 bounded integer interval, within an instantiation budget.
 
@@ -87,9 +88,11 @@ class Engine:
         self.bool_unknowns: dict[Node, int] = {}
         self.gate_cache: dict[Term, int] = {}
         self.apps_by_symbol: dict[str, list[Apply]] = {}
-        self.symbolic_apps: dict[str, list[Apply]] = {}
-        self.ground_reps: dict[str, dict[tuple, Node]] = {}
         self.app_node: dict[Apply, Node] = {}
+        self.congruence_pairs: set[frozenset[Apply]] = set()  # grounded
+        self._caught: set[Apply] = set()  # applications in a broken pair
+        # per symbol, its applications grouped by point in the last model
+        self._app_points: dict[str, dict[tuple[Value, ...], list[Apply]]] = {}
         self.declared_consts: dict[str, Const] = {}
         self.declared_funcs: dict[str, FunctionSymbol] = {}
         self.node_bounds: dict[Node, Optional[tuple[int, int]]] = {}
@@ -326,44 +329,49 @@ class Engine:
             self._bool_var(node)
         else:
             self._register_int_node(node, app.func.result_sort.bounds)
-        # ground the arguments now: their unknowns are needed for congruence
-        # pairs and for valuing the application's table point in models
+        # ground the arguments now: their unknowns are needed for valuing the
+        # application's table point and for any congruence pair it joins
         for arg in app.args:
             if arg.sort.is_bool:
                 self.lit_of(arg)
             else:
                 self._linform(arg)
-        name = app.func.name
-        key = _literal_arg_key(app)
-        if key is not None:
-            # fully-literal arguments: apps with different value keys can
-            # never be congruent, so one representative per key suffices
-            reps = self.ground_reps.setdefault(name, {})
-            rep = reps.get(key)
-            if rep is None:
-                reps[key] = node
-            else:
-                self._assert_results_equal(app.func, node, rep)
-            for other in self.symbolic_apps.get(name, ()):
-                self._congruence(app, other, node, self.app_node[other])
-        else:
-            for other in self.apps_by_symbol.get(name, ()):
-                self._congruence(app, other, node, self.app_node[other])
-            self.symbolic_apps.setdefault(name, []).append(app)
-        self.apps_by_symbol.setdefault(name, []).append(app)
+        self.apps_by_symbol.setdefault(app.func.name, []).append(app)
         return node
 
-    def _assert_results_equal(self, func: FunctionSymbol, na: Node, nb: Node) -> None:
-        if func.result_sort.is_bool:
-            va, vb = self._bool_var(na), self._bool_var(nb)
-            self.sat.add_clause([-va, vb])
-            self.sat.add_clause([va, -vb])
-        else:
-            self.sat.add_clause([self._node_le_lit(na, nb)])
-            self.sat.add_clause([self._node_le_lit(nb, na)])
+    def _ground_broken_congruence(self) -> bool:
+        """Ground congruence for each application pair the current model values
+        at one point with two results; False if there is none.  Each round is
+        a full SAT re-descent, so an application caught again after an earlier
+        round is grounded against every application of its symbol at once."""
+        caught: dict[Apply, None] = {}
+        for name, apps in self.apps_by_symbol.items():
+            by_point = self._app_points[name] = {}
+            for app in apps:
+                point = tuple(evaluate_with(a, self._leaf) for a in app.args)
+                by_point.setdefault(point, []).append(app)
+            for group in by_point.values():
+                values = [self._leaf(a) for a in group]
+                if len(set(values)) > 1:
+                    pairs = itertools.combinations(zip(group, values), 2)
+                    for (a, va), (b, vb) in pairs:
+                        if va != vb:
+                            self._congruence(a, b)
+                            caught[a] = caught[b] = None
+        for app in caught:
+            if app in self._caught:
+                for other in self.apps_by_symbol[app.func.name]:
+                    if other is not app:
+                        self._congruence(app, other)
+        self._caught.update(caught)
+        return bool(caught)
 
-    def _congruence(self, a: Apply, b: Apply, na: Node, nb: Node) -> None:
+    def _congruence(self, a: Apply, b: Apply) -> None:
         """Functional consistency: equal arguments force equal results."""
+        pair = frozenset((a, b))
+        if pair in self.congruence_pairs:
+            return
+        self.congruence_pairs.add(pair)
         antecedent: list[int] = []
         for arg_a, arg_b in zip(a.args, b.args):
             if arg_a == arg_b:
@@ -384,6 +392,7 @@ class Engine:
             if l != self.true_var:
                 pruned.append(l)
         negated = [-l for l in pruned]
+        na, nb = self.app_node[a], self.app_node[b]
         if a.func.result_sort.is_bool:
             va, vb = self._bool_var(na), self._bool_var(nb)
             self.sat.add_clause(negated + [-va, vb])
@@ -393,9 +402,6 @@ class Engine:
             self.sat.add_clause(negated + [self._node_le_lit(nb, na)])
 
     # -- Tseitin ----------------------------------------------------------------------
-
-    def _gate(self, term: Term) -> Optional[int]:
-        return self.gate_cache.get(term)
 
     def _new_gate(self, term: Term) -> int:
         var = self.sat.new_var()
@@ -418,6 +424,9 @@ class Engine:
 
     def lit_of(self, term: Term) -> int:
         """Literal equisatisfiably representing a Boolean-sorted ground term."""
+        cached = self.gate_cache.get(term)
+        if cached is not None:
+            return cached
         match term:
             case BoolLit(value=v):
                 return self.true_var if v else -self.true_var
@@ -432,9 +441,6 @@ class Engine:
             case Cmp():
                 return self._cmp_lit(term)
             case And(args=args):
-                cached = self._gate(term)
-                if cached is not None:
-                    return cached
                 lits = [self.lit_of(a) for a in args]
                 g = self._new_gate(term)
                 for l in lits:
@@ -442,9 +448,6 @@ class Engine:
                 self.sat.add_clause([g] + [-l for l in lits])
                 return g
             case Or(args=args):
-                cached = self._gate(term)
-                if cached is not None:
-                    return cached
                 lits = [self.lit_of(a) for a in args]
                 g = self._new_gate(term)
                 for l in lits:
@@ -452,9 +455,6 @@ class Engine:
                 self.sat.add_clause([-g] + lits)
                 return g
             case Implies(lhs=l, rhs=r):
-                cached = self._gate(term)
-                if cached is not None:
-                    return cached
                 la, lb = self.lit_of(l), self.lit_of(r)
                 g = self._new_gate(term)
                 self.sat.add_clause([-g, -la, lb])
@@ -566,6 +566,10 @@ class Engine:
     # -- solving -----------------------------------------------------------------------
 
     def check(self, deadline: Optional[float] = None) -> str:
+        """SAT search, difference-logic check and congruence pass, in rounds
+        until a model breaks no congruence pair; `theory_rounds` counts every
+        round, congruence rounds included."""
+        self._have_model = False
         self._model_cache = None
         for _ in range(MAX_THEORY_ROUNDS):
             result = self.sat.solve(deadline)
@@ -580,13 +584,14 @@ class Engine:
                     constraints.append(DiffConstraint(y, x, -k - 1, tag=-var))
             values, cycle = solve_difference_constraints(constraints)
             self.theory_rounds += 1
-            if cycle is None:
+            if cycle is not None:
+                self.sat.add_clause(sorted({-c.tag for c in cycle}))
+            else:
                 assert values is not None
                 self._int_values = {n: v for n, v in values.items() if n != ZERO}
-                self._have_model = True
-                return sat.SAT
-            conflict = sorted({-c.tag for c in cycle})
-            self.sat.add_clause(conflict)
+                if not self._ground_broken_congruence():
+                    self._have_model = True
+                    return sat.SAT
             if deadline is not None and time.monotonic() > deadline:
                 return sat.UNKNOWN
         return sat.UNKNOWN
@@ -641,10 +646,10 @@ class Engine:
             constants[name] = self._leaf(const)
         functions: dict[str, FunctionTable] = {}
         for fname, func in self.declared_funcs.items():
-            rows: dict[tuple[Value, ...], Value] = {}
-            for app in self.apps_by_symbol.get(fname, []):
-                point = tuple(evaluate_with(a, self._leaf) for a in app.args)
-                rows[point] = self._node_value(self.app_node[app], func.result_sort)
+            rows = {
+                point: self._node_value(self.app_node[group[0]], func.result_sort)
+                for point, group in self._app_points.get(fname, {}).items()
+            }
             functions[fname] = FunctionTable(
                 rows, default_output(func.result_sort, rows.values())
             )
@@ -658,23 +663,6 @@ def _check_expansion_budget(total: int) -> None:
             f"quantifier expansion budget exceeded "
             f"({total} > {MAX_QUANTIFIER_INSTANCES})"
         )
-
-
-class _Symbolic(Exception):
-    """Raised by the literal-folding leaf at any constant or application."""
-
-
-def _symbolic_leaf(term: Term) -> Value:
-    raise _Symbolic
-
-
-def _literal_arg_key(app: Apply) -> Optional[tuple]:
-    """The argument values when every argument folds from literals alone;
-    None if any is symbolic."""
-    try:
-        return tuple(evaluate_with(arg, _symbolic_leaf) for arg in app.args)
-    except _Symbolic:
-        return None
 
 
 def _merge(a: dict[Node, int], b: dict[Node, int], sign: int) -> dict[Node, int]:

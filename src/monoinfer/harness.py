@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -167,12 +168,14 @@ def run_single(
                     record.detail = f"verification unavailable: {err}"
     except Exception as err:  # harness must never crash on one instance
         wall_ms = (time.perf_counter() - start) * 1000.0
+        where = traceback.extract_tb(err.__traceback__)[-1]
         record = RunRecord(
             instance_name,
             strategy.value,
             failure=CRASH,
             wall_ms=wall_ms,
-            detail=f"{type(err).__name__}: {err}",
+            detail=f"{type(err).__name__}: {err} "
+            f"(at {Path(where.filename).name}:{where.lineno} in {where.name})",
         )
     finally:
         if session is not None:
@@ -270,9 +273,4 @@ def write_cumulative_csv(records: Sequence[RunRecord], path: str) -> None:
 
 
 def solved_counts(records: Sequence[RunRecord]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for record in records:
-        counts.setdefault(record.strategy, 0)
-        if record.solved:
-            counts[record.strategy] += 1
-    return counts
+    return {s: len(steps) for s, steps in cumulative_table(records).items()}

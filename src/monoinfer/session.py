@@ -202,7 +202,11 @@ class InternalSession(SolverSession):
     def _check_sat(self) -> str:
         if self._unsupported is not None:
             return UNKNOWN
-        result = self.engine.check(self._deadline)
+        try:
+            result = self.engine.check(self._deadline)
+        except EngineUnsupported as err:  # e.g. a congruence pair mixing sorts
+            self._unsupported = str(err)
+            return UNKNOWN
         if result == UNKNOWN and self._deadline is not None:
             if time.monotonic() > self._deadline:
                 self._unknown_reason = "timeout"

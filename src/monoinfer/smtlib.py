@@ -94,10 +94,14 @@ def collect_declarations(
     assertions: Iterable[Term],
 ) -> list[Union[Const, FunctionSymbol]]:
     """Constants and function symbols in first-occurrence order (args before
-    the application that uses them, matching a postorder read)."""
+    the application that uses them, a postorder read that skips repeats)."""
     seen: dict[Union[Const, FunctionSymbol], None] = {}
+    visited: set[Term] = set()
 
     def visit(t: Term) -> None:
+        if t in visited:
+            return
+        visited.add(t)
         for c in t.children():
             visit(c)
         if isinstance(t, Const):

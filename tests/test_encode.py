@@ -428,7 +428,7 @@ def test_lazy_asserted_lemmas_subset_of_eager(ex1):
 
 
 def test_lazy_asserted_lemma_order_pinned():
-    # every regulation essential: five checks, lemmas asserted over four rounds
+    # every regulation essential: three checks, lemmas asserted over two rounds
     params = GeneratorParams(
         n_vars=6, max_arity=3, domain_size=3, n_observations=2, essential_ratio=1.0
     )
@@ -437,13 +437,15 @@ def test_lazy_asserted_lemma_order_pinned():
     verdict = solve_lazy(formula, spec, InternalSession(), stats)
     eager = ground_lemmas(formula, spec)
     assert verdict.is_sat
-    assert stats.check_sat_calls == 5
+    # criterion 6's bounds hold whatever order the SAT search produces
+    assert set(stats.asserted_lemmas) <= set(eager)
+    assert stats.check_sat_calls <= eager_lemma_count(formula, spec) + 1
+    assert stats.check_sat_calls == 3
     assert [eager.index(term) for term in stats.asserted_lemmas] == [
-        0, 2, 47, 49, 51, 54, 55, 56, 57, 58, 61, 63, 65, 68, 83, 97, 111, 118,
-        120, 122, 124, 135, 174, 175, 176, 177, 182, 184, 195,
-        59, 207,
-        40, 41, 43, 48, 209, 210,
-        19,
+        0, 2, 19, 20, 33, 35, 47, 49, 54, 55, 56, 57, 58, 59, 61, 63, 89, 91, 92,
+        103, 105, 107, 117, 119, 121, 139, 141, 159, 160, 169, 171, 174, 175, 176,
+        177, 179, 181,
+        68,
     ]
 
 

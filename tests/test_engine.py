@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoinfer.difflogic import ZERO, DiffConstraint, solve_difference_constraints
 from monoinfer.engine import Engine, EngineUnsupported
@@ -29,7 +31,8 @@ from monoinfer.terms import (
     mk_and,
     mk_or,
 )
-from monoinfer.encode import encode_eager
+from monoinfer.encode import encode_eager, encode_quant_aggregated
+from monoinfer.network import encode_inference
 
 
 # -- SAT core -------------------------------------------------------------------
@@ -219,6 +222,94 @@ def test_engine_bounded_congruence():
         ]
     )
     assert engine.check() == "unsat"
+
+
+# -- congruence on demand ----------------------------------------------------------
+
+
+def test_engine_eager_fig1_needs_no_congruence(fig1):
+    # the eager lemmas already make every update symbol functional
+    formula, spec = encode_inference(fig1)
+    engine = _check([encode_eager(formula, spec).formula])
+    assert engine.check() == "sat"
+    assert engine.theory_rounds == 1
+    assert engine.congruence_pairs == set()
+
+
+def test_engine_quant_aggregated_fig1_grounds_congruence(fig1):
+    formula, spec = encode_inference(fig1)
+    engine = _check([encode_quant_aggregated(formula, spec).formula])
+    assert engine.check() == "sat"
+    assert len(engine.congruence_pairs) >= 1
+    assert engine.theory_rounds >= 2
+
+
+def _congruence_broken_in_every_model():
+    f = FunctionSymbol("f", [INT], INT)
+    x = Const("x", INT)
+    return _check([Cmp(CmpOp.NE, Apply(f, (Add(x, IntLit(1)),)),
+                       Apply(f, (Add(IntLit(1), x),)))])
+
+
+def test_engine_deadline_bounds_congruence_rounds():
+    import time
+
+    # unsat only in a second round, after the first grounds the broken pair
+    engine = _congruence_broken_in_every_model()
+    assert engine.check() == "unsat"
+    assert len(engine.congruence_pairs) == 1
+    late = time.monotonic() - 1
+    assert _congruence_broken_in_every_model().check(deadline=late) == "unknown"
+
+
+_D = bounded_int(0, 2)
+_SYMBOLS = [
+    FunctionSymbol("f", [_D], _D),
+    FunctionSymbol("g", [BOOL], _D),
+    FunctionSymbol("h", [BOOL, BOOL], BOOL),
+]
+_C, _P, _Q = Const("c", _D), Const("p", BOOL), Const("q", BOOL)
+
+
+@st.composite
+def _ground_uf_formula(draw):
+    """2-5 applications of one or two symbols over Bool and 0..2 arguments;
+    later applications may take earlier ones, or c + 1, as arguments."""
+    symbols = draw(st.lists(st.sampled_from(_SYMBOLS), min_size=1, max_size=2,
+                            unique_by=lambda f: f.name))
+    ints = [_C, IntLit(0), IntLit(1), Add(_C, IntLit(1))]
+    bools = [_P, _Q, BoolLit(True), Not(_P)]
+    apps = []
+    for _ in range(draw(st.integers(2, 5))):
+        func = draw(st.sampled_from(symbols))
+        app = Apply(func, [draw(st.sampled_from(ints if s.is_int else bools))
+                           for s in func.arg_sorts])
+        apps.append(app)
+        (ints if app.sort.is_int else bools).append(app)
+    atoms = [Cmp(CmpOp.LE, _C, IntLit(1))]  # keeps c + 1 inside the grid
+    for app in apps:
+        # mostly against another application, so results are pushed apart
+        pool = ints if app.sort.is_int else bools
+        rivals = [t for t in apps if t.sort.is_int == app.sort.is_int and t != app]
+        other = draw(st.sampled_from(rivals if rivals and draw(st.booleans()) else pool))
+        if app.sort.is_int:
+            op = draw(st.sampled_from([CmpOp.EQ, CmpOp.NE, CmpOp.LE, CmpOp.LT]))
+        else:
+            op = draw(st.sampled_from([CmpOp.EQ, CmpOp.NE]))
+        atoms.append(Cmp(op, app, other))
+    if draw(st.booleans()):
+        atoms[1:3] = [mk_or(atoms[1:3])]
+    return mk_and(atoms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ground_uf_formula())
+def test_engine_congruence_on_demand_agrees_with_oracle(formula):
+    engine = _check([formula])
+    verdict = engine.check()
+    assert verdict == oracle_mono_sat(formula, MonotonicitySpec({}), (0, 2))
+    if verdict == "sat":
+        assert evaluate(formula, engine.extract_model())
 
 
 def test_engine_boolean_structure():

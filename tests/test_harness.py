@@ -8,6 +8,7 @@ import pytest
 
 from conftest import FIG1_PATH, REPL_SOLVER_CMD
 
+from monoinfer import harness as harness_module
 from monoinfer.encode import Strategy
 from monoinfer.generate import GeneratorParams, generate_instance
 from monoinfer.harness import (
@@ -68,6 +69,17 @@ def test_run_single_crash_recorded(fig1):
         instance_name="fig1",
     )
     assert record.failure == "crash"
+
+
+def test_run_single_crash_detail_names_where_it_crashed(fig1, monkeypatch):
+    def broken_encoder(problem, simplify=True):
+        raise ValueError("encoder fault")
+
+    monkeypatch.setattr(harness_module, "encode_inference", broken_encoder)
+    record, _ = run_single(fig1, Strategy.INST_EAGER, instance_name="fig1")
+    assert record.failure == "crash"
+    assert record.detail.startswith("ValueError: encoder fault (at test_harness.py:")
+    assert record.detail.endswith(" in broken_encoder)")
 
 
 def test_run_single_unbounded_domain_sat_but_unverifiable():

@@ -26,6 +26,7 @@ from monoinfer.terms import (
     Const,
     FunctionSymbol,
     IntLit,
+    bounded_int,
     mk_and,
 )
 
@@ -167,6 +168,21 @@ def test_internal_unsupported_goes_unknown():
     session.assert_formula(Forall([x], Cmp(CmpOp.LE, x, x)))
     assert session.check_sat() == "unknown"
     assert "unsupported" in session.unknown_reason
+
+
+def test_internal_unsupported_congruence_pair_goes_unknown():
+    # f(u) and f(x) meet at one point, and their congruence constraint would
+    # compare a small-bounded argument with an unbounded one
+    f = FunctionSymbol("f", [bounded_int(0, 2)], INT)
+    u, x = Const("u", bounded_int(0, 2)), Const("x", INT)
+    session = InternalSession()
+    session.assert_formula(mk_and([
+        Cmp(CmpOp.EQ, u, IntLit(0)),
+        Cmp(CmpOp.EQ, x, IntLit(0)),
+        Cmp(CmpOp.NE, Apply(f, (u,)), Apply(f, (x,))),
+    ]))
+    assert session.check_sat() == "unknown"
+    assert session.unknown_reason.startswith("unsupported: atom mixes")
 
 
 def test_internal_timeout():
