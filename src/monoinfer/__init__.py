@@ -69,7 +69,7 @@ from .session import (
     SolverVerdict,
     open_session,
 )
-from .smtlib import emit_script, emit_smtlib, parse_model_response
+from .smtlib import emit_script, emit_smtlib
 from .problemfile import load_problem, parse_problem, save_problem, serialize_problem
 from .generate import GeneratorParams, generate_instance
 from .harness import RunRecord, run_batch, run_single

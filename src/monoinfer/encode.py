@@ -7,8 +7,8 @@ aggregated axiom at pairs of application argument vectors occurring in the
 formula suffice for equisatisfiability.  Both read one index of the
 formula's applications, built in a single traversal.  The eager encoding
 asserts every instance up front; the lazy loop values the applications
-under each candidate model and builds a lemma only for a pair the model
-violates.
+on each candidate model the session extracts and builds a lemma only for a
+pair that model violates.
 
 Monotonization replaces each constrained symbol's table by a MonotoneTable,
 whose lookup is the monotone completion of its rows, so a monotonized model
@@ -20,10 +20,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .model import (
-    EvaluationError,
     FunctionTable,
     Model,
     Value,
@@ -35,14 +34,11 @@ from .session import UNKNOWN, UNSAT, SolverSession, SolverVerdict
 from .terms import (
     Apply,
     ArgVector,
-    BoolLit,
     Cmp,
     CmpOp,
-    Const,
     Forall,
     FunctionSymbol,
     Implies,
-    IntLit,
     MonotonicitySpec,
     Term,
     TermError,
@@ -250,43 +246,29 @@ def solve(
 Pair = tuple[FunctionSymbol, int, int]
 
 
-def _leaves(apps: Iterable[Apply]) -> list[Term]:
-    """The constants and applications whose values fix every application's
-    argument vector and result (`f(c1 + 5, 0)` needs `c1` and itself)."""
-    seen: dict[Term, None] = {}
-    for app in apps:
-        for t in iter_subterms(app):
-            if isinstance(t, (Const, Apply)):
-                seen.setdefault(t)
-    return list(seen)
-
-
 def _violated_pairs(
     index: Mapping[FunctionSymbol, Sequence[Apply]],
     spec: MonotonicitySpec,
-    value: Callable[[Term], Value],
+    model: Model,
     asserted: set[Pair],
 ) -> list[Pair]:
-    """The pairs (f, i, j) whose lemma the values falsify, in emission order:
+    """The pairs (f, i, j) whose lemma the model falsifies, in emission order:
     application i precedes application j in the specification order while
-    its result is larger (False < True).  Each application is valued once;
-    pairs in `asserted` are skipped.  A pair whose numeral arguments break
-    the order breaks it on values too, so it is never flagged."""
+    its result is larger (False < True).  Each application's point is valued
+    once and its result read from f's table at that point; pairs in
+    `asserted` are skipped.  A pair whose numeral arguments break the order
+    breaks it on values too, so it is never flagged."""
     out = []
+    leaf = model.leaf_value
     for func, apps in index.items():
         if len(apps) < 2:
             continue
+        table = model.table(func)
         mono, anti = spec.monotone(func), spec.anti_monotone(func)
-        points = [
-            (
-                tuple(
-                    a.value if isinstance(a, (IntLit, BoolLit)) else evaluate_with(a, value)
-                    for a in app.args
-                ),
-                value(app),
-            )
-            for app in apps
-        ]
+        points = []
+        for app in apps:
+            point = tuple(evaluate_with(a, leaf) for a in app.args)
+            points.append((point, table.lookup(point)))
         for (i, (p, p_out)), (j, (q, q_out)) in itertools.permutations(enumerate(points), 2):
             if p_out > q_out and (func, i, j) not in asserted and _dominates(p, q, mono, anti):
                 out.append((func, i, j))
@@ -300,22 +282,13 @@ def _lemma(
     return monotonicity_lemma(func, index[func][i].args, index[func][j].args, spec)
 
 
-def violated_lemmas(
-    formula: Term,
-    spec: MonotonicitySpec,
-    valuation: Mapping[Term, Value],
-) -> set[Term]:
-    """Candidate lemmas falsified by the valuation (antecedent holds, consequent
-    fails under the sort's order).  The valuation must cover every constant
-    and application the candidates' arguments and results mention."""
-
-    def value(term: Term) -> Value:
-        if term not in valuation:
-            raise EvaluationError(f"no value for {term!r}")
-        return valuation[term]
-
+def violated_lemmas(formula: Term, spec: MonotonicitySpec, model: Model) -> set[Term]:
+    """Candidate lemmas falsified by the model (antecedent holds, consequent
+    fails under the sort's order).  The model must value every constant the
+    candidates' arguments mention and hold a table for every constrained
+    symbol applied twice."""
     index = _application_index(formula, spec)
-    return {_lemma(index, spec, pair) for pair in _violated_pairs(index, spec, value, set())}
+    return {_lemma(index, spec, pair) for pair in _violated_pairs(index, spec, model, set())}
 
 
 @dataclass
@@ -330,9 +303,9 @@ def solve_lazy(
     session: SolverSession,
     stats: Optional[LazyRunStats] = None,
 ) -> SolverVerdict:
-    """Lazy instantiation: assert the formula, then repeatedly pull a model,
-    find the ground lemmas it violates, and assert them, until either no
-    lemma is violated (sat) or the solver reports unsat.
+    """Lazy instantiation: assert the formula, then repeatedly extract a
+    model, find the ground lemmas it violates, and assert them, until either
+    no lemma is violated (sat, with that model) or the solver reports unsat.
 
     The applications are indexed once from the formula (the set never
     grows); each candidate model values them once, and a lemma Term is built
@@ -344,7 +317,6 @@ def solve_lazy(
     if stats is None:
         stats = LazyRunStats()
     index = _application_index(formula, spec)
-    leaves = _leaves(app for apps in index.values() if len(apps) > 1 for app in apps)
     session.assert_formula(formula)
     asserted: set[Pair] = set()
     while True:
@@ -352,16 +324,12 @@ def solve_lazy(
         stats.check_sat_calls += 1
         if verdict is not None:
             return verdict
-        if not leaves:  # no symbol has two applications, so no lemma exists
-            return _sat(session)
-        try:
-            values = session.value_of(leaves)
-        except TimeoutError:
-            return SolverVerdict.unknown(TIMEOUT_REASON)
-        value = dict(zip(leaves, values)).__getitem__
-        violated = _violated_pairs(index, spec, value, asserted)
+        verdict = _sat(session)
+        if not verdict.is_sat:
+            return verdict
+        violated = _violated_pairs(index, spec, verdict.model, asserted)
         if not violated:
-            return _sat(session)
+            return verdict
         for pair in violated:
             lemma = _lemma(index, spec, pair)
             session.assert_formula(lemma)

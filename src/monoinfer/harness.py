@@ -132,40 +132,31 @@ def run_single(
         session = open_session(solver_cmd)
         session.set_time_limit(time_limit_ms)
         verdict = solve(encoded, spec, session)
-        checks = session.check_sat_count
-        wall_ms = (time.perf_counter() - start) * 1000.0
         if verdict.kind == UNKNOWN:
-            v, failure = _classify_unknown(verdict.reason)
-            record = RunRecord(
-                instance_name,
-                strategy.value,
-                verdict=v,
-                failure=failure,
-                wall_ms=wall_ms,
-                lemma_count=lemma_count,
-                check_sat_count=checks,
-                detail=verdict.reason or "",
-            )
+            kind, failure = _classify_unknown(verdict.reason)
         else:
-            record = RunRecord(
-                instance_name,
-                strategy.value,
-                verdict=verdict.kind,
-                wall_ms=wall_ms,
-                lemma_count=lemma_count,
-                check_sat_count=checks,
-            )
-            if verdict.is_sat and verify:
-                try:
-                    tables = decode_solution(verdict.model, problem)
-                    result = verify_solution(problem, tables)
-                    record.verified = bool(result.ok)
-                    if not result.ok:
-                        record.detail = f"verification failed: {result.violation}"
-                except ProblemError as err:
-                    # e.g. unbounded domains: tables are only defined over
-                    # finite grids, so the verdict stands unverified
-                    record.detail = f"verification unavailable: {err}"
+            kind, failure = verdict.kind, None
+        record = RunRecord(
+            instance_name,
+            strategy.value,
+            verdict=kind,
+            failure=failure,
+            wall_ms=(time.perf_counter() - start) * 1000.0,
+            lemma_count=lemma_count,
+            check_sat_count=session.check_sat_count,
+            detail=verdict.reason or "",
+        )
+        if verdict.is_sat and verify:
+            try:
+                tables = decode_solution(verdict.model, problem)
+                result = verify_solution(problem, tables)
+                record.verified = bool(result.ok)
+                if not result.ok:
+                    record.detail = f"verification failed: {result.violation}"
+            except ProblemError as err:
+                # e.g. unbounded domains: tables are only defined over
+                # finite grids, so the verdict stands unverified
+                record.detail = f"verification unavailable: {err}"
     except Exception as err:  # harness must never crash on one instance
         wall_ms = (time.perf_counter() - start) * 1000.0
         where = traceback.extract_tb(err.__traceback__)[-1]

@@ -2,14 +2,14 @@
 
 A Model assigns values to constants and finite lookup tables (with a
 default) to uninterpreted functions; it is the shape produced by the
-internal engine, by parsing an external solver's `get-model` response, and
-by monotonization, whose completed functions are tables with their own
-`lookup`.
+internal engine, by the process driver from an external solver's
+`get-value` answer, and by monotonization, whose completed functions are
+tables with their own `lookup`.
 
 There is one evaluator, `evaluate_with`: it computes literals, arithmetic,
 comparisons and connectives, and asks a caller-supplied leaf for the value
 of each constant and application.  The engine supplies a leaf that reads its
-SAT model; the lazy loop supplies one that reads values a session returned.
+SAT model; the process driver one that reads a `get-value` answer.
 `evaluate` supplies the model-checking leaf, which reads only the Model's
 constants and tables, so it stays independent of any solving machinery and
 can serve as the second leg of round-trip checks.
@@ -29,6 +29,7 @@ from .terms import (
     Const,
     Exists,
     Forall,
+    FunctionSymbol,
     Implies,
     IntLit,
     Neg,
@@ -84,10 +85,15 @@ class Model:
             if term.name not in self.constants:
                 raise EvaluationError(f"model has no value for constant {term.name}")
             return self.constants[term.name]
-        table = self.functions.get(term.func.name)
+        point = tuple(evaluate_with(a, self.leaf_value) for a in term.args)
+        return self.table(term.func).lookup(point)
+
+    def table(self, func: FunctionSymbol) -> FunctionTable:
+        """The table of `func`; EvaluationError when the model has none."""
+        table = self.functions.get(func.name)
         if table is None:
-            raise EvaluationError(f"model has no table for function {term.func.name}")
-        return table.lookup(tuple(evaluate_with(a, self.leaf_value) for a in term.args))
+            raise EvaluationError(f"model has no table for function {func.name}")
+        return table
 
     def __eq__(self, other):
         return (

@@ -250,11 +250,10 @@ class SatSolver:
         self._enqueue(learned[0], idx)
 
     def _pick_branch_var(self) -> Optional[int]:
+        # every unassigned variable has a heap entry (new_var and _backtrack
+        # push one), so an empty heap means a full assignment
         while self._heap:
             _, var = heappop(self._heap)
-            if self.assign[var] == 0:
-                return var
-        for var in range(1, self.num_vars + 1):
             if self.assign[var] == 0:
                 return var
         return None

@@ -2,8 +2,10 @@
 
 InternalSession runs the built-in engine in-process; ProcessSession drives
 any conformant external solver over an SMT-LIB2 pipe (incremental mode,
-`:print-success` off), parsing check-sat/get-value/get-model responses and
-enforcing the wall-clock limit by killing the child on expiry.  Assertions
+`:print-success` off), parsing check-sat and get-value responses and
+enforcing the wall-clock limit by killing the child on expiry.  It builds a
+model from one get-value answer, whose shape the standard fixes, rather
+than from get-model, whose function bodies may be any term.  Assertions
 are cumulative within a session; value/model queries are only legal right
 after a sat answer.
 """
@@ -19,17 +21,16 @@ import time
 from typing import Optional, Sequence, Union
 
 from .engine import Engine, EngineUnsupported
-from .model import Model, Value
+from .model import FunctionTable, Model, Value, ValueVector, default_output, evaluate_with
 from .smtlib import (
     SmtParseError,
     balanced,
     collect_declarations,
     declaration_to_sexpr,
     parse_get_value_response,
-    parse_model_response,
     term_to_sexpr,
 )
-from .terms import Const, FunctionSymbol, Term
+from .terms import Apply, Const, Exists, Forall, FunctionSymbol, Term
 
 ENV_SOLVER_CMD = "MONOINFER_SOLVER_CMD"
 INTERNAL_SOLVER = "internal"
@@ -261,6 +262,9 @@ class ProcessSession(SolverSession):
         if isinstance(command, str):
             command = shlex.split(command)
         self.command = list(command)
+        # the distinct applications asserted outside a binder: the points of
+        # the model's tables
+        self._apps: dict[Apply, None] = {}
         try:
             self.process = subprocess.Popen(
                 self.command,
@@ -326,6 +330,14 @@ class ProcessSession(SolverSession):
 
     def _assert(self, term: Term) -> None:
         self._send(f"(assert {term_to_sexpr(term)})")
+        stack = [term]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, (Forall, Exists)) or t in self._apps:
+                continue
+            if isinstance(t, Apply):
+                self._apps[t] = None
+            stack.extend(t.children())
 
     def _check_sat(self) -> str:
         self._send("(check-sat)")
@@ -353,16 +365,31 @@ class ProcessSession(SolverSession):
         if response.startswith("(error"):
             raise SolverProcessError(f"solver error: {response}")
         try:
-            return parse_get_value_response(response)
+            values = parse_get_value_response(response)
         except SmtParseError as err:
             raise SolverProcessError(str(err)) from err
+        if len(values) != len(terms):
+            raise SolverProcessError(f"get-value answered {len(values)} of {len(terms)} terms")
+        return values
 
     def _extract_model(self) -> Model:
-        self._send("(get-model)")
-        response = self._read_response()
-        if response.startswith("(error"):
-            raise SolverProcessError(f"solver error: {response}")
-        return parse_model_response(response)
+        """One get-value for every declared constant and asserted application;
+        each application gives its table the row point -> value."""
+        consts = [c for c in self._declared.values() if isinstance(c, Const)]
+        terms: list[Term] = [*consts, *self._apps]
+        value = dict(zip(terms, self._value_of(terms) if terms else [])).__getitem__
+        rows: dict[str, dict[ValueVector, Value]] = {}
+        for app in self._apps:
+            point = tuple(evaluate_with(a, value) for a in app.args)
+            rows.setdefault(app.func.name, {})[point] = value(app)
+        functions = {}
+        for func in self._declared.values():
+            if isinstance(func, FunctionSymbol):
+                table = rows.get(func.name, {})
+                functions[func.name] = FunctionTable(
+                    table, default_output(func.result_sort, table.values())
+                )
+        return Model({c.name: value(c) for c in consts}, functions)
 
     def dispose(self) -> None:
         try:

@@ -1,4 +1,5 @@
-"""SMT-LIB2 serialization: term emission, s-expression reading, and model parsing.
+"""SMT-LIB2 serialization: term and model emission, s-expression reading, and
+get-value response parsing.
 
 Emission is a pure function of its input: identical declarations and
 assertions produce byte-identical scripts, which the golden-file tests pin.
@@ -33,7 +34,7 @@ from .terms import (
 
 
 class SmtParseError(ValueError):
-    """Malformed SMT-LIB2 text (script, value response, or model response)."""
+    """Malformed SMT-LIB2 text (script or value response)."""
 
 
 # -- emission ------------------------------------------------------------------
@@ -231,7 +232,7 @@ def balanced(text: str) -> bool:
     return depth == 0 and not in_quote
 
 
-# -- value / model response parsing --------------------------------------------
+# -- get-value parsing and model rendering ------------------------------------
 
 
 def parse_value_sexpr(sexpr: SExpr) -> Value:
@@ -260,98 +261,6 @@ def parse_get_value_response(text: str) -> list[Value]:
             raise SmtParseError(f"malformed get-value pair: {pair!r}")
         values.append(parse_value_sexpr(pair[1]))
     return values
-
-
-class UnsupportedModelError(SmtParseError):
-    """Model body outside the nested-ite-over-argument-equalities fragment."""
-
-    def __init__(self, message: str, raw: str):
-        super().__init__(f"{message}\nraw model text:\n{raw}")
-        self.raw = raw
-
-
-def _parse_ite_chain(
-    body: SExpr, arg_names: list[str], raw: str
-) -> tuple[dict[tuple[Value, ...], Value], Value]:
-    """Flatten nested (ite <cond> <value> <rest>) into (table, default).
-
-    Conditions must be conjunctions of equalities pinning every argument.
-    """
-    rows: dict[tuple[Value, ...], Value] = {}
-
-    def parse_cond(cond: SExpr) -> tuple[Value, ...]:
-        eqs: list[SExpr]
-        if isinstance(cond, list) and cond and cond[0] == "and":
-            eqs = cond[1:]
-        else:
-            eqs = [cond]
-        assigned: dict[str, Value] = {}
-        for e in eqs:
-            if not (isinstance(e, list) and len(e) == 3 and e[0] == "="):
-                raise UnsupportedModelError(f"unsupported ite condition {e!r}", raw)
-            lhs, rhs = e[1], e[2]
-            if isinstance(lhs, str) and lhs in arg_names:
-                assigned[lhs] = parse_value_sexpr(rhs)
-            elif isinstance(rhs, str) and rhs in arg_names:
-                assigned[rhs] = parse_value_sexpr(lhs)
-            else:
-                raise UnsupportedModelError(f"unsupported equality {e!r}", raw)
-        if set(assigned) != set(arg_names):
-            raise UnsupportedModelError(
-                f"ite condition does not pin all arguments: {cond!r}", raw
-            )
-        return tuple(assigned[a] for a in arg_names)
-
-    node = body
-    while isinstance(node, list) and node and node[0] == "ite":
-        if len(node) != 4:
-            raise UnsupportedModelError(f"malformed ite {node!r}", raw)
-        point = parse_cond(node[1])
-        try:
-            rows.setdefault(point, parse_value_sexpr(node[2]))
-        except SmtParseError as err:
-            raise UnsupportedModelError(str(err), raw) from err
-        node = node[3]
-    try:
-        default = parse_value_sexpr(node)
-    except SmtParseError as err:
-        raise UnsupportedModelError(str(err), raw) from err
-    return rows, default
-
-
-def parse_model_response(text: str) -> Model:
-    """Reconstruct a Model from a `(get-model)` response.
-
-    Constant definitions become constant values; function bodies given as
-    nested if-then-else chains over argument equalities are flattened into a
-    (table, default) pair.  Anything outside that fragment raises
-    UnsupportedModelError with the raw text preserved.
-    """
-    exprs = parse_sexprs(text)
-    if len(exprs) != 1 or not isinstance(exprs[0], list):
-        raise SmtParseError(f"malformed get-model response: {text!r}")
-    items = exprs[0]
-    if items and items[0] == "model":  # older solvers prefix the list
-        items = items[1:]
-    constants: dict[str, Value] = {}
-    functions: dict[str, FunctionTable] = {}
-    for item in items:
-        if not (isinstance(item, list) and len(item) == 5 and item[0] == "define-fun"):
-            raise UnsupportedModelError(f"unsupported model item {item!r}", text)
-        _, name, params, _result_sort, body = item
-        if not isinstance(params, list):
-            raise UnsupportedModelError(f"malformed parameter list in {name}", text)
-        if not params:
-            constants[name] = parse_value_sexpr(body)
-        else:
-            arg_names = []
-            for p in params:
-                if not (isinstance(p, list) and len(p) == 2):
-                    raise UnsupportedModelError(f"malformed parameter {p!r}", text)
-                arg_names.append(p[0])
-            rows, default = _parse_ite_chain(body, arg_names, text)
-            functions[name] = FunctionTable(rows, default)
-    return Model(constants, functions)
 
 
 def value_to_sexpr(value: Value) -> str:

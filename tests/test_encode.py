@@ -281,32 +281,30 @@ def test_eager_count_invariant_on_example(ex1):
 # -- violated lemmas ------------------------------------------------------------------------
 
 
+def _ex1_model(c1, c2, f_outs, g_outs):
+    """A model of the running example's leaves: f at (c1, 2) and (c1 + 5, 0),
+    g at (c2,) and (4,)."""
+    return Model(
+        {"c1": c1, "c2": c2},
+        {
+            "f": FunctionTable(dict(zip([(c1, 2), (c1 + 5, 0)], f_outs)), min(f_outs)),
+            "g": FunctionTable(dict(zip([(c2,), (4,)], g_outs)), min(g_outs)),
+        },
+    )
+
+
 def test_violated_lemmas_all_equal_valuation(ex1):
-    valuation = {
-        ex1.c1: 0,
-        ex1.c2: 0,
-        ex1.f_app1: 1,
-        ex1.f_app2: 1,
-        ex1.g_app1: 1,
-        ex1.g_app2: 1,
-    }
-    assert violated_lemmas(ex1.phi, ex1.spec, valuation) == set()
+    model = _ex1_model(0, 0, [1, 1], [1, 1])
+    assert violated_lemmas(ex1.phi, ex1.spec, model) == set()
 
 
 def test_violated_lemmas_relaxed_model_has_none(ex1):
     # c1=6, c2=0, f(6,2)=4, f(11,0)=0, g(0)=1, g(4)=2 satisfies every
     # relaxed-specification lemma
-    valuation = {
-        ex1.c1: 6,
-        ex1.c2: 0,
-        ex1.f_app1: 4,
-        ex1.f_app2: 0,
-        ex1.g_app1: 1,
-        ex1.g_app2: 2,
-    }
-    assert violated_lemmas(ex1.phi, ex1.spec_relaxed, valuation) == set()
+    model = _ex1_model(6, 0, [4, 0], [1, 2])
+    assert violated_lemmas(ex1.phi, ex1.spec_relaxed, model) == set()
     # under the strict specification the f-pair lemma is violated instead
-    violated = violated_lemmas(ex1.phi, ex1.spec, valuation)
+    violated = violated_lemmas(ex1.phi, ex1.spec, model)
     assert len(violated) == 1
 
 
@@ -318,8 +316,8 @@ def test_violated_lemmas_decreasing_g():
         [Cmp(CmpOp.EQ, g1, IntLit(5)), Cmp(CmpOp.EQ, g2, IntLit(1))]
     )
     spec = MonotonicitySpec({g: ({1}, set())})
-    valuation = {c2: 0, g1: 5, g2: 1}
-    violated = violated_lemmas(phi, spec, valuation)
+    model = Model({"c2": 0}, {"g": FunctionTable({(0,): 5, (4,): 1}, 1)})
+    violated = violated_lemmas(phi, spec, model)
     expected = monotonicity_lemma(g, (c2,), (IntLit(4),), spec)
     assert violated == {expected}
 
@@ -327,8 +325,12 @@ def test_violated_lemmas_decreasing_g():
 def test_violated_lemmas_missing_entry(ex1):
     from monoinfer.model import EvaluationError
 
-    with pytest.raises(EvaluationError):
-        violated_lemmas(ex1.phi, ex1.spec, {ex1.c1: 0})
+    full = _ex1_model(0, 0, [1, 1], [1, 1])
+    no_c2 = Model({"c1": 0}, full.functions)
+    no_g = Model(full.constants, {"f": full.functions["f"]})
+    for model in (Model({"c1": 0}), no_c2, no_g):
+        with pytest.raises(EvaluationError):
+            violated_lemmas(ex1.phi, ex1.spec, model)
 
 
 _SORTS = {"int": INT, "bounded": bounded_int(0, 3), "bool": BOOL}
@@ -338,7 +340,7 @@ _SORTS = {"int": INT, "bounded": bounded_int(0, 3), "bool": BOOL}
 def _lemma_case(draw):
     """A symbol with signed and unsigned positions over Int, bounded-Int and
     Bool sorts, two argument vectors mixing literals, constants and compound
-    components, and values for every leaf."""
+    components, and a model valuing every leaf."""
     arity = draw(st.integers(1, 3))
     sorts = [_SORTS[draw(st.sampled_from(sorted(_SORTS)))] for _ in range(arity)]
     result_sort = _SORTS[draw(st.sampled_from(sorted(_SORTS)))]
@@ -357,12 +359,9 @@ def _lemma_case(draw):
         return st.booleans() if sort.is_bool else st.integers(-1, 4)
 
     constants = {}
-    values = {}
     for i, sort in enumerate(sorts):
         for name in ("a", "b"):
-            const = Const(f"{name}{i}", sort)
-            constants[const.name] = draw(domain(sort))
-            values[const] = constants[const.name]
+            constants[f"{name}{i}"] = draw(domain(sort))
 
     def component(i, sort):
         kind = draw(st.sampled_from(["literal", "const", "compound"]))
@@ -383,16 +382,15 @@ def _lemma_case(draw):
     if points[0] == points[1]:
         outs[1] = outs[0]  # one table row per point
     table = FunctionTable(dict(zip(points, outs)), outs[0])
-    values[Apply(func, t)], values[Apply(func, s_vec)] = outs
-    return func, spec, t, s_vec, values, Model(constants, {"f": table})
+    return func, spec, t, s_vec, Model(constants, {"f": table})
 
 
 @settings(max_examples=300, deadline=None)
 @given(_lemma_case())
 def test_value_level_check_agrees_with_lemma_evaluation(case):
-    func, spec, t, s, values, model = case
+    func, spec, t, s, model = case
     phi = Cmp(CmpOp.EQ, Apply(func, t), Apply(func, s))
-    violated = violated_lemmas(phi, spec, values)
+    violated = violated_lemmas(phi, spec, model)
     for a, b in ((t, s), (s, t)):
         lemma = monotonicity_lemma(func, a, b, spec)
         assert (lemma in violated) == (not evaluate(lemma, model))

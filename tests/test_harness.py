@@ -347,3 +347,40 @@ def test_run_single_model_query_error_is_crash(fig1, tmp_path, strategy):
     assert record.failure == "crash", record
     assert record.verdict is None
     assert "SolverProcessError" in record.detail
+
+
+NON_ITE_MODEL_SOLVER = """\
+import sys
+from monoinfer import smtserver
+
+serve_command = smtserver.SmtServer.handle
+
+
+def handle(self, command):
+    # a legal get-model body outside the nested-ite fragment
+    if command == ["get-model"]:
+        return "((define-fun f_a ((x!0 Bool)) Bool (f_a!1 x!0)))"
+    return serve_command(self, command)
+
+
+smtserver.SmtServer.handle = handle
+sys.exit(smtserver.main())
+"""
+
+
+@pytest.mark.parametrize("strategy", [Strategy.INST_EAGER, Strategy.INST_LAZY])
+def test_run_single_reads_models_without_get_model(fig1, tmp_path, strategy):
+    # the process driver builds its model from get-value, so a get-model
+    # answer it cannot parse never reaches it
+    script = tmp_path / "non_ite_model_solver.py"
+    script.write_text(NON_ITE_MODEL_SOLVER)
+    record, _ = run_single(
+        fig1,
+        strategy,
+        solver_cmd=f"{sys.executable} {script}",
+        time_limit_ms=60_000,
+        verify=True,
+        instance_name="fig1",
+    )
+    assert record.verdict == "sat", record
+    assert record.verified is True, record

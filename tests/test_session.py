@@ -16,6 +16,7 @@ from monoinfer.session import (
     SolverProcessError,
     open_session,
 )
+from monoinfer.smtlib import parse_sexprs
 from monoinfer.terms import (
     BOOL,
     INT,
@@ -136,6 +137,19 @@ def test_lazy_loop_through_process_session(ex1):
     assert stats.check_sat_calls <= 5
 
 
+def test_lazy_sat_model_through_process_session(ex1):
+    # the process driver's model comes from one get-value: every ground
+    # application of the formula is a table row
+    with ProcessSession(REPL_SOLVER_CMD) as session:
+        verdict = solve_lazy(ex1.phi, ex1.spec_relaxed, session)
+    assert verdict.is_sat
+    model = verdict.model
+    assert evaluate(ex1.phi, model) is True
+    for app in (ex1.f_app1, ex1.f_app2, ex1.g_app1, ex1.g_app2):
+        point = tuple(evaluate(a, model) for a in app.args)
+        assert model.functions[app.func.name].rows[point] == evaluate(app, model)
+
+
 def test_process_timeout_kills_solver():
     # a solver that answers nothing: plain `sleep` via sh
     with ProcessSession("sh -c 'sleep 60'") as session:
@@ -151,6 +165,28 @@ def test_process_timeout_kills_solver():
 def test_process_spawn_failure():
     with pytest.raises(SolverProcessError):
         ProcessSession("definitely-not-a-solver-binary-xyz")
+
+
+SHORT_ANSWER_SOLVER = """\
+import sys
+for line in sys.stdin:
+    if line.startswith("(check-sat"):
+        print("sat", flush=True)
+    elif line.startswith("(get-value"):
+        print("()", flush=True)
+"""
+
+
+def test_process_get_value_short_answer_rejected(ex1, tmp_path):
+    # a model is built by zipping the query with the answer, so an answer
+    # missing values is a solver failure, not a smaller model
+    script = tmp_path / "short_answer_solver.py"
+    script.write_text(SHORT_ANSWER_SOLVER)
+    with ProcessSession([sys.executable, str(script)]) as session:
+        session.assert_formula(ex1.phi)
+        assert session.check_sat() == "sat"
+        with pytest.raises(SolverProcessError):
+            session.extract_model()
 
 
 def test_open_session_dispatch():
@@ -259,8 +295,7 @@ def test_repl_get_model_shape():
 """
     )
     assert out[0] == "sat"
-    body = "\n".join(out[1:])
-    from monoinfer.smtlib import parse_model_response
-
-    model = parse_model_response(body)
-    assert model.functions["g"].lookup((4,)) == 2
+    [defs] = parse_sexprs("\n".join(out[1:]))
+    assert defs == [
+        ["define-fun", "g", [["x!0", "Int"]], "Int", ["ite", ["=", "x!0", "4"], "2", "2"]]
+    ]

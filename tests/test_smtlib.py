@@ -7,14 +7,12 @@ from monoinfer.network import encode_inference
 from monoinfer.encode import encode_eager
 from monoinfer.smtlib import (
     SmtParseError,
-    UnsupportedModelError,
     balanced,
     collect_declarations,
     emit_smtlib,
     emit_script,
     model_to_sexpr,
     parse_get_value_response,
-    parse_model_response,
     parse_sexprs,
     select_logic,
     term_to_sexpr,
@@ -162,42 +160,27 @@ def test_parse_get_value_response():
         parse_get_value_response("((c1))")
 
 
-def test_parse_model_constants():
-    model = parse_model_response("((define-fun c1 () Int 6))")
-    assert model.constants == {"c1": 6}
-
-
-def test_parse_model_ite_chain():
-    text = """(
-      (define-fun g ((x!0 Int)) Int (ite (= x!0 4) 2 1))
-      (define-fun f ((x!0 Int) (x!1 Int)) Int
-        (ite (and (= x!0 11) (= x!1 0)) 0 (ite (and (= x!0 6) (= x!1 2)) 4 0)))
-    )"""
-    model = parse_model_response(text)
-    assert model.functions["g"] == FunctionTable({(4,): 2}, 1)
-    assert model.functions["f"] == FunctionTable({(11, 0): 0, (6, 2): 4}, 0)
-
-
-def test_parse_model_reversed_equality_and_model_keyword():
-    text = "(model (define-fun g ((x!0 Int)) Int (ite (= 4 x!0) 2 1)))"
-    model = parse_model_response(text)
-    assert model.functions["g"] == FunctionTable({(4,): 2}, 1)
-
-
-def test_parse_model_unsupported_body_preserves_raw():
-    text = "((define-fun g ((x!0 Int)) Int (+ x!0 1)))"
-    with pytest.raises(UnsupportedModelError) as err:
-        parse_model_response(text)
-    assert "x!0" in str(err.value)
-
-
 def test_model_round_trip_through_sexpr():
+    # a get-model response: one define-fun per symbol, each table row one ite
     f = FunctionSymbol("f", [INT, INT], INT)
     c = Const("c1", INT)
     model = Model({"c1": 6}, {"f": FunctionTable({(6, 2): 4, (11, 0): 0}, 0)})
-    text = model_to_sexpr(model, [c, f])
-    parsed = parse_model_response(text)
-    assert parsed == model
+    [defs] = parse_sexprs(model_to_sexpr(model, [c, f]))
+    assert defs == [
+        ["define-fun", "c1", [], "Int", "6"],
+        [
+            "define-fun",
+            "f",
+            [["x!0", "Int"], ["x!1", "Int"]],
+            "Int",
+            [
+                "ite",
+                ["and", ["=", "x!0", "6"], ["=", "x!1", "2"]],
+                "4",
+                ["ite", ["and", ["=", "x!0", "11"], ["=", "x!1", "0"]], "0", "0"],
+            ],
+        ],
+    ]
 
 
 def test_model_round_trip_substitution(ex1):
