@@ -101,7 +101,6 @@ class Engine:
         self.quant_instances = 0
         self._int_values: dict[Node, int] = {}
         self._have_model = False
-        self._model_cache: Optional[Model] = None
 
     # -- declarations -----------------------------------------------------------
 
@@ -524,7 +523,6 @@ class Engine:
 
     def assert_term(self, term: Term) -> None:
         self._have_model = False
-        self._model_cache = None
         match term:
             case BoolLit(value=True):
                 return
@@ -570,7 +568,6 @@ class Engine:
         until a model breaks no congruence pair; `theory_rounds` counts every
         round, congruence rounds included."""
         self._have_model = False
-        self._model_cache = None
         for _ in range(MAX_THEORY_ROUNDS):
             result = self.sat.solve(deadline)
             if result != sat.SAT:
@@ -598,63 +595,39 @@ class Engine:
 
     # -- model extraction -----------------------------------------------------------
 
-    def _node_int_value(self, node: Node) -> int:
-        bounds = self.node_bounds.get(node)
-        if bounds is not None:
-            lo, hi = bounds
-            ladder = self.order_vars[node]
-            model = self.sat.model
-            for j in range(hi, lo, -1):
-                if model[ladder[j]] > 0:
-                    return j
-            return lo
-        return self._int_values.get(node, 0)
-
-    def _node_value(self, node: Node, sort) -> Value:
-        if sort.is_bool:
-            return self.sat.model[self.bool_unknowns[node]] > 0
-        return self._node_int_value(node)
-
     def _leaf(self, term: Const | Apply) -> Value:
-        """Evaluator leaf over the current SAT model and order ladders."""
-        if isinstance(term, Const):
-            if term.sort.is_bool:
-                var = self.bool_unknowns.get(("c", term.name))
-                return False if var is None else self.sat.model[var] > 0
-            return self._node_int_value(("c", term.name))
-        node = self.app_node.get(term)
-        if node is not None:
-            return self._node_value(node, term.sort)
-        # unseen application: answer through the extracted table
-        table = self.extract_model().functions.get(term.func.name)
-        if table is None:
-            return default_output(term.sort, ())
-        return table.lookup(tuple(evaluate_with(a, self._leaf) for a in term.args))
-
-    def evaluate(self, term: Term) -> Value:
-        if not self._have_model:
-            raise RuntimeError("no model available; call check() first")
-        return evaluate_with(term, self._leaf)
+        """Evaluator leaf over the current SAT model and order ladders; every
+        constant and application it meets is grounded."""
+        node = ("c", term.name) if isinstance(term, Const) else self.app_node[term]
+        if term.sort.is_bool:
+            return self.sat.model[self.bool_unknowns[node]] > 0
+        bounds = self.node_bounds.get(node)
+        if bounds is None:
+            return self._int_values.get(node, 0)
+        lo, hi = bounds
+        ladder = self.order_vars[node]
+        model = self.sat.model
+        for j in range(hi, lo, -1):
+            if model[ladder[j]] > 0:
+                return j
+        return lo
 
     def extract_model(self) -> Model:
         if not self._have_model:
             raise RuntimeError("no model available; call check() first")
-        if self._model_cache is not None:
-            return self._model_cache
         constants: dict[str, Value] = {}
         for name, const in self.declared_consts.items():
             constants[name] = self._leaf(const)
         functions: dict[str, FunctionTable] = {}
         for fname, func in self.declared_funcs.items():
             rows = {
-                point: self._node_value(self.app_node[group[0]], func.result_sort)
+                point: self._leaf(group[0])
                 for point, group in self._app_points.get(fname, {}).items()
             }
             functions[fname] = FunctionTable(
                 rows, default_output(func.result_sort, rows.values())
             )
-        self._model_cache = Model(constants, functions)
-        return self._model_cache
+        return Model(constants, functions)
 
 
 def _check_expansion_budget(total: int) -> None:

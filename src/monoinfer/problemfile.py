@@ -35,7 +35,7 @@ from .network import (
     Regulation,
     Sign,
 )
-from .terms import BOOL, TermError, bounded_int, check_symbol_name, INT
+from .terms import BOOL, SortError, TermError, bounded_int, check_symbol_name, INT
 
 FORMAT_HEADER = "monoinfer-problem"
 FORMAT_VERSION = "1"
@@ -134,7 +134,7 @@ def _parse_variable(number, line, variables, var_order) -> None:
         lo, hi = int(m.group(1)), int(m.group(2))
         try:
             domain = bounded_int(lo, hi)
-        except TermError as err:
+        except (SortError, TermError) as err:
             raise ProblemParseError(number, str(err))
         name = parts[0]
     else:

@@ -331,6 +331,3 @@ class SatSolver:
     def model(self) -> list[int]:
         """Assignment array (var -> +1/-1) from the last sat answer."""
         return self._model
-
-    def model_value(self, var: int) -> bool:
-        return self._model[var] > 0

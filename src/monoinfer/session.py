@@ -5,9 +5,10 @@ any conformant external solver over an SMT-LIB2 pipe (incremental mode,
 `:print-success` off), parsing check-sat and get-value responses and
 enforcing the wall-clock limit by killing the child on expiry.  It builds a
 model from one get-value answer, whose shape the standard fixes, rather
-than from get-model, whose function bodies may be any term.  Assertions
-are cumulative within a session; value/model queries are only legal right
-after a sat answer.
+than from get-model, whose function bodies may be any term.  The contract
+is declare, assert_formula, check_sat and extract_model: assertions are
+cumulative within a session, and a model may be extracted only right after
+a sat answer.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ UNKNOWN = "unknown"
 
 
 class SessionUsageError(RuntimeError):
-    """Session protocol violation (e.g. value query before a sat answer)."""
+    """Session protocol violation (e.g. model query before a sat answer)."""
 
 
 class SolverProcessError(RuntimeError):
@@ -90,7 +91,7 @@ class SolverSession:
     """Abstract incremental session; see module docstring for the discipline."""
 
     def __init__(self) -> None:
-        self._declared: dict[str, Union[Const, FunctionSymbol]] = {}
+        self.declared: dict[str, Union[Const, FunctionSymbol]] = {}
         self._state = "fresh"  # fresh | sat | unsat | unknown
         self.check_sat_count = 0
 
@@ -98,16 +99,12 @@ class SolverSession:
 
     def declare(self, item: Union[Const, FunctionSymbol]) -> None:
         name = item.name
-        known = self._declared.get(name)
+        known = self.declared.get(name)
         if known is None:
-            self._declared[name] = item
+            self.declared[name] = item
             self._declare_new(item)
         elif known != item:
             raise SessionUsageError(f"conflicting redeclaration of {name}")
-
-    def declare_all(self, assertions: Sequence[Term]) -> None:
-        for item in collect_declarations(assertions):
-            self.declare(item)
 
     # -- protocol ----------------------------------------------------------------
 
@@ -117,7 +114,8 @@ class SolverSession:
         # grounding, and the SAT heap breaks activity ties by variable
         # number, so constants are branched on first.  Skipping the walk
         # made desk eager solving 2-4x slower.
-        self.declare_all([term])
+        for item in collect_declarations([term]):
+            self.declare(item)
         self._state = "fresh"
         self._assert(term)
 
@@ -126,13 +124,6 @@ class SolverSession:
         answer = self._check_sat()
         self._state = answer
         return answer
-
-    def value_of(self, terms: Sequence[Term]) -> list[Value]:
-        if self._state != SAT:
-            raise SessionUsageError(
-                f"value query in state {self._state!r}; requires a sat answer"
-            )
-        return self._value_of(terms)
 
     def extract_model(self) -> Model:
         if self._state != SAT:
@@ -169,9 +160,6 @@ class SolverSession:
         raise NotImplementedError
 
     def _check_sat(self) -> str:
-        raise NotImplementedError
-
-    def _value_of(self, terms: Sequence[Term]) -> list[Value]:
         raise NotImplementedError
 
     def _extract_model(self) -> Model:
@@ -223,9 +211,6 @@ class InternalSession(SolverSession):
         if self._unsupported is not None:
             return f"unsupported: {self._unsupported}"
         return self._unknown_reason
-
-    def _value_of(self, terms: Sequence[Term]) -> list[Value]:
-        return [self.engine.evaluate(t) for t in terms]
 
     def _extract_model(self) -> Model:
         return self.engine.extract_model()
@@ -358,32 +343,32 @@ class ProcessSession(SolverSession):
     def unknown_reason(self) -> Optional[str]:
         return "timeout" if self._timed_out else "solver returned unknown"
 
-    def _value_of(self, terms: Sequence[Term]) -> list[Value]:
-        body = " ".join(term_to_sexpr(t) for t in terms)
-        self._send(f"(get-value ({body}))")
-        response = self._read_response()
-        if response.startswith("(error"):
-            raise SolverProcessError(f"solver error: {response}")
-        try:
-            values = parse_get_value_response(response)
-        except SmtParseError as err:
-            raise SolverProcessError(str(err)) from err
-        if len(values) != len(terms):
-            raise SolverProcessError(f"get-value answered {len(values)} of {len(terms)} terms")
-        return values
-
     def _extract_model(self) -> Model:
         """One get-value for every declared constant and asserted application;
         each application gives its table the row point -> value."""
-        consts = [c for c in self._declared.values() if isinstance(c, Const)]
+        consts = [c for c in self.declared.values() if isinstance(c, Const)]
         terms: list[Term] = [*consts, *self._apps]
-        value = dict(zip(terms, self._value_of(terms) if terms else [])).__getitem__
+        values: list[Value] = []
+        if terms:
+            self._send(f"(get-value ({' '.join(term_to_sexpr(t) for t in terms)}))")
+            response = self._read_response()
+            if response.startswith("(error"):
+                raise SolverProcessError(f"solver error: {response}")
+            try:
+                values = parse_get_value_response(response)
+            except SmtParseError as err:
+                raise SolverProcessError(str(err)) from err
+            if len(values) != len(terms):
+                raise SolverProcessError(
+                    f"get-value answered {len(values)} of {len(terms)} terms"
+                )
+        value = dict(zip(terms, values)).__getitem__
         rows: dict[str, dict[ValueVector, Value]] = {}
         for app in self._apps:
             point = tuple(evaluate_with(a, value) for a in app.args)
             rows.setdefault(app.func.name, {})[point] = value(app)
         functions = {}
-        for func in self._declared.values():
+        for func in self.declared.values():
             if isinstance(func, FunctionSymbol):
                 table = rows.get(func.name, {})
                 functions[func.name] = FunctionTable(

@@ -1,6 +1,8 @@
-"""A conformant SMT-LIB2 interactive solver over the built-in engine, held
-through an InternalSession (its sat-only value and model queries, and its
-unknown answer for unsupported input, are the server's).
+"""A conformant SMT-LIB2 interactive solver: a thin adapter over one
+InternalSession, whose symbol table, sat-only model and unknown answer for
+unsupported input are the server's.  get-value and get-model both read the
+one model the session extracts; get-value values each term in it with
+`model.evaluate`.
 
 Installed as the `monoinfer-smt` console script; reads commands from
 standard input (set-logic, declare-fun/declare-const, assert, check-sat,
@@ -13,10 +15,10 @@ answer `unknown` rather than erroring out.
 from __future__ import annotations
 
 import sys
+from math import inf
 from typing import Optional, Union
 
-from .engine import EngineUnsupported
-from .model import EvaluationError
+from .model import EvaluationError, Model, evaluate
 from .session import InternalSession, SessionUsageError
 from .smtlib import (
     SExpr,
@@ -75,6 +77,11 @@ _CMP_OPS = {
     "distinct": CmpOp.NE,
 }
 
+# (least, most) operand counts of the operators that bound them
+_OPERANDS = {op: (2, 2) for op in _CMP_OPS} | {
+    "+": (1, inf), "-": (1, inf), "not": (1, 1), "=>": (2, inf)
+}
+
 
 class SmtServer:
     def __init__(self) -> None:
@@ -82,7 +89,6 @@ class SmtServer:
 
     def _reset(self) -> None:
         self.session = InternalSession()
-        self.signature: dict[str, Union[Const, FunctionSymbol]] = {}
 
     # -- term parsing ----------------------------------------------------------
 
@@ -94,7 +100,7 @@ class SmtServer:
                 return BoolLit(False)
             if sexpr in scope:
                 return scope[sexpr]
-            item = self.signature.get(sexpr)
+            item = self.session.declared.get(sexpr)
             if isinstance(item, Const):
                 return item
             if isinstance(item, FunctionSymbol):
@@ -108,7 +114,9 @@ class SmtServer:
         if not sexpr:
             raise CommandError("empty term")
         head, *rest = sexpr
-        if head in ("forall", "exists"):
+        try:
+            if head not in ("forall", "exists"):
+                return self._apply_head(head, [self.parse_term(a, scope) for a in rest])
             if len(rest) != 2 or not isinstance(rest[0], list):
                 raise CommandError(f"malformed {head}")
             bound = []
@@ -116,20 +124,22 @@ class SmtServer:
             for binder in rest[0]:
                 if not (isinstance(binder, list) and len(binder) == 2):
                     raise CommandError(f"malformed binder {binder!r}")
+                if not isinstance(binder[0], str):
+                    raise CommandError(f"binder name {binder[0]!r} is not a symbol")
                 var = Var(binder[0], _parse_sort(binder[1]))
                 bound.append(var)
                 inner[var.name] = var
             body = self.parse_term(rest[1], inner)
             return (Forall if head == "forall" else Exists)(bound, body)
-        args = [self.parse_term(a, scope) for a in rest]
-        try:
-            return self._apply_head(head, args)
         except (SortError, TermError) as err:
             raise CommandError(str(err))
 
     def _apply_head(self, head: SExpr, args: list[Term]) -> Term:
         if not isinstance(head, str):
             raise CommandError(f"malformed application head {head!r}")
+        least, most = _OPERANDS.get(head, (0, inf))
+        if not least <= len(args) <= most:
+            raise CommandError(f"wrong number of operands for {head}: {len(args)}")
         if head == "+":
             out = args[0]
             for a in args[1:]:
@@ -143,8 +153,6 @@ class SmtServer:
                 out = Sub(out, a)
             return out
         if head in _CMP_OPS:
-            if len(args) != 2:
-                raise CommandError(f"{head} expects exactly two operands")
             return Cmp(_CMP_OPS[head], args[0], args[1])
         if head == "not":
             return Not(args[0])
@@ -157,7 +165,7 @@ class SmtServer:
             for a in reversed(args[:-1]):
                 out = Implies(a, out)
             return out
-        item = self.signature.get(head)
+        item = self.session.declared.get(head)
         if isinstance(item, FunctionSymbol):
             return Apply(item, args)
         raise CommandError(f"unknown function {head!r}")
@@ -194,11 +202,7 @@ class SmtServer:
                 raise CommandError("malformed get-value")
             return self._get_value(command[1])
         if head == "get-model":
-            try:
-                model = self.session.extract_model()
-            except SessionUsageError as err:
-                raise CommandError(str(err))
-            return model_to_sexpr(model, list(self.signature.values()))
+            return model_to_sexpr(self._model(), list(self.session.declared.values()))
         if head == "reset":
             self._reset()
             return None
@@ -209,7 +213,7 @@ class SmtServer:
     def _declare(self, name: SExpr, arg_sorts: list, result: SExpr) -> None:
         if not isinstance(name, str):
             raise CommandError("malformed declaration name")
-        if name in self.signature:
+        if name in self.session.declared:
             raise CommandError(f"symbol {name!r} already declared")
         if not arg_sorts:
             item: Union[Const, FunctionSymbol] = Const(name, _parse_sort(result))
@@ -217,19 +221,23 @@ class SmtServer:
             item = FunctionSymbol(
                 name, [_parse_sort(s) for s in arg_sorts], _parse_sort(result)
             )
-        self.signature[name] = item
         self.session.declare(item)
         return None
 
+    def _model(self) -> Model:
+        try:
+            return self.session.extract_model()
+        except SessionUsageError as err:
+            raise CommandError(str(err))
+
     def _get_value(self, queries: list) -> str:
+        terms = [self.parse_term(q, {}) for q in queries]
+        model = self._model()
         pairs = []
-        for q in queries:
-            term = self.parse_term(q, {})
+        for term in terms:
             try:
-                [value] = self.session.value_of([term])
-            except SessionUsageError as err:
-                raise CommandError(str(err))
-            except (EvaluationError, EngineUnsupported) as err:
+                value = evaluate(term, model)
+            except EvaluationError as err:
                 raise CommandError(f"cannot evaluate {term_to_sexpr(term)}: {err}")
             pairs.append(f"({term_to_sexpr(term)} {value_to_sexpr(value)})")
         return "(" + " ".join(pairs) + ")"

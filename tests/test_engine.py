@@ -44,7 +44,7 @@ def test_sat_simple_models():
     s.add_clause([a, b])
     s.add_clause([-a, b])
     assert s.solve() == "sat"
-    assert s.model_value(b)
+    assert s.model[b] > 0
 
 
 def test_sat_unsat_core_case():
@@ -64,7 +64,7 @@ def test_sat_incremental_clauses_after_solve():
     assert s.solve() == "sat"
     s.add_clause([-a, b])
     assert s.solve() == "sat"
-    assert s.model_value(b)
+    assert s.model[b] > 0
     s.add_clause([-b])
     assert s.solve() == "unsat"
     assert s.solve() == "unsat"  # sticky
@@ -172,7 +172,8 @@ def test_engine_unbounded_arithmetic_chain():
         ]
     )
     assert engine.check() == "sat"
-    xv, yv = engine.evaluate(x), engine.evaluate(y)
+    model = engine.extract_model()
+    xv, yv = evaluate(x, model), evaluate(y, model)
     assert xv < yv < xv + 2
 
 
@@ -322,7 +323,8 @@ def test_engine_boolean_structure():
         ]
     )
     assert engine.check() == "sat"
-    assert engine.evaluate(q) is True and engine.evaluate(p) is False
+    model = engine.extract_model()
+    assert evaluate(q, model) is True and evaluate(p, model) is False
 
 
 def test_engine_quantifier_expansion_bool():

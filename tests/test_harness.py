@@ -226,6 +226,14 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert "error" in proc.stderr
 
 
+def test_cli_empty_integer_range_exit_code(tmp_path):
+    bad = tmp_path / "empty.problem"
+    bad.write_text("monoinfer-problem 1\nvariables\n  a int 5..3\nend\n")
+    for command in ("solve", "oracle"):
+        proc = _cli(command, "--problem", str(bad), expect=65)
+        assert "line 3: empty bounds interval (5, 3)" in proc.stderr
+
+
 def test_cli_usage_error_exit_code():
     _cli("solve", "--problem", str(FIG1_PATH), "--encoding", "bogus", expect=64)
     _cli("frobnicate", expect=64)

@@ -77,6 +77,12 @@ end
     _expect_error(bad, "outside the domain")
 
 
+def test_empty_integer_range_is_positioned():
+    bad = "monoinfer-problem 1\nvariables\n  a int 5..3\nend\n"
+    err = _expect_error(bad, "empty bounds interval (5, 3)")
+    assert err.line == 3
+
+
 def test_unknown_variable_in_regulation():
     bad = MINIMAL.replace("a -> b", "a -> zz")
     _expect_error(bad, "unknown variable 'zz'")

@@ -3,6 +3,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GOLDEN_DIR, REPL_SOLVER_CMD
 
@@ -17,6 +19,7 @@ from monoinfer.session import (
     open_session,
 )
 from monoinfer.smtlib import parse_sexprs
+from monoinfer.smtserver import CommandError, SmtServer
 from monoinfer.terms import (
     BOOL,
     INT,
@@ -65,12 +68,9 @@ def test_get_value_satisfies_assertions(ex1):
     with ProcessSession(REPL_SOLVER_CMD) as session:
         session.assert_formula(encode_eager(ex1.phi, ex1.spec_relaxed).formula)
         assert session.check_sat() == "sat"
-        values = session.value_of([ex1.c1, ex1.c2])
-        assert all(isinstance(v, int) for v in values)
         model = session.extract_model()
+        assert all(isinstance(model.constants[c], int) for c in ("c1", "c2"))
         assert evaluate(ex1.phi, model) is True
-        assert model.constants["c1"] == values[0]
-        assert model.constants["c2"] == values[1]
 
 
 def test_internal_model_round_trip(ex1):
@@ -87,7 +87,7 @@ def test_session_discipline_enforced(ex1):
     for session in _sessions():
         with session:
             with pytest.raises(SessionUsageError):
-                session.value_of([ex1.c1])
+                session.extract_model()
             session.assert_formula(BoolLit(False))
             assert session.check_sat() == "unsat"
             with pytest.raises(SessionUsageError):
@@ -299,3 +299,72 @@ def test_repl_get_model_shape():
     assert defs == [
         ["define-fun", "g", [["x!0", "Int"]], "Int", ["ite", ["=", "x!0", "4"], "2", "2"]]
     ]
+
+
+def test_repl_get_value_on_ungrounded_terms_pinned():
+    # (g 5), (g x) and (g (g 4)) are valued through g's table and its
+    # default, p through its unconstrained SAT variable
+    out = _run_script(
+        """
+(declare-fun g (Int) Int)
+(declare-fun p () Bool)
+(declare-fun x () Int)
+(assert (and (= (g 4) 2) (<= x 3) (>= x 3)))
+(check-sat)
+(get-value ((g 4) (g 5) (+ (g x) 1) x p (g (g 4))))
+(exit)
+"""
+    )
+    assert out == [
+        "sat",
+        "(((g 4) 2) ((g 5) 2) ((+ (g x) 1) 3) (x 3) (p false) ((g (g 4)) 2))",
+    ]
+
+
+def test_repl_malformed_terms_answer_errors():
+    bad = [
+        "(assert (+))",
+        "(assert (not))",
+        "(assert (=>))",
+        "(get-value ((- )))",
+        "(assert (forall (((a) Bool)) p))",
+        "(assert (forall () p))",
+        "(assert (forall ((x Int) (x Int)) true))",
+        "(assert (forall ((x Int)) x))",
+        "(assert (not p p))",
+    ]
+    out = _run_script("(declare-fun p () Bool)\n" + "\n".join(bad) + "\n(check-sat)\n(exit)\n")
+    assert len(out) == len(bad) + 1
+    assert all(line.startswith("(error") for line in out[:-1])
+    assert out[-1] == "sat"
+
+
+_FUZZ_ATOMS = ["p", "q", "x", "f", "0", "1", "true", "+", "-", "not", "=>", "=", "<=",
+               "and", "or", "forall", "exists", "Int", "Bool"]
+_fuzz_terms = st.recursive(
+    st.sampled_from(_FUZZ_ATOMS),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=8,
+)
+_fuzz_commands = st.one_of(
+    st.tuples(st.just("assert"), _fuzz_terms).map(list),
+    st.tuples(st.just("get-value"), st.lists(_fuzz_terms, max_size=3)).map(list),
+    st.just(["check-sat"]),
+    st.just(["get-model"]),
+    st.lists(st.sampled_from(_FUZZ_ATOMS), max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_fuzz_commands, max_size=6))
+def test_server_answers_random_commands_without_crashing(commands):
+    server = SmtServer()
+    for declaration in ("(declare-fun p () Bool)", "(declare-fun q () Bool)",
+                        "(declare-fun x () Int)", "(declare-fun f (Int) Int)"):
+        [command] = parse_sexprs(declaration)
+        server.handle(command)
+    for command in commands:
+        try:
+            server.handle(command)
+        except CommandError:
+            pass
