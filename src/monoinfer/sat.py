@@ -7,12 +7,20 @@ activities on a lazy heap, phase saving, geometric restarts and periodic
 learned-clause reduction.  Literals use the DIMACS convention (+v / -v,
 variables numbered from 1).  Clauses may keep arriving between solve()
 calls; learned clauses are retained across calls.
+
+Backtracking is chronological (Nadel & Ryvchin, SAT 2018, with the
+invariants of Möhle & Biere, SAT 2019), so the trail is out of order: a
+propagated literal gets its implication level, the highest level among the
+other literals of its reason, which may lie below the current decision
+level.  A conflict is analysed at its own level c, the highest level in the
+conflicting clause, and the solver then undoes only level c: the literals
+of lower levels stay assigned, in trail order, and propagate again.
 """
 
 from __future__ import annotations
 
 import time
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional
 
 SAT = "sat"
@@ -41,6 +49,12 @@ class SatSolver:
         self.ok = True
         self._heap: list[tuple[float, int]] = []
         self._model: list[int] = []
+        # search counters, cumulative over solve() calls; propagations
+        # counts implied literals, not decisions
+        self.conflicts = 0
+        self.decisions = 0
+        self.propagations = 0
+        self.restarts = 0
 
     # -- problem construction ----------------------------------------------------
 
@@ -78,7 +92,7 @@ class SatSolver:
             self.ok = False
             return False
         if len(clause) == 1:
-            self._enqueue(clause[0], None)
+            self._enqueue(clause[0], None, 0)
             if self._propagate() is not None:
                 self.ok = False
                 return False
@@ -101,18 +115,22 @@ class SatSolver:
         v = self.assign[lit if lit > 0 else -lit]
         return v if lit > 0 else -v
 
-    def _enqueue(self, lit: int, reason: Optional[int]) -> None:
+    def _enqueue(self, lit: int, reason: Optional[int], level: int) -> None:
         var = abs(lit)
         self.assign[var] = 1 if lit > 0 else -1
-        self.level[var] = len(self.trail_lim)
+        self.level[var] = level
         self.reason[var] = reason
         self.phase[var] = lit > 0
         self.trail.append(lit)
 
     def _propagate(self) -> Optional[int]:
-        """Unit propagation; returns a conflicting clause index or None."""
+        """Unit propagation; returns a conflicting clause index or None.
+        A unit literal is assigned at its implication level."""
         clauses = self.clauses
         assign = self.assign
+        level = self.level
+        current_level = len(self.trail_lim)
+        start = len(self.trail)
         while self.qhead < len(self.trail):
             lit = self.trail[self.qhead]
             self.qhead += 1
@@ -149,9 +167,19 @@ class SatSolver:
                 if (v if first > 0 else -v) == -1:
                     kept.extend(watch_list[i:n])
                     self.watches[false_lit] = kept
+                    self.propagations += len(self.trail) - start
                     return idx
-                self._enqueue(first, idx)
+                # clause[1] is false_lit; at the current level it is the
+                # highest level of the clause, else scan the others
+                implied = level[-false_lit if false_lit < 0 else false_lit]
+                if implied < current_level:
+                    for k in range(2, len(clause)):
+                        other = level[abs(clause[k])]
+                        if other > implied:
+                            implied = other
+                self._enqueue(first, idx, implied)
             self.watches[false_lit] = kept
+        self.propagations += len(self.trail) - start
         return None
 
     # -- conflict analysis ----------------------------------------------------------
@@ -162,6 +190,11 @@ class SatSolver:
             for v in range(1, self.num_vars + 1):
                 self.activity[v] *= 1e-100
             self.var_inc *= 1e-100
+            # the heap's keys are the old activities: rebuild it
+            self._heap = [
+                (-self.activity[v], v) for v in range(1, self.num_vars + 1) if self.assign[v] == 0
+            ]
+            heapify(self._heap)
         heappush(self._heap, (-self.activity[var], var))
 
     def _bump_clause(self, idx: int) -> None:
@@ -171,16 +204,44 @@ class SatSolver:
                 self.cla_activity[i] *= 1e-20
             self.cla_inc *= 1e-20
 
-    def _analyze(self, conflict: int) -> tuple[list[int], int]:
-        """First-UIP learning; returns (learned clause, backjump level).
-        The asserting literal ends up at position 0."""
+    def _conflict_level(self, conflict: int) -> int:
+        """The highest level in a conflicting clause.  Its two highest-level
+        literals become the watches, so that backtracking below that level
+        unassigns a watch before the clause can turn unit."""
+        clause = self.clauses[conflict]
+        level = self.level
+        for i in (0, 1):
+            best = max(range(i, len(clause)), key=lambda k: level[abs(clause[k])])
+            if best > 1:
+                self.watches[clause[i]].remove(conflict)
+                self.watches.setdefault(clause[best], []).append(conflict)
+            clause[i], clause[best] = clause[best], clause[i]
+        return level[abs(clause[0])]
+
+    def _analyze(self, conflict: int) -> bool:
+        """Resolve a conflict; False when it is at level 0 (unsat).
+
+        First-UIP learning at the conflict level c: backtrack to c, resolve
+        the level-c literals in reverse trail order, then backtrack to c - 1
+        and assert the learned clause at its backjump level.  A clause with
+        a single level-c literal is a missed lower implication: that literal
+        is asserted with the clause as its reason, and nothing is learned."""
+        c = self._conflict_level(conflict)
+        if c == 0:
+            return False
+        clause = self.clauses[conflict]
+        level = self.level
+        if level[abs(clause[1])] < c:
+            self._backtrack(c - 1)
+            self._enqueue(clause[0], conflict, level[abs(clause[1])])
+            return True
+        self._backtrack(c)
         learned: list[int] = [0]
         seen = [False] * (self.num_vars + 1)
         counter = 0
         p: Optional[int] = None  # implied literal of the clause being resolved
         idx = conflict
         trail_pos = len(self.trail) - 1
-        current_level = len(self.trail_lim)
         while True:
             clause = self.clauses[idx]
             if self.is_learned[idx]:
@@ -189,14 +250,17 @@ class SatSolver:
                 if p is not None and q == p:
                     continue
                 var = abs(q)
-                if not seen[var] and self.level[var] > 0:
+                if not seen[var] and level[var] > 0:
                     seen[var] = True
                     self._bump_var(var)
-                    if self.level[var] >= current_level:
+                    if level[var] == c:
                         counter += 1
                     else:
                         learned.append(q)
-            while not seen[abs(self.trail[trail_pos])]:
+            while True:
+                var = abs(self.trail[trail_pos])
+                if seen[var] and level[var] == c:
+                    break
                 trail_pos -= 1
             p = self.trail[trail_pos]
             trail_pos -= 1
@@ -215,39 +279,57 @@ class SatSolver:
         for l in learned[1:]:
             r = self.reason[abs(l)]
             if r is None or any(
-                abs(q) not in marked and self.level[abs(q)] > 0
+                abs(q) not in marked and level[abs(q)] > 0
                 for q in self.clauses[r]
                 if q != -l
             ):
                 minimized.append(l)
         learned = minimized
+        self._backtrack(c - 1)
         if len(learned) == 1:
-            return learned, 0
-        max_i = max(range(1, len(learned)), key=lambda i: self.level[abs(learned[i])])
+            self._record_learned(learned, 0)
+            return True
+        max_i = max(range(1, len(learned)), key=lambda i: level[abs(learned[i])])
         learned[1], learned[max_i] = learned[max_i], learned[1]
-        return learned, self.level[abs(learned[1])]
+        self._record_learned(learned, level[abs(learned[1])])
+        return True
 
     def _backtrack(self, target_level: int) -> None:
-        while len(self.trail_lim) > target_level:
-            limit = self.trail_lim.pop()
-            while len(self.trail) > limit:
-                lit = self.trail.pop()
-                var = abs(lit)
+        """Unassign the literals above `target_level`; the lower ones stay on
+        the trail in order and propagate again from the first removed
+        position."""
+        if len(self.trail_lim) <= target_level:
+            return
+        start = self.trail_lim[target_level]
+        del self.trail_lim[target_level:]
+        trail = self.trail
+        level = self.level
+        kept = start
+        for i in range(start, len(trail)):
+            lit = trail[i]
+            var = abs(lit)
+            if level[var] > target_level:
                 self.assign[var] = 0
                 self.reason[var] = None
                 heappush(self._heap, (-self.activity[var], var))
-        self.qhead = min(self.qhead, len(self.trail))
+            else:
+                trail[kept] = lit
+                kept += 1
+        del trail[kept:]
+        self.qhead = min(self.qhead, start)
 
-    def _record_learned(self, learned: list[int]) -> None:
+    def _record_learned(self, learned: list[int], level: int) -> None:
+        """Add a learned clause and assert its first literal at `level`, the
+        highest level of the others (0 for a unit)."""
         if len(learned) == 1:
-            self._enqueue(learned[0], None)
+            self._enqueue(learned[0], None, 0)
             return
         idx = len(self.clauses)
         self.clauses.append(learned)
         self.is_learned.append(True)
         self.cla_activity.append(self.cla_inc)
         self._watch(idx)
-        self._enqueue(learned[0], idx)
+        self._enqueue(learned[0], idx, level)
 
     def _pick_branch_var(self) -> Optional[int]:
         # every unassigned variable has a heap entry (new_var and _backtrack
@@ -292,40 +374,36 @@ class SatSolver:
         self._backtrack(0)
         restart_limit = 100
         since_restart = 0
-        total_conflicts = 0
-        decisions = 0
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                total_conflicts += 1
+                self.conflicts += 1
                 since_restart += 1
-                if len(self.trail_lim) == 0:
+                if not self._analyze(conflict):
                     self.ok = False
                     return UNSAT
-                learned, back_level = self._analyze(conflict)
-                self._backtrack(back_level)
-                self._record_learned(learned)
                 self.var_inc /= self.var_decay
                 self.cla_inc /= 0.999
-                if deadline is not None and total_conflicts % 256 == 0:
+                if deadline is not None and self.conflicts % 256 == 0:
                     if time.monotonic() > deadline:
                         return UNKNOWN
                 if since_restart >= restart_limit:
                     since_restart = 0
                     restart_limit = int(restart_limit * 1.5)
+                    self.restarts += 1
                     self._backtrack(0)
                     self._reduce_learned()
             else:
-                decisions += 1
-                if deadline is not None and decisions % 64 == 0:
+                if deadline is not None and self.decisions % 64 == 0:
                     if time.monotonic() > deadline:
                         return UNKNOWN
                 var = self._pick_branch_var()
                 if var is None:
                     self._model = list(self.assign)
                     return SAT
+                self.decisions += 1
                 self.trail_lim.append(len(self.trail))
-                self._enqueue(var if self.phase[var] else -var, None)
+                self._enqueue(var if self.phase[var] else -var, None, len(self.trail_lim))
 
     @property
     def model(self) -> list[int]:

@@ -77,8 +77,9 @@ _CMP_OPS = {
     "distinct": CmpOp.NE,
 }
 
-# (least, most) operand counts of the operators that bound them
-_OPERANDS = {op: (2, 2) for op in _CMP_OPS} | {
+# (least, most) operand counts of the operators that bound them; SMT-LIB
+# 2.6 makes the comparisons chainable and `distinct` pairwise
+_OPERANDS = {op: (2, inf) for op in _CMP_OPS} | {
     "+": (1, inf), "-": (1, inf), "not": (1, 1), "=>": (2, inf)
 }
 
@@ -152,8 +153,12 @@ class SmtServer:
             for a in args[1:]:
                 out = Sub(out, a)
             return out
+        if head == "distinct":
+            return mk_and(
+                Cmp(CmpOp.NE, a, b) for i, a in enumerate(args) for b in args[i + 1 :]
+            )
         if head in _CMP_OPS:
-            return Cmp(_CMP_OPS[head], args[0], args[1])
+            return mk_and(Cmp(_CMP_OPS[head], a, b) for a, b in zip(args, args[1:]))
         if head == "not":
             return Not(args[0])
         if head == "and":

@@ -1,0 +1,223 @@
+"""Independent checks on the CDCL core.
+
+A forward RUP checker replays every clause the solver saw and every clause
+it learned, in order: each learned clause must follow from the earlier ones
+by unit propagation (reverse unit propagation, Goldberg & Novikov, DATE
+2003), and an `unsat` answer must make the empty clause follow the same
+way.  Every `sat` model must satisfy every input clause.
+"""
+
+import random
+from collections import defaultdict
+
+from monoinfer import engine as engine_module
+from monoinfer.encode import Strategy, encode, solve
+from monoinfer.generate import GeneratorParams, generate_instance
+from monoinfer.network import encode_inference
+from monoinfer.sat import SAT, UNSAT, SatSolver
+from monoinfer.session import InternalSession
+
+
+class RupChecker:
+    """A clause database that only grows; `implied` is the RUP test."""
+
+    def __init__(self) -> None:
+        self.clauses: list[list[int]] = []
+        self.occurs: dict[int, list[int]] = defaultdict(list)
+        self.units: list[int] = []
+        self.has_empty = False
+
+    def add(self, clause: list[int]) -> None:
+        clause = list(dict.fromkeys(clause))
+        if not clause:
+            self.has_empty = True
+            return
+        idx = len(self.clauses)
+        self.clauses.append(clause)
+        for lit in clause:
+            self.occurs[lit].append(idx)
+        if len(clause) == 1:
+            self.units.append(clause[0])
+
+    def implied(self, clause: list[int]) -> bool:
+        """Asserting the negation of `clause` and propagating units over the
+        database reaches a conflict."""
+        if self.has_empty:
+            return True
+        true: set[int] = set()
+        queue: list[int] = []
+
+        def assign(lit: int) -> bool:  # False on conflict
+            if -lit in true:
+                return False
+            if lit not in true:
+                true.add(lit)
+                queue.append(lit)
+            return True
+
+        if not all(assign(-lit) for lit in clause):
+            return True
+        if not all(assign(lit) for lit in self.units):
+            return True
+        while queue:
+            falsified = -queue.pop()
+            for idx in self.occurs[falsified]:
+                open_lits = [q for q in self.clauses[idx] if -q not in true]
+                if any(q in true for q in open_lits):
+                    continue
+                if not open_lits:
+                    return True
+                if len(open_lits) == 1:
+                    assign(open_lits[0])
+        return False
+
+
+class ProofSolver(SatSolver):
+    """Records the solver's inputs, learned clauses and answers in order,
+    and counts the two chronological-backtracking paths."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.steps: list[tuple[str, list[int]]] = []
+        self.conflicts_below_decision_level = 0
+        self.units_above_level_zero = 0
+
+    def add_clause(self, lits):
+        lits = list(lits)
+        self.steps.append(("input", lits))
+        return super().add_clause(lits)
+
+    def _analyze(self, conflict):
+        conflict_level = max(self.level[abs(q)] for q in self.clauses[conflict])
+        if 0 < conflict_level < len(self.trail_lim):
+            self.conflicts_below_decision_level += 1
+        return super()._analyze(conflict)
+
+    def _record_learned(self, learned, level):
+        self.steps.append(("learned", list(learned)))
+        if len(learned) == 1 and self.trail_lim:
+            self.units_above_level_zero += 1
+        super()._record_learned(learned, level)
+
+    def solve(self, deadline=None):
+        answer = super().solve(deadline)
+        self.steps.append((answer, list(self.model) if answer == SAT else []))
+        return answer
+
+
+def check_proof(solver: ProofSolver) -> list[str]:
+    """Replay the solver's steps through a RUP checker; returns the answers."""
+    checker = RupChecker()
+    inputs: list[list[int]] = []
+    answers = []
+    for kind, data in solver.steps:
+        if kind == "input":
+            checker.add(data)
+            inputs.append(data)
+        elif kind == "learned":
+            assert checker.implied(data), f"learned clause {data} is not RUP"
+            checker.add(data)
+        elif kind == UNSAT:
+            assert checker.implied([]), "unsat without a refutation"
+            answers.append(kind)
+        else:
+            assert kind == SAT
+            model = data
+            for clause in inputs:
+                assert any((model[abs(q)] > 0) == (q > 0) for q in clause), clause
+            answers.append(kind)
+    return answers
+
+
+def test_rup_checker_rejects_a_clause_that_does_not_follow():
+    checker = RupChecker()
+    for clause in ([1, 2], [-1, 2], [1, -2]):
+        checker.add(clause)
+    assert checker.implied([2])
+    assert checker.implied([1])
+    assert not checker.implied([-1])
+    assert not checker.implied([])
+    checker.add([-1, -2])
+    assert not checker.implied([])  # unsat, but not by unit propagation alone
+    checker.add([2])
+    assert checker.implied([])
+
+
+def test_learned_clauses_are_rup_on_random_3cnf_fed_in_chunks():
+    rng = random.Random(2018)
+    below = units = 0
+    answers = {SAT: 0, UNSAT: 0}
+    for _ in range(100):
+        n_vars = rng.randint(30, 60)
+        clauses = [
+            [rng.choice((1, -1)) * v for v in rng.sample(range(1, n_vars + 1), 3)]
+            for _ in range(round(4.2 * n_vars))
+        ]
+        solver = ProofSolver()
+        for _ in range(n_vars):
+            solver.new_var()
+        chunk = len(clauses) // 4 + 1
+        for start in range(0, len(clauses), chunk):
+            for clause in clauses[start : start + chunk]:
+                solver.add_clause(clause)
+            if solver.solve() == UNSAT:
+                break
+        for answer in check_proof(solver):
+            answers[answer] += 1
+        below += solver.conflicts_below_decision_level
+        units += solver.units_above_level_zero
+    assert answers[SAT] and answers[UNSAT]
+    assert below > 0, "no conflict below the decision level"
+    assert units > 0, "no unit learned above level 0"
+
+
+def test_unsat_inference_instance_has_a_rup_refutation(monkeypatch):
+    # perturbed seed 2 is unsat after three checks; the lazy loop adds lemma
+    # clauses between solves, and the engine adds congruence clauses, all
+    # checked as inputs
+    params = GeneratorParams(
+        n_vars=8, max_arity=3, domain_size=3, mode="perturbed", essential_ratio=1.0
+    )
+    formula, spec = encode_inference(generate_instance(2, params))
+    solvers = []
+
+    def recording_solver():
+        solvers.append(ProofSolver())
+        return solvers[-1]
+
+    monkeypatch.setattr(engine_module, "SatSolver", recording_solver)
+    verdict = solve(encode(formula, spec, Strategy.INST_LAZY), spec, InternalSession())
+    assert verdict.is_unsat
+    [solver] = solvers
+    answers = check_proof(solver)
+    assert answers[-1] == UNSAT and answers.count(SAT) >= 1
+    assert solver.conflicts > 0
+
+
+def test_activity_rescale_rebuilds_the_heap():
+    s = SatSolver()
+    a, b = s.new_var(), s.new_var()
+    s.var_inc = 1e99
+    s._bump_var(a)
+    s.var_inc = 3e101
+    s._bump_var(b)  # past 1e100: every activity is scaled by 1e-100
+    assert s.activity[a] < s.activity[b]
+    assert s._pick_branch_var() == b
+
+
+def test_counters_are_cumulative_over_solves():
+    s = SatSolver()
+    for _ in range(6):
+        s.new_var()
+    for i in range(3):  # pigeon i sits in hole 0 (var 2i + 1) or hole 1 (var 2i + 2)
+        s.add_clause([2 * i + 1, 2 * i + 2])
+    assert s.solve() == SAT
+    before = (s.decisions, s.propagations)
+    assert s.decisions > 0 and s.conflicts == 0
+    for v in (1, 2):  # at most one pigeon per hole: vars v, v + 2, v + 4
+        s.add_clause([-v, -(v + 2)])
+        s.add_clause([-v, -(v + 4)])
+        s.add_clause([-(v + 2), -(v + 4)])
+    assert s.solve() == UNSAT
+    assert s.conflicts > 0
+    assert s.decisions >= before[0] and s.propagations > before[1]

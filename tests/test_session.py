@@ -321,6 +321,26 @@ def test_repl_get_value_on_ungrounded_terms_pinned():
     ]
 
 
+def test_repl_chainable_comparisons_and_pairwise_distinct():
+    out = _run_script(
+        """
+(declare-fun x () Int)
+(declare-fun y () Int)
+(assert (= x y 1))
+(assert (distinct x 0 2))
+(assert (< 0 x 2 3))
+(check-sat)
+(get-value (x y (= x 1 1) (distinct x 2 1) (<= 1 x y)))
+(assert (distinct x 2 y))
+(check-sat)
+(exit)
+"""
+    )
+    assert out[0] == "sat" and out[2] == "unsat"
+    [pairs] = parse_sexprs(out[1])
+    assert [value for _, value in pairs] == ["1", "1", "true", "false", "true"]
+
+
 def test_repl_malformed_terms_answer_errors():
     bad = [
         "(assert (+))",
@@ -332,6 +352,8 @@ def test_repl_malformed_terms_answer_errors():
         "(assert (forall ((x Int) (x Int)) true))",
         "(assert (forall ((x Int)) x))",
         "(assert (not p p))",
+        "(assert (= p))",
+        "(assert (distinct p))",
     ]
     out = _run_script("(declare-fun p () Bool)\n" + "\n".join(bad) + "\n(check-sat)\n(exit)\n")
     assert len(out) == len(bad) + 1
