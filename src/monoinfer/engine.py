@@ -7,7 +7,11 @@ core is run in a lazy theory loop against the difference-constraint checker
 and Ackermann congruence, grounded on demand for each application pair that a
 candidate model values at one point with two results.  Universal
 quantifiers are expanded finitely when every binder sort is Boolean or a
-bounded integer interval, within an instantiation budget.
+bounded integer interval, within an instantiation budget.  Every conjunction
+gate (And, and Or and Implies as negated conjunctions, integer equality, order
+ladder comparisons) comes from `Engine._and` and every equivalence from
+`Engine._iff_gate`; both fold constant and repeated operands, so only what
+stays open costs a SAT variable.
 
 Fragment limits (anything outside raises EngineUnsupported rather than
 risking a wrong verdict):
@@ -86,7 +90,9 @@ class Engine:
         self.atom_pairs: dict[tuple, list[tuple[int, int]]] = {}
         self.theory_rounds = 0
         self.bool_unknowns: dict[Node, int] = {}
-        self.gate_cache: dict[Term, int] = {}
+        # compound term, ("ladder", x, y, k), ("iff", a, b) or ("inteq", a, b)
+        # -> its literal, folded constants included
+        self.gate_cache: dict[Union[Term, tuple], int] = {}
         self.apps_by_symbol: dict[str, list[Apply]] = {}
         self.app_node: dict[Apply, Node] = {}
         self.congruence_pairs: set[frozenset[Apply]] = set()  # grounded
@@ -97,7 +103,6 @@ class Engine:
         self.declared_funcs: dict[str, FunctionSymbol] = {}
         self.node_bounds: dict[Node, Optional[tuple[int, int]]] = {}
         self.order_vars: dict[Node, dict[int, int]] = {}  # node -> {j: var for x >= j}
-        self.ladder_gates: dict[tuple, int] = {}
         self.quant_instances = 0
         self._int_values: dict[Node, int] = {}
         self._have_model = False
@@ -153,54 +158,21 @@ class Engine:
             return -self.true_var
         return self.order_vars[node][j]
 
-    def _ladder_le_lit(self, x: Node, y: Optional[Node], k: int) -> int:
-        """Literal for x - y <= k over order-encoded nodes (y may be absent).
+    def _ladder_le_lit(self, x: Node, y: Node, k: int) -> int:
+        """Literal for x - y <= k over order-encoded nodes.
 
         Built from  x <= y + k  <=>  for all v: (y <= v) -> (x <= v + k),
-        with v ranging over y's domain; each conjunct is a binary clause over
-        ladder literals, reified through an and-gate.
+        with v ranging over y's domain; each step is a negated and-gate over
+        ladder literals, and the steps are conjoined.
         """
         key = ("ladder", x, y, k)
-        cached = self.ladder_gates.get(key)
-        if cached is not None:
-            return cached
-        if y is None:
-            lit = -self._ge_lit(x, k + 1)  # x <= k
-        else:
+        lit = self.gate_cache.get(key)
+        if lit is None:
             ylo, yhi = self.node_bounds[y]  # type: ignore[misc]
-            conjuncts: list[int] = []
-            feasible = True
-            for v in range(ylo, yhi + 1):
-                y_le_v = -self._ge_lit(y, v + 1)
-                x_le_vk = -self._ge_lit(x, v + k + 1)
-                if x_le_vk == self.true_var:
-                    continue
-                if y_le_v == self.true_var:
-                    if x_le_vk == -self.true_var:
-                        feasible = False
-                        break
-                    conjuncts.append(x_le_vk)
-                elif x_le_vk == -self.true_var:
-                    conjuncts.append(-y_le_v)
-                else:
-                    g = self.sat.new_var()
-                    self.sat.add_clause([-g, -y_le_v, x_le_vk])
-                    self.sat.add_clause([g, y_le_v])
-                    self.sat.add_clause([g, -x_le_vk])
-                    conjuncts.append(g)
-            if not feasible:
-                lit = -self.true_var
-            elif not conjuncts:
-                lit = self.true_var
-            elif len(conjuncts) == 1:
-                lit = conjuncts[0]
-            else:
-                g = self.sat.new_var()
-                for c in conjuncts:
-                    self.sat.add_clause([-g, c])
-                self.sat.add_clause([g] + [-c for c in conjuncts])
-                lit = g
-        self.ladder_gates[key] = lit
+            lit = self.gate_cache[key] = self._and([
+                -self._and([-self._ge_lit(y, v + 1), self._ge_lit(x, v + k + 1)])
+                for v in range(ylo, yhi + 1)
+            ])
         return lit
 
     def _atom_lit(self, x: Optional[Node], y: Optional[Node], k: int) -> int:
@@ -376,10 +348,7 @@ class Engine:
             if arg_a == arg_b:
                 continue
             if arg_a.sort.is_bool:
-                la, lb = self.lit_of(arg_a), self.lit_of(arg_b)
-                if la == lb:
-                    continue
-                antecedent.append(self._iff_gate(la, lb))
+                antecedent.append(self._iff_gate(self.lit_of(arg_a), self.lit_of(arg_b)))
             else:
                 le1 = self._diff_le_lit(arg_a, arg_b)
                 le2 = self._diff_le_lit(arg_b, arg_a)
@@ -402,23 +371,44 @@ class Engine:
 
     # -- Tseitin ----------------------------------------------------------------------
 
-    def _new_gate(self, term: Term) -> int:
-        var = self.sat.new_var()
-        self.gate_cache[term] = var
-        return var
+    def _and(self, lits: list[int]) -> int:
+        """Literal equivalent to the conjunction of `lits`.  True operands drop
+        out; a false operand or a complementary pair gives false; a lone open
+        operand is returned as it is.  Only two or more open operands make a
+        gate g, with [-g, l] per operand and [g, -l...]."""
+        t = self.true_var
+        open_lits: dict[int, None] = {}
+        for l in lits:
+            if l == -t or -l in open_lits:
+                return -t
+            if l != t:
+                open_lits[l] = None
+        if len(open_lits) < 2:
+            return next(iter(open_lits), t)
+        g = self.sat.new_var()
+        for l in open_lits:
+            self.sat.add_clause([-g, l])
+        self.sat.add_clause([g] + [-l for l in open_lits])
+        return g
 
     def _iff_gate(self, la: int, lb: int) -> int:
-        """Variable equivalent to (la <-> lb)."""
+        """Literal equivalent to (la <-> lb), folding a constant or repeated
+        operand."""
+        t = self.true_var
+        if abs(la) == abs(lb):
+            return t if la == lb else -t
+        if abs(lb) == t:
+            la, lb = lb, la
+        if abs(la) == t:
+            return lb if la == t else -lb
         key = ("iff", la, lb) if la <= lb else ("iff", lb, la)
-        cached = self.gate_cache.get(key)  # type: ignore[arg-type]
-        if cached is not None:
-            return cached
-        g = self.sat.new_var()
-        self.gate_cache[key] = g  # type: ignore[index]
-        self.sat.add_clause([-g, -la, lb])
-        self.sat.add_clause([-g, la, -lb])
-        self.sat.add_clause([g, la, lb])
-        self.sat.add_clause([g, -la, -lb])
+        g = self.gate_cache.get(key)
+        if g is None:
+            g = self.gate_cache[key] = self.sat.new_var()
+            self.sat.add_clause([-g, -la, lb])
+            self.sat.add_clause([-g, la, -lb])
+            self.sat.add_clause([g, la, lb])
+            self.sat.add_clause([g, -la, -lb])
         return g
 
     def lit_of(self, term: Term) -> int:
@@ -440,26 +430,11 @@ class Engine:
             case Cmp():
                 return self._cmp_lit(term)
             case And(args=args):
-                lits = [self.lit_of(a) for a in args]
-                g = self._new_gate(term)
-                for l in lits:
-                    self.sat.add_clause([-g, l])
-                self.sat.add_clause([g] + [-l for l in lits])
-                return g
+                lit = self._and([self.lit_of(a) for a in args])
             case Or(args=args):
-                lits = [self.lit_of(a) for a in args]
-                g = self._new_gate(term)
-                for l in lits:
-                    self.sat.add_clause([g, -l])
-                self.sat.add_clause([-g] + lits)
-                return g
+                lit = -self._and([-self.lit_of(a) for a in args])
             case Implies(lhs=l, rhs=r):
-                la, lb = self.lit_of(l), self.lit_of(r)
-                g = self._new_gate(term)
-                self.sat.add_clause([-g, -la, lb])
-                self.sat.add_clause([g, la])
-                self.sat.add_clause([g, -lb])
-                return g
+                lit = -self._and([self.lit_of(l), -self.lit_of(r)])
             case Forall() | Exists():
                 raise EngineUnsupported(
                     "quantifier in a non-positive position; skolemize first"
@@ -468,6 +443,8 @@ class Engine:
                 raise EngineUnsupported(f"free variable {name} in ground context")
             case _:
                 raise EngineUnsupported(f"non-Boolean node {type(term).__name__}")
+        self.gate_cache[term] = lit
+        return lit
 
     def _cmp_lit(self, term: Cmp) -> int:
         op, l, r = term.op, term.lhs, term.rhs
@@ -484,21 +461,10 @@ class Engine:
             return self._diff_le_lit(r, l, -1)
         a1 = self._diff_le_lit(l, r, 0)
         a2 = self._diff_le_lit(r, l, 0)
-        if a1 == self.true_var and a2 == self.true_var:
-            both = self.true_var
-        elif a1 == -self.true_var or a2 == -self.true_var:
-            both = -self.true_var
-        else:
-            cached = self.gate_cache.get(("inteq", a1, a2))  # type: ignore[arg-type]
-            if cached is not None:
-                both = cached
-            else:
-                g = self.sat.new_var()
-                self.gate_cache[("inteq", a1, a2)] = g  # type: ignore[index]
-                self.sat.add_clause([-g, a1])
-                self.sat.add_clause([-g, a2])
-                self.sat.add_clause([g, -a1, -a2])
-                both = g
+        key = ("inteq", a1, a2)
+        both = self.gate_cache.get(key)
+        if both is None:
+            both = self.gate_cache[key] = self._and([a1, a2])
         return both if op is CmpOp.EQ else -both
 
     # -- assertion ---------------------------------------------------------------------
@@ -539,12 +505,15 @@ class Engine:
             case Exists():
                 raise EngineUnsupported("existential quantifier; skolemize first")
             case Implies(lhs=l, rhs=r):
-                # direct clause when the antecedent is a conjunction (lemma shape)
+                # direct clause when the antecedent is a conjunction (lemma
+                # shape); a false antecedent literal satisfies it, and then the
+                # consequent is never grounded
                 if isinstance(l, And):
                     negs = [-self.lit_of(a) for a in l.args]
                 else:
                     negs = [-self.lit_of(l)]
-                self.sat.add_clause(negs + [self.lit_of(r)])
+                if self.true_var not in negs:
+                    self.sat.add_clause(negs + [self.lit_of(r)])
             case Or(args=args):
                 self.sat.add_clause([self.lit_of(a) for a in args])
             case _:

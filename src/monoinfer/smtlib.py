@@ -167,7 +167,7 @@ def tokenize(text: str) -> list[str]:
             j = text.find("|", i + 1)
             if j < 0:
                 raise SmtParseError("unterminated quoted symbol")
-            tokens.append(text[i + 1 : j])
+            tokens.append(text[i : j + 1])  # pipes kept: "|(|" is no parenthesis
             i = j + 1
         elif ch == '"':
             j = i + 1
@@ -186,10 +186,11 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def parse_sexprs(text: str) -> list[SExpr]:
-    """All top-level s-expressions in `text`."""
+def read_sexprs(text: str) -> list[Union[SExpr, SmtParseError]]:
+    """All top-level s-expressions in `text`; a stray ')' reads as an
+    SmtParseError in its place, so that a reader can report it and go on."""
     tokens = tokenize(text)
-    out: list[SExpr] = []
+    out: list[Union[SExpr, SmtParseError]] = []
     pos = 0
 
     def read() -> SExpr:
@@ -206,30 +207,52 @@ def parse_sexprs(text: str) -> list[SExpr]:
                 raise SmtParseError("unbalanced parenthesis")
             pos += 1
             return items
-        if tok == ")":
-            raise SmtParseError("unexpected ')'")
-        return tok
+        return tok[1:-1] if tok.startswith("|") else tok
 
     while pos < len(tokens):
-        out.append(read())
+        if tokens[pos] == ")":
+            out.append(SmtParseError("unexpected ')'"))
+            pos += 1
+        else:
+            out.append(read())
+    return out
+
+
+def parse_sexprs(text: str) -> list[SExpr]:
+    """All top-level s-expressions in `text`."""
+    out: list[SExpr] = []
+    for item in read_sexprs(text):
+        if isinstance(item, SmtParseError):
+            raise item
+        out.append(item)
     return out
 
 
 def balanced(text: str) -> bool:
-    """True if the text holds >= 0 complete s-expressions (used by the REPL reader)."""
+    """True if the tokens of `text` close every '(' they open, so that it holds
+    only complete s-expressions, perhaps with stray ')' among them; False
+    inside an unterminated string or quoted symbol (used by the REPL readers)."""
+    try:
+        tokens = tokenize(text)
+    except SmtParseError:
+        return False
     depth = 0
-    in_quote = False
-    for ch in text:
-        if ch == "|":
-            in_quote = not in_quote
-        elif not in_quote:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth < 0:
-                    return False
-    return depth == 0 and not in_quote
+    for tok in tokens:
+        if tok == "(":
+            depth += 1
+        elif tok == ")" and depth:
+            depth -= 1
+    return depth == 0
+
+
+def sexpr_to_text(sexpr: SExpr) -> str:
+    """`sexpr` as text that reads back to it, a symbol that would not read as
+    one token quoted as |...|."""
+    if isinstance(sexpr, list):
+        return "(" + " ".join(map(sexpr_to_text, sexpr)) + ")"
+    if sexpr and (sexpr[0] == '"' or not any(c.isspace() or c in "();" for c in sexpr)):
+        return sexpr
+    return f"|{sexpr}|"
 
 
 # -- get-value parsing and model rendering ------------------------------------

@@ -25,8 +25,8 @@ from .smtlib import (
     SmtParseError,
     balanced,
     model_to_sexpr,
-    parse_sexprs,
-    term_to_sexpr,
+    read_sexprs,
+    sexpr_to_text,
     value_to_sexpr,
 )
 from .terms import (
@@ -239,12 +239,13 @@ class SmtServer:
         terms = [self.parse_term(q, {}) for q in queries]
         model = self._model()
         pairs = []
-        for term in terms:
+        for query, term in zip(queries, terms):
+            # each value is paired with the term as the client sent it
             try:
                 value = evaluate(term, model)
             except EvaluationError as err:
-                raise CommandError(f"cannot evaluate {term_to_sexpr(term)}: {err}")
-            pairs.append(f"({term_to_sexpr(term)} {value_to_sexpr(value)})")
+                raise CommandError(f"cannot evaluate {sexpr_to_text(query)}: {err}")
+            pairs.append(f"({sexpr_to_text(query)} {value_to_sexpr(value)})")
         return "(" + " ".join(pairs) + ")"
 
 
@@ -253,17 +254,13 @@ def serve(instream, outstream) -> int:
     buffer = ""
     for line in instream:
         buffer += line
-        stripped = buffer.strip()
-        if not stripped or not balanced(stripped):
+        if not balanced(buffer):
             continue
-        buffer = ""
-        try:
-            commands = parse_sexprs(stripped)
-        except SmtParseError as err:
-            print(f'(error "{err}")', file=outstream, flush=True)
-            continue
+        commands, buffer = read_sexprs(buffer), ""
         for command in commands:
             try:
+                if isinstance(command, SmtParseError):
+                    raise CommandError(str(command))
                 response = server.handle(command)
             except CommandError as err:
                 response = f'(error "{err}")'

@@ -24,8 +24,10 @@ from monoinfer.terms import (
     Implies,
     IntLit,
     MonotonicitySpec,
+    Neg,
     Not,
     Or,
+    Sub,
     Var,
     bounded_int,
     mk_and,
@@ -270,12 +272,36 @@ _SYMBOLS = [
     FunctionSymbol("h", [BOOL, BOOL], BOOL),
 ]
 _C, _P, _Q = Const("c", _D), Const("p", BOOL), Const("q", BOOL)
+_CD = Const("d", _D)
+_SHAPES = [
+    lambda a, b: And([a, b]),
+    lambda a, b: Or([a, b, a]),
+    lambda a, b: Implies(a, b),
+    lambda a, b: Not(And([b, a])),
+    lambda a, b: Cmp(CmpOp.EQ, a, b),
+    lambda a, b: Cmp(CmpOp.NE, b, a),
+]
+
+
+def _nested(draw, leaves, depth):
+    """And/Or/Implies/Not/=/distinct over `leaves`; the second operand is
+    often the first again, its negation or a Boolean constant."""
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(leaves))
+    a = _nested(draw, leaves, depth - 1)
+    if draw(st.booleans()):
+        b = draw(st.sampled_from([a, Not(a), BoolLit(True), BoolLit(False)]))
+    else:
+        b = _nested(draw, leaves, depth - 1)
+    return draw(st.sampled_from(_SHAPES))(a, b)
 
 
 @st.composite
 def _ground_uf_formula(draw):
     """2-5 applications of one or two symbols over Bool and 0..2 arguments;
-    later applications may take earlier ones, or c + 1, as arguments."""
+    later applications may take earlier ones, or c + 1, as arguments.  A
+    nested Boolean structure with constant, repeated and complementary
+    operands joins the atoms."""
     symbols = draw(st.lists(st.sampled_from(_SYMBOLS), min_size=1, max_size=2,
                             unique_by=lambda f: f.name))
     ints = [_C, IntLit(0), IntLit(1), Add(_C, IntLit(1))]
@@ -300,6 +326,11 @@ def _ground_uf_formula(draw):
         atoms.append(Cmp(op, app, other))
     if draw(st.booleans()):
         atoms[1:3] = [mk_or(atoms[1:3])]
+    # shapes the engine folds, over c - d <= k with k in -4..4 while c - d
+    # ranges over -2..2 (k is a sum of literals the oracle's grid holds)
+    k = Add(IntLit(draw(st.integers(0, 2))), IntLit(draw(st.integers(0, 2))))
+    ladder = Cmp(CmpOp.LE, Sub(_C, _CD), k if draw(st.booleans()) else Neg(k))
+    atoms.append(_nested(draw, bools + [BoolLit(False), ladder], 3))
     return mk_and(atoms)
 
 
@@ -311,6 +342,32 @@ def test_engine_congruence_on_demand_agrees_with_oracle(formula):
     assert verdict == oracle_mono_sat(formula, MonotonicitySpec({}), (0, 2))
     if verdict == "sat":
         assert evaluate(formula, engine.extract_model())
+
+
+def test_folded_shapes_make_no_sat_variable():
+    engine = Engine()
+    p = engine.lit_of(_P)
+    engine.declare_const(_C)
+    engine.declare_const(_CD)
+    t, f = engine.true_var, -engine.true_var
+    before = engine.sat.num_vars
+    TRUE, FALSE = BoolLit(True), BoolLit(False)
+    folded = {
+        Or([_P, FALSE, _P]): p,
+        Implies(TRUE, _P): p,
+        Cmp(CmpOp.EQ, _P, TRUE): p,
+        Cmp(CmpOp.NE, FALSE, _P): p,
+        And([_P, Not(_P)]): f,
+        Cmp(CmpOp.LE, Sub(_C, _CD), IntLit(3)): t,
+        Cmp(CmpOp.LE, Sub(_C, _CD), IntLit(-3)): f,
+    }
+    for term, lit in folded.items():
+        assert engine.lit_of(term) == lit, term
+    # a false antecedent satisfies a lemma: its consequent is not grounded
+    f_c = Apply(_SYMBOLS[0], (_C,))
+    engine.assert_term(Implies(And([_P, FALSE]), Cmp(CmpOp.EQ, f_c, IntLit(1))))
+    assert engine.sat.num_vars == before
+    assert not engine.apps_by_symbol
 
 
 def test_engine_boolean_structure():

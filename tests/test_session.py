@@ -1,3 +1,4 @@
+import io
 import subprocess
 import sys
 import time
@@ -19,7 +20,7 @@ from monoinfer.session import (
     open_session,
 )
 from monoinfer.smtlib import parse_sexprs
-from monoinfer.smtserver import CommandError, SmtServer
+from monoinfer.smtserver import CommandError, SmtServer, serve
 from monoinfer.terms import (
     BOOL,
     INT,
@@ -124,8 +125,8 @@ def test_constants_numbered_before_applications_and_gates(fig1):
         return out
 
     constants = node_vars("c")
-    later = node_vars("a") + list(engine.gate_cache.values())
-    assert constants and later
+    later = set(range(1, engine.sat.num_vars + 1)) - {engine.true_var, *constants}
+    assert constants and node_vars("a") and later
     assert max(constants) < min(later)
 
 
@@ -336,9 +337,31 @@ def test_repl_chainable_comparisons_and_pairwise_distinct():
 (exit)
 """
     )
-    assert out[0] == "sat" and out[2] == "unsat"
-    [pairs] = parse_sexprs(out[1])
-    assert [value for _, value in pairs] == ["1", "1", "true", "false", "true"]
+    assert out == [
+        "sat",
+        "((x 1) (y 1) ((= x 1 1) true) ((distinct x 2 1) false) ((<= 1 x y) true))",
+        "unsat",
+    ]
+
+
+def _serve(script: str) -> list[str]:
+    out = io.StringIO()
+    serve(io.StringIO(script), out)
+    return out.getvalue().splitlines()
+
+
+def test_serve_reads_on_past_comments_strings_and_stray_parens():
+    assert _serve(
+        "(declare-fun x () Int)\n(assert (> x 2)) ; note: x)\n(check-sat)\n"
+    ) == ["sat"]
+    assert _serve('(set-info :source "a ( b")\n(check-sat)\n') == ["sat"]
+    for script in ["(check-sat)\n)\n(check-sat)\n", "(check-sat) ) (check-sat)\n"]:
+        assert _serve(script) == ["sat", "(error \"unexpected ')'\")", "sat"]
+    # a quoted symbol is echoed quoted
+    assert _serve(
+        "(declare-fun |a b| () Int)\n(assert (= |a b| 3))\n(check-sat)\n"
+        "(get-value (|a b| (+ |a b| 1)))\n"
+    ) == ["sat", "((|a b| 3) ((+ |a b| 1) 4))"]
 
 
 def test_repl_malformed_terms_answer_errors():

@@ -14,7 +14,9 @@ from monoinfer.smtlib import (
     model_to_sexpr,
     parse_get_value_response,
     parse_sexprs,
+    read_sexprs,
     select_logic,
+    sexpr_to_text,
     term_to_sexpr,
     tokenize,
 )
@@ -141,13 +143,30 @@ def test_tokenizer_and_reader():
         parse_sexprs("(a b")
     with pytest.raises(SmtParseError):
         parse_sexprs(")")
+    assert tokenize("(|(| a)") == ["(", "|(|", "a", ")"]
+    [first, stray, last] = read_sexprs("(a) ) b")
+    assert first == ["a"] and isinstance(stray, SmtParseError) and last == "b"
+    # quoted symbols are printed back quoted, everything else as it was read
+    [sexpr] = parse_sexprs(text)
+    assert sexpr_to_text(sexpr) == '(a (b 1) |quoted sym| "str" (c))'
+    assert sexpr_to_text(["(", "a b", ""]) == "(|(| |a b| ||)"
+    assert parse_sexprs("(|(| |a b| ||)") == [["(", "a b", ""]]
 
 
 def test_balanced_detector():
     assert balanced("(a (b))")
     assert not balanced("(a (b)")
-    assert not balanced(")")
     assert balanced("sat")
+    # a stray ')' completes the text, so that a reader reports it and reads on
+    assert balanced(")")
+    assert balanced("(check-sat) ) (check-sat)")
+    # parentheses inside comments, strings and quoted symbols do not count
+    assert balanced("(assert (> x 2)) ; note: x)")
+    assert not balanced("(assert (> x 2) ; note: x)")
+    assert balanced('(set-info :source "a ( b")')
+    assert not balanced('(set-info :source "a ( b)')
+    assert balanced("(get-value (|(|))")
+    assert not balanced("(get-value (|)|)")
 
 
 # -- response parsing ------------------------------------------------------------------
