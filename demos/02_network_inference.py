@@ -41,13 +41,14 @@ print("independent verification:", "pass" if result.ok else result.violation)
 print()
 
 for table in tables:
-    print(f"{table.symbol.name} ({len(table.rows)} rows):")
+    size = len(table.outputs)
+    print(f"{table.symbol.name} ({size} rows):")
     shown = 0
     for point, out in table.rows.items():
         print(f"  {table.symbol.name}{point} = {out}")
         shown += 1
-        if shown == 6 and len(table.rows) > 8:
-            print(f"  ... {len(table.rows) - shown} more rows")
+        if shown == 6 and size > 8:
+            print(f"  ... {size - shown} more rows")
             break
 print()
 

@@ -28,14 +28,12 @@ from .terms import (
     Term,
     TermError,
     Var,
-    applications_of,
     bounded_int,
     mk_and,
     mk_or,
     ordering_atom,
     skolemize,
     subst_at,
-    subterms,
 )
 from .model import FunctionTable, Model, evaluate
 from .encode import (
@@ -48,7 +46,6 @@ from .encode import (
     monotonicity_lemma,
     monotonize_model,
     solve_lazy,
-    violated_lemmas,
 )
 from .network import (
     FixedPointObservation,

@@ -152,7 +152,7 @@ def _cmd_solve(args) -> int:
             print(f"  verified: {record.verified}")
         if tables and args.verify:
             for table in tables:
-                print(f"  {table.symbol.name}: {len(table.rows)} rows")
+                print(f"  {table.symbol.name}: {len(table.outputs)} rows")
     if record.verdict == "sat":
         # never report success for a decoded solution that failed verification
         return EXIT_UNKNOWN if record.verified is False else EXIT_SAT

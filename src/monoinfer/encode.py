@@ -12,13 +12,18 @@ pair that model violates.
 
 Monotonization replaces each constrained symbol's table by a MonotoneTable,
 whose lookup is the monotone completion of its rows, so a monotonized model
-is a plain Model and `model.evaluate` values terms under it.
+is a plain Model and `model.evaluate` values terms under it.  Over a finite
+grid, `MonotoneTable.grid_outputs` materializes the same completion without
+a per-point scan: it writes the rows, in ascending output order, onto the
+up-cubes of grid points that dominate them.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -282,15 +287,6 @@ def _lemma(
     return monotonicity_lemma(func, index[func][i].args, index[func][j].args, spec)
 
 
-def violated_lemmas(formula: Term, spec: MonotonicitySpec, model: Model) -> set[Term]:
-    """Candidate lemmas falsified by the model (antecedent holds, consequent
-    fails under the sort's order).  The model must value every constant the
-    candidates' arguments mention and hold a table for every constrained
-    symbol applied twice."""
-    index = _application_index(formula, spec)
-    return {_lemma(index, spec, pair) for pair in _violated_pairs(index, spec, model, set())}
-
-
 @dataclass
 class LazyRunStats:
     check_sat_calls: int = 0
@@ -371,6 +367,48 @@ class MonotoneTable(FunctionTable):
             (out for point, out in self.rows.items() if _dominates(point, args, mono, anti)),
             default=self.default,
         )
+
+    def grid_outputs(self, axes: Sequence[Sequence[Value]]) -> list[Value]:
+        """`lookup` at every point of the grid whose i-th coordinate ranges
+        over the ascending values `axes[i]`, in row-major order (the order
+        of `itertools.product(*axes)`).
+
+        Every point starts at the default.  Then, in ascending output order,
+        each row writes its output onto its up-cube: the box of grid points
+        that dominate its point.  The last write at a point is the largest
+        output among the rows the point dominates, which is `lookup`.  A row
+        off the grid has a smaller, possibly empty, box.
+        """
+        sizes = [len(values) for values in axes]
+        strides = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
+        outputs = [self.default] * math.prod(sizes)
+        for point, out in sorted(self.rows.items(), key=lambda row: row[1]):
+            box = [self._up_range(i, p, axes[i - 1]) for i, p in enumerate(point, start=1)]
+            if any(lo >= hi for lo, hi in box):
+                continue
+            # merge trailing axes while the box spans them whole: under each
+            # prefix of the axes before j, the box is then one run [lo, hi)
+            j, lo, hi = len(axes), 0, 1
+            while j and (lo, hi) == (0, strides[j - 1]):
+                j -= 1
+                lo, hi = box[j][0] * strides[j], box[j][1] * strides[j]
+            bases = [0]
+            for (a, b), stride in zip(box[:j], strides):
+                bases = [base + k * stride for base in bases for k in range(a, b)]
+            run = [out] * (hi - lo)
+            for base in bases:
+                outputs[base + lo : base + hi] = run
+        return outputs
+
+    def _up_range(self, i: int, p: Value, values: Sequence[Value]) -> tuple[int, int]:
+        """The range [lo, hi) of positions in `values` whose value dominates
+        coordinate i's value p."""
+        if i in self.mono:
+            return bisect.bisect_left(values, p), len(values)
+        if i in self.anti:
+            return 0, bisect.bisect_right(values, p)
+        k = bisect.bisect_left(values, p)
+        return (k, k + 1) if k < len(values) and values[k] == p else (0, 0)
 
 
 def _dominates(

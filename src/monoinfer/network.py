@@ -7,16 +7,19 @@ essentiality constraints (some context where varying one regulator changes
 the output), fixed-point constraints (one per observation, skolemized), and
 bounds on every bounded integer application and skolem constant, paired
 with `problem.spec`.  Also decodes solver models back into complete update
-tables, reading each symbol's monotone completion, and verifies them
-independently: sign and essentiality on the steps between adjacent rows,
-fixed points by enumerating the unobserved variables.
+tables, flat row-major output lists filled from each symbol's monotone
+completion, and verifies them independently: sign and essentiality on the
+steps between adjacent rows, read as strided slices of those lists, fixed
+points by enumerating the unobserved variables.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .encode import monotonize_model
 from .model import Model, Value, ValueVector
@@ -201,31 +204,64 @@ class InferenceProblem:
         return all(v.domain.is_bounded for v in self.variables)
 
 
-@dataclass
 class UpdateFunctionTable:
-    """Complete update table over the finite product domain of the regulators."""
+    """Complete update table over the finite product grid of the regulators.
 
-    symbol: FunctionSymbol
-    rows: dict[ValueVector, Value]
+    `outputs` holds one output per grid point, in row-major order (the order
+    of `itertools.product` over the argument sorts' values): the point whose
+    i-th coordinate is the k-th value of its sort contributes k * strides[i]
+    to its index.  `rows`, point to output, is built from it on each read.
+    """
 
-    def __post_init__(self):
-        expected = 1
-        for sort in self.symbol.arg_sorts:
-            expected *= len(sort.values())
-        if len(self.rows) != expected:
+    def __init__(self, symbol: FunctionSymbol, rows: Mapping[ValueVector, Value]):
+        """The table of `rows`, which must give every grid point, in any order."""
+        grid = list(itertools.product(*(s.values() for s in symbol.arg_sorts)))
+        missing = next((point for point in grid if point not in rows), None)
+        if missing is not None and len(rows) == len(grid):
+            raise ProblemError(f"{symbol.name}: table has no row {missing}")
+        self._hold(symbol, [rows.get(point) for point in grid], len(rows))
+
+    @classmethod
+    def from_outputs(cls, symbol: FunctionSymbol, outputs: list[Value]) -> UpdateFunctionTable:
+        """The table whose outputs, in row-major grid order, are `outputs`."""
+        table = cls.__new__(cls)
+        table._hold(symbol, outputs, len(outputs))
+        return table
+
+    def _hold(self, symbol: FunctionSymbol, outputs: list[Value], count: int) -> None:
+        self.symbol = symbol
+        self.outputs = outputs
+        self.axes = [s.values() for s in symbol.arg_sorts]
+        sizes = [len(values) for values in self.axes]
+        self.strides = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
+        size = math.prod(sizes)
+        if count != size:
+            raise ProblemError(f"{symbol.name}: table has {count} rows, expected {size}")
+        out_values = symbol.result_sort.values()
+        if not set(outputs).issubset(out_values):
+            k = next(k for k, out in enumerate(outputs) if out not in out_values)
             raise ProblemError(
-                f"{self.symbol.name}: table has {len(self.rows)} rows, "
-                f"expected {expected}"
+                f"{symbol.name}{self.point(k)}: output {outputs[k]!r} outside the target domain"
             )
-        out_values = set(self.symbol.result_sort.values())
-        for point, out in self.rows.items():
-            if out not in out_values:
-                raise ProblemError(
-                    f"{self.symbol.name}{point}: output {out!r} outside the target domain"
-                )
+
+    @property
+    def rows(self) -> dict[ValueVector, Value]:
+        return dict(zip(itertools.product(*self.axes), self.outputs))
+
+    def point(self, k: int) -> ValueVector:
+        """The grid point at index k of `outputs`."""
+        return tuple(values[k // s % len(values)] for values, s in zip(self.axes, self.strides))
 
     def lookup(self, args: ValueVector) -> Value:
-        return self.rows[tuple(args)]
+        index = zip(self.axes, args, self.strides)
+        return self.outputs[sum(values.index(a) * stride for values, a, stride in index)]
+
+    def __eq__(self, other):
+        same = isinstance(other, UpdateFunctionTable) and other.symbol == self.symbol
+        return same and other.outputs == self.outputs
+
+    def __repr__(self):
+        return f"UpdateFunctionTable({self.symbol.name}, {self.outputs!r})"
 
 
 def update_symbol_name(var: NetworkVariable) -> str:
@@ -364,25 +400,24 @@ def encode_inference(
 def decode_solution(
     model: Model, problem: InferenceProblem
 ) -> list[UpdateFunctionTable]:
-    """Materialize the model over each finite regulator grid, completing
-    unconstrained points through monotonization."""
+    """Materialize the model over each finite regulator grid.
+
+    Each symbol's monotone completion (`monotonize_model`) is filled into a
+    flat row-major output list up-cube by up-cube
+    (`MonotoneTable.grid_outputs`), so no grid point scans the rows."""
     if not problem.all_bounded():
         raise ProblemError("cannot decode tables over unbounded domains")
     completed = monotonize_model(model, problem.spec)
     tables = []
     for func in problem.signature.values():
-        lookup = completed.functions[func.name].lookup
-        grid = itertools.product(*(s.values() for s in func.arg_sorts))
+        outputs = completed.functions[func.name].grid_outputs([s.values() for s in func.arg_sorts])
         out_values = func.result_sort.values()
-        rows = {}
-        for point in grid:
-            out = lookup(point)
-            if out not in out_values:
-                # model values may exceed the domain only where the formula
-                # never constrained the point; clamp into the target domain
-                out = max(min(out, out_values[-1]), out_values[0])
-            rows[point] = out
-        tables.append(UpdateFunctionTable(func, rows))
+        if not set(outputs).issubset(out_values):
+            # model values may exceed the domain only where the formula
+            # never constrained the point; clamp into the target domain
+            lo, hi = out_values[0], out_values[-1]
+            outputs = [out if out in out_values else max(min(out, hi), lo) for out in outputs]
+        tables.append(UpdateFunctionTable.from_outputs(func, outputs))
     return tables
 
 
@@ -413,9 +448,12 @@ def verify_solution(
     (1) every signed regulation is monotone/anti-monotone over the full grid,
     (2) every essential regulation changes the output in some context,
     both read off the steps between adjacent rows (order is transitive, and
-    a context's outputs differ only if some adjacent step changes them),
+    a context's outputs differ only if some adjacent step changes them):
+    along argument i those are the outputs at index k and k + strides[i],
+    compared slice against slice,
     (3) every observation extends to a fixed point of the table dynamics.
-    Returns the first violation found."""
+    Returns the first violation found; a sign violation is the first broken
+    step in row-major order."""
     if not problem.all_bounded():
         return VerificationResult(
             False, Violation("structure", "unbounded domains cannot be verified")
@@ -466,34 +504,43 @@ def verify_solution(
 Step = tuple[ValueVector, Value, ValueVector, Value]
 
 
-def _steps(table: UpdateFunctionTable, position: int) -> Iterator[Step]:
-    """The pairs of rows that differ only at `position`, where the second
-    row holds the next larger value there, as (point, out, point', out'),
-    in row order of the first."""
-    idx = position - 1
-    values = table.symbol.arg_sorts[idx].values()
-    following = dict(zip(values, values[1:]))
-    rows = table.rows
-    for point, out in rows.items():
-        larger = following.get(point[idx])
-        if larger is not None:
-            neighbour = point[:idx] + (larger,) + point[idx + 1 :]
-            yield point, out, neighbour, rows[neighbour]
+def _step_slices(
+    table: UpdateFunctionTable, position: int
+) -> Iterator[tuple[list[Value], list[Value]]]:
+    """Slices (lower, upper) of the outputs such that lower[j] and upper[j]
+    sit at two points that differ only at `position`, the upper one holding
+    the next larger value there: index k and k + stride.  Together the
+    pairs cover every such step of the grid once."""
+    outputs = table.outputs
+    stride = table.strides[position - 1]
+    span = stride * len(table.axes[position - 1])
+    # a block of `span` outputs holds span - stride steps: slice each step
+    # offset across the blocks, or each block, whichever makes fewer slices
+    if span - stride <= len(outputs) // span:
+        for start in range(span - stride):
+            yield outputs[start::span], outputs[start + stride :: span]
+    else:
+        for start in range(0, len(outputs), span):
+            yield outputs[start : start + span - stride], outputs[start + stride : start + span]
 
 
 def _sign_violation(
     table: UpdateFunctionTable, position: int, sign: str
 ) -> Optional[Step]:
-    """The first step that breaks the sign of the regulation at `position`."""
-    for step in _steps(table, position):
-        _, out, _, other = step
-        if (out > other) if sign == Sign.MONOTONE else (other > out):
-            return step
-    return None
+    """The first step, in row-major order of its lower point, that breaks
+    the sign of the regulation at `position`."""
+    broken = operator.gt if sign == Sign.MONOTONE else operator.lt
+    if not any(any(map(broken, lo, hi)) for lo, hi in _step_slices(table, position)):
+        return None
+    outputs, stride = table.outputs, table.strides[position - 1]
+    size = len(table.axes[position - 1])
+    steps = (k for k in range(len(outputs) - stride) if k // stride % size < size - 1)
+    k = next(k for k in steps if broken(outputs[k], outputs[k + stride]))
+    return table.point(k), outputs[k], table.point(k + stride), outputs[k + stride]
 
 
 def _is_essential(table: UpdateFunctionTable, position: int) -> bool:
-    return any(out != other for _, out, _, other in _steps(table, position))
+    return any(lo != hi for lo, hi in _step_slices(table, position))
 
 
 def _extends_to_fixed_point(
@@ -502,9 +549,7 @@ def _extends_to_fixed_point(
     observation: FixedPointObservation,
 ) -> bool:
     free = [v for v in problem.variables if observation.value_of(v) is None]
-    count = 1
-    for v in free:
-        count *= len(v.values())
+    count = math.prod(len(v.values()) for v in free)
     if count > MAX_EXTENSION_STATES:
         raise ProblemError(
             f"fixed-point extension space {count} exceeds budget {MAX_EXTENSION_STATES}"

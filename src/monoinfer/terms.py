@@ -561,15 +561,6 @@ def iter_subterms(term: Term) -> Iterator[Term]:
         stack.extend(reversed(t.children()))
 
 
-def subterms(term: Term) -> set[Term]:
-    return set(iter_subterms(term))
-
-
-def applications_of(term: Term, func: FunctionSymbol) -> set[ArgVector]:
-    """Argument vectors of all applications of `func`, deduplicated syntactically."""
-    return {t.args for t in iter_subterms(term) if isinstance(t, Apply) and t.func == func}
-
-
 def symbols_in_order(term: Term) -> list[FunctionSymbol]:
     """Distinct function symbols applied in `term`, in first-occurrence order."""
     seen: dict[FunctionSymbol, None] = {}
@@ -585,22 +576,6 @@ def constants_in_order(term: Term) -> list[Const]:
         if isinstance(t, Const):
             seen.setdefault(t)
     return list(seen)
-
-
-def free_vars(term: Term) -> set[Var]:
-    """Variables not captured by any enclosing binder."""
-
-    def walk(t: Term, bound: frozenset[Var]) -> set[Var]:
-        if isinstance(t, Var):
-            return set() if t in bound else {t}
-        if isinstance(t, _Quant):
-            return walk(t.body, bound | frozenset(t.bound))
-        out: set[Var] = set()
-        for c in t.children():
-            out |= walk(c, bound)
-        return out
-
-    return walk(term, frozenset())
 
 
 def is_quantifier_free(term: Term) -> bool:
@@ -719,59 +694,3 @@ def skolemize(term: Term, supply: Optional[NameSupply] = None) -> Term:
                 return t
 
     return walk(term, True)
-
-
-def check_term(term: Term, bound: frozenset[Var] = frozenset()) -> Sort:
-    """Full recursive sort check; raises on any violation.
-
-    Constructors already enforce local correctness, so this is a defensive
-    re-verification for tests; no library path calls it.
-    """
-    match term:
-        case IntLit() | BoolLit() | Const():
-            return term.sort
-        case Var():
-            if term not in bound:
-                raise TermError(f"unbound variable {term.name}")
-            return term.sort
-        case Apply(func=f, args=args):
-            if len(args) != f.arity:
-                raise SortError(f"arity mismatch on {f.name}")
-            for arg, want in zip(args, f.arg_sorts):
-                if not check_term(arg, bound).same_kind(want):
-                    raise SortError(f"argument sort mismatch on {f.name}")
-            return f.result_sort
-        case Add(lhs=l, rhs=r) | Sub(lhs=l, rhs=r):
-            if not (check_term(l, bound).is_int and check_term(r, bound).is_int):
-                raise SortError("arithmetic on non-Integer operands")
-            return INT
-        case Neg(arg=a):
-            if not check_term(a, bound).is_int:
-                raise SortError("negation of non-Integer operand")
-            return INT
-        case Cmp(op=op, lhs=l, rhs=r):
-            ls, rs = check_term(l, bound), check_term(r, bound)
-            if not ls.same_kind(rs):
-                raise SortError("comparison operands differ in sort")
-            if op in _ORDER_OPS and not ls.is_int:
-                raise SortError("order comparison on Boolean operands")
-            return BOOL
-        case Not(arg=a):
-            if not check_term(a, bound).is_bool:
-                raise SortError("negation of non-Boolean operand")
-            return BOOL
-        case And(args=args) | Or(args=args):
-            for a in args:
-                if not check_term(a, bound).is_bool:
-                    raise SortError("connective over non-Boolean operand")
-            return BOOL
-        case Implies(lhs=l, rhs=r):
-            if not (check_term(l, bound).is_bool and check_term(r, bound).is_bool):
-                raise SortError("implication over non-Boolean operands")
-            return BOOL
-        case Forall(bound=bvs, body=body) | Exists(bound=bvs, body=body):
-            if not check_term(body, bound | frozenset(bvs)).is_bool:
-                raise SortError("quantifier body must be Boolean")
-            return BOOL
-        case _:
-            raise TermError(f"unknown term node {type(term).__name__}")

@@ -10,9 +10,14 @@ from monoinfer.terms import (
     Cmp,
     CmpOp,
     Const,
+    Exists,
+    Forall,
     FunctionSymbol,
     IntLit,
     MonotonicitySpec,
+    Term,
+    Var,
+    iter_subterms,
     mk_and,
 )
 from monoinfer.problemfile import load_problem
@@ -20,6 +25,27 @@ from monoinfer.problemfile import load_problem
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIG1_PATH = REPO_ROOT / "problems" / "fig1.problem"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def subterms(term: Term) -> set[Term]:
+    return set(iter_subterms(term))
+
+
+def free_vars(term: Term) -> set[Var]:
+    """Variables not captured by any enclosing binder."""
+
+    def walk(t: Term, bound: frozenset[Var]) -> set[Var]:
+        if isinstance(t, Var):
+            return set() if t in bound else {t}
+        if isinstance(t, (Forall, Exists)):
+            return walk(t.body, bound | frozenset(t.bound))
+        out: set[Var] = set()
+        for c in t.children():
+            out |= walk(c, bound)
+        return out
+
+    return walk(term, frozenset())
+
 
 # the shipped SMT-LIB2 solver, invoked portably (no PATH requirement)
 REPL_SOLVER_CMD = f"{sys.executable} -m monoinfer.smtserver"

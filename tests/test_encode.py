@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import subterms
 from monoinfer import encode as encode_module
 from monoinfer.encode import (
     EncodingError,
@@ -18,7 +19,6 @@ from monoinfer.encode import (
     monotonicity_lemma,
     solve,
     solve_lazy,
-    violated_lemmas,
 )
 from monoinfer.generate import GeneratorParams, generate_instance
 from monoinfer.model import Model, FunctionTable, evaluate
@@ -42,7 +42,6 @@ from monoinfer.terms import (
     bounded_int,
     is_quantifier_free,
     mk_and,
-    subterms,
 )
 
 
@@ -291,6 +290,16 @@ def _ex1_model(c1, c2, f_outs, g_outs):
             "g": FunctionTable(dict(zip([(c2,), (4,)], g_outs)), min(g_outs)),
         },
     )
+
+
+def violated_lemmas(formula, spec, model):
+    """Candidate lemmas falsified by the model (antecedent holds, consequent
+    fails under the sort's order), found as the lazy loop finds them.  The
+    model must value every constant the candidates' arguments mention and
+    hold a table for every constrained symbol applied twice."""
+    index = encode_module._application_index(formula, spec)
+    pairs = encode_module._violated_pairs(index, spec, model, set())
+    return {encode_module._lemma(index, spec, pair) for pair in pairs}
 
 
 def test_violated_lemmas_all_equal_valuation(ex1):

@@ -1,17 +1,28 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoinfer.encode import (
+    MonotoneTable,
     MonotonizationError,
     monotonize_model,
 )
-from monoinfer.model import FunctionTable, Model, evaluate
+from monoinfer.model import FunctionTable, Model, default_output, evaluate
+from monoinfer.network import (
+    InferenceProblem,
+    NetworkVariable,
+    Regulation,
+    Sign,
+    decode_solution,
+)
 from monoinfer.terms import (
     BOOL,
     INT,
     FunctionSymbol,
     MonotonicitySpec,
+    bounded_int,
 )
 
 
@@ -129,3 +140,59 @@ def test_monotonization_soundness_on_eager_models(ex1):
     assert session.check_sat() == "sat"
     base = session.extract_model()
     assert evaluate(ex1.phi, monotonize_model(base, ex1.spec_relaxed)) is True
+
+
+# -- grid fill -----------------------------------------------------------------------
+
+
+@st.composite
+def _fill_case(draw):
+    # one target with 0-3 regulators over Bool or 0..3, each monotone,
+    # anti-monotone or unsigned; rows may be empty, lie off the grid (integer
+    # coordinates -1..5) and hold outputs outside the target domain
+    domains = st.sampled_from([BOOL, bounded_int(0, 3)])
+    sources = [
+        NetworkVariable(f"r{i}", draw(domains)) for i in range(draw(st.integers(0, 3)))
+    ]
+    target = NetworkVariable("t", draw(domains))
+    regulations = [
+        Regulation(s, target, draw(st.sampled_from(Sign.ALL))) for s in sources
+    ]
+    problem = InferenceProblem(sources + [target], regulations, [])
+
+    def values(var):
+        return st.booleans() if var.is_boolean else st.integers(-1, 5)
+
+    points = st.tuples(*(values(s) for s in sources))
+    rows = draw(st.dictionaries(points, values(target), max_size=6))
+    return problem, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fill_case())
+def test_grid_fill_agrees_with_lookup_and_clamp(case):
+    problem, rows = case
+    func = problem.signature[problem.variables[-1]]
+    spec = problem.spec
+    table = MonotoneTable(
+        rows,
+        default_output(func.result_sort, rows.values()),
+        spec.monotone(func),
+        spec.anti_monotone(func),
+    )
+    axes = [s.values() for s in func.arg_sorts]
+    grid = list(itertools.product(*axes))
+    assert table.grid_outputs(axes) == [table.lookup(point) for point in grid]
+    # decode fills the same completion, clamped into the target domain
+    model = Model({}, {func.name: FunctionTable(rows, table.default)})
+    try:
+        monotonize_model(model, spec)
+    except MonotonizationError:
+        return
+    out_values = func.result_sort.values()
+    lo, hi = out_values[0], out_values[-1]
+    expected = {
+        point: max(min(table.lookup(point), hi), lo) for point in grid
+    }
+    assert decode_solution(model, problem)[-1].rows == expected
+

@@ -1,10 +1,13 @@
 import itertools
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import free_vars, subterms
+from monoinfer import network
 from monoinfer.encode import encode_eager
 from monoinfer.generate import GeneratorParams, generate_instance
 from monoinfer.model import FunctionTable, Model
@@ -37,10 +40,8 @@ from monoinfer.terms import (
     IntLit,
     Var,
     bounded_int,
-    free_vars,
     is_quantifier_free,
     iter_subterms,
-    subterms,
 )
 
 
@@ -476,6 +477,47 @@ def test_verify_catches_broken_fixed_point(fig1):
     assert result.violation.kind == "fixed-point"
 
 
+def _shuffled(table, seed):
+    rows = list(table.rows.items())
+    random.Random(seed).shuffle(rows)
+    return UpdateFunctionTable(table.symbol, dict(rows))
+
+
+def test_table_from_shuffled_rows_matches_grid_order(fig1):
+    tables = _intro_solution_tables(fig1)
+    inverted = dict(tables[2].rows)
+    inverted[(0,)], inverted[(1,)] = 1, 0
+    broken = tables[:2] + [UpdateFunctionTable(tables[2].symbol, inverted)]
+    for seed, grid_order in enumerate((tables, broken)):
+        shuffled = [_shuffled(t, seed) for t in grid_order]
+        assert shuffled == grid_order
+        for table, other in zip(grid_order, shuffled):
+            assert list(other.rows.items()) == list(table.rows.items())
+            assert all(other.lookup(point) == out for point, out in table.rows.items())
+            assert UpdateFunctionTable.from_outputs(table.symbol, other.outputs) == table
+        assert verify_solution(fig1, shuffled) == verify_solution(fig1, grid_order)
+    assert not verify_solution(fig1, broken).ok
+
+
+def test_table_rejects_missing_row_and_foreign_output(fig1):
+    f_c = _intro_solution_tables(fig1)[2]
+    rows = dict(f_c.rows)
+    del rows[(2,)]
+    with pytest.raises(ProblemError, match="has 3 rows, expected 4"):
+        UpdateFunctionTable(f_c.symbol, rows)
+    rows[(7,)] = 2  # the right count, but one point off the grid
+    with pytest.raises(ProblemError, match="no row"):
+        UpdateFunctionTable(f_c.symbol, rows)
+    rows = dict(f_c.rows)
+    rows[(2,)] = 4
+    with pytest.raises(ProblemError, match="outside the target domain"):
+        UpdateFunctionTable(f_c.symbol, rows)
+    with pytest.raises(ProblemError, match="outside the target domain"):
+        UpdateFunctionTable.from_outputs(f_c.symbol, [0, 1, 2, -1])
+    with pytest.raises(ProblemError, match="has 3 rows, expected 4"):
+        UpdateFunctionTable.from_outputs(f_c.symbol, [0, 1, 2])
+
+
 def _all_pairs_verdict(problem, table):
     """Sign and essentiality of the last variable's regulations, checked on
     every pair of rows that differ at one position."""
@@ -498,12 +540,13 @@ def _all_pairs_verdict(problem, table):
 
 
 @st.composite
-def _verify_case(draw):
-    # one target with 1-3 regulators over Bool or 0..3; the regulators are
-    # constant, so only the target's regulations can be violated
+def _verify_case(draw, max_regulators=3):
+    # one target with 1..max_regulators regulators over Bool or 0..3; the
+    # regulators are constant, so only the target's regulations can be violated
     domains = st.sampled_from([BOOL, bounded_int(0, 3)])
     sources = [
-        NetworkVariable(f"r{i}", draw(domains)) for i in range(draw(st.integers(1, 3)))
+        NetworkVariable(f"r{i}", draw(domains))
+        for i in range(draw(st.integers(1, max_regulators)))
     ]
     target = NetworkVariable("t", draw(domains))
     regulations = [
@@ -528,6 +571,35 @@ def test_verify_agrees_with_all_pairs_check(case):
     result = verify_solution(problem, tables)
     kind = "ok" if result.ok else result.violation.kind
     assert kind == _all_pairs_verdict(problem, tables[-1])
+
+
+def _neighbour_steps(table, position):
+    """The steps along `position` as (point, out, point', out'), where point'
+    holds the next larger value there, found by walking the rows in grid
+    order and building each neighbour point."""
+    i = position - 1
+    values = table.symbol.arg_sorts[i].values()
+    rows = table.rows
+    steps = []
+    for p, out in rows.items():
+        if p[i] != values[-1]:
+            q = p[:i] + (values[values.index(p[i]) + 1],) + p[i + 1 :]
+            steps.append((p, out, q, rows[q]))
+    return steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_verify_case(max_regulators=5))
+def test_strided_step_checks_agree_with_neighbour_walk(case):
+    # up to five regulators, so both ways of slicing the steps are taken
+    # with strides above 1; every position is checked under both signs
+    table = case[1][-1]
+    for position in range(1, table.symbol.arity + 1):
+        steps = _neighbour_steps(table, position)
+        for sign, broken in ((Sign.MONOTONE, operator.gt), (Sign.ANTI_MONOTONE, operator.lt)):
+            first = next((step for step in steps if broken(step[1], step[3])), None)
+            assert network._sign_violation(table, position, sign) == first
+        assert network._is_essential(table, position) == any(s[1] != s[3] for s in steps)
 
 
 # -- propagation equivalence ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import free_vars, subterms
 from monoinfer.terms import (
     BOOL,
     INT,
@@ -17,17 +18,18 @@ from monoinfer.terms import (
     Implies,
     IntLit,
     MonotonicitySpec,
+    Neg,
     Not,
     Or,
     SkolemizationError,
+    Sort,
     SortError,
+    Sub,
+    Term,
     TermError,
     Var,
-    applications_of,
     bounded_int,
     check_symbol_name,
-    check_term,
-    free_vars,
     is_quantifier_free,
     iter_subterms,
     mk_and,
@@ -35,7 +37,6 @@ from monoinfer.terms import (
     skolemize,
     subst_at,
     substitute,
-    subterms,
 )
 from monoinfer.model import Model, FunctionTable, evaluate
 
@@ -122,6 +123,12 @@ def test_subst_at_round_trip():
 
 
 # -- subterms / applications -----------------------------------------------------
+
+
+def applications_of(term, func):
+    """Argument vectors of all applications of `func`, deduplicated syntactically."""
+    return {t.args for t in iter_subterms(term) if isinstance(t, Apply) and t.func == func}
+
 
 
 def test_subterms_structural():
@@ -329,6 +336,62 @@ def _bool_terms(depth):
         st.tuples(sub, sub).map(lambda p: Or(list(p))),
         st.tuples(sub, sub).map(lambda p: Implies(*p)),
     )
+
+
+def check_term(term: Term, bound: frozenset[Var] = frozenset()) -> Sort:
+    """Full recursive sort check; raises on any violation.
+
+    Constructors already enforce local correctness, so this re-verifies
+    what they built.
+    """
+    match term:
+        case IntLit() | BoolLit() | Const():
+            return term.sort
+        case Var():
+            if term not in bound:
+                raise TermError(f"unbound variable {term.name}")
+            return term.sort
+        case Apply(func=f, args=args):
+            if len(args) != f.arity:
+                raise SortError(f"arity mismatch on {f.name}")
+            for arg, want in zip(args, f.arg_sorts):
+                if not check_term(arg, bound).same_kind(want):
+                    raise SortError(f"argument sort mismatch on {f.name}")
+            return f.result_sort
+        case Add(lhs=l, rhs=r) | Sub(lhs=l, rhs=r):
+            if not (check_term(l, bound).is_int and check_term(r, bound).is_int):
+                raise SortError("arithmetic on non-Integer operands")
+            return INT
+        case Neg(arg=a):
+            if not check_term(a, bound).is_int:
+                raise SortError("negation of non-Integer operand")
+            return INT
+        case Cmp(op=op, lhs=l, rhs=r):
+            ls, rs = check_term(l, bound), check_term(r, bound)
+            if not ls.same_kind(rs):
+                raise SortError("comparison operands differ in sort")
+            if op in (CmpOp.LE, CmpOp.LT, CmpOp.GE, CmpOp.GT) and not ls.is_int:
+                raise SortError("order comparison on Boolean operands")
+            return BOOL
+        case Not(arg=a):
+            if not check_term(a, bound).is_bool:
+                raise SortError("negation of non-Boolean operand")
+            return BOOL
+        case And(args=args) | Or(args=args):
+            for a in args:
+                if not check_term(a, bound).is_bool:
+                    raise SortError("connective over non-Boolean operand")
+            return BOOL
+        case Implies(lhs=l, rhs=r):
+            if not (check_term(l, bound).is_bool and check_term(r, bound).is_bool):
+                raise SortError("implication over non-Boolean operands")
+            return BOOL
+        case Forall(bound=bvs, body=body) | Exists(bound=bvs, body=body):
+            if not check_term(body, bound | frozenset(bvs)).is_bool:
+                raise SortError("quantifier body must be Boolean")
+            return BOOL
+        case _:
+            raise TermError(f"unknown term node {type(term).__name__}")
 
 
 @settings(max_examples=200, deadline=None)
