@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Union
 
 from .encode import Strategy
 from .generate import GeneratorParams, generate_instance
@@ -25,7 +26,7 @@ from .harness import (
     write_records_csv,
 )
 from .oracle import OracleBudgetError, count_solutions, oracle_inference
-from .network import ProblemError, verify_solution
+from .network import InferenceProblem, ProblemError, verify_solution
 from .problemfile import ProblemParseError, load_problem, save_problem
 from .session import ENV_SOLVER_CMD
 
@@ -119,15 +120,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_solve(args) -> int:
+def _load(path: str) -> Union[InferenceProblem, int]:
+    """The problem at `path`, or the exit code after reporting why it
+    cannot be loaded."""
     try:
-        problem = load_problem(args.problem)
+        return load_problem(path)
     except (ProblemParseError, ProblemError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def _cmd_solve(args) -> int:
+    problem = _load(args.problem)
+    if isinstance(problem, int):
+        return problem
     strategy = Strategy(args.encoding)
     record, tables = run_single(
         problem,
@@ -215,14 +224,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    try:
-        problem = load_problem(args.problem)
-    except (ProblemParseError, ProblemError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    problem = _load(args.problem)
+    if isinstance(problem, int):
+        return problem
     try:
         result = oracle_inference(problem, budget=args.budget)
         if args.count_solutions:

@@ -35,7 +35,7 @@ from .model import (
     default_output,
     evaluate_with,
 )
-from .session import UNKNOWN, UNSAT, SolverSession, SolverVerdict
+from .session import TIMEOUT, UNKNOWN, UNSAT, SolverSession, SolverVerdict
 from .terms import (
     Apply,
     ArgVector,
@@ -211,9 +211,6 @@ def encode(formula: Term, spec: MonotonicitySpec, strategy: Strategy) -> Encoded
 
 # -- solving and the lazy loop --------------------------------------------------
 
-TIMEOUT_REASON = "timeout"
-
-
 def _check(session: SolverSession) -> Optional[SolverVerdict]:
     """check-sat; the verdict on unsat or unknown, None on sat."""
     answer = session.check_sat()
@@ -228,7 +225,7 @@ def _sat(session: SolverSession) -> SolverVerdict:
     try:
         return SolverVerdict.sat(session.extract_model())
     except TimeoutError:
-        return SolverVerdict.unknown(TIMEOUT_REASON)
+        return SolverVerdict.unknown(TIMEOUT)
 
 
 def solve(

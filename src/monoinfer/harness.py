@@ -11,6 +11,7 @@ cumulative (time, solved-count) tables ready for plotting.
 from __future__ import annotations
 
 import csv
+import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -28,16 +29,15 @@ from .network import (
     verify_solution,
 )
 from .problemfile import load_problem
-from .session import SAT, UNKNOWN, UNSAT, open_session
+from .session import SAT, TIMEOUT, UNKNOWN, UNSAT, open_session
 from .smtlib import emit_script
 from .terms import And
 
-TIMEOUT = "timeout"
 CRASH = "crash"
 UNSUPPORTED = "unsupported"
 
 DEFAULT_TIME_LIMIT_MS = 600_000  # the evaluation's 10-minute budget
-DEFAULT_PARALLELISM = 16
+DEFAULT_PARALLELISM = os.cpu_count() or 1  # more jobs than cores time the scheduler
 
 
 @dataclass
@@ -91,7 +91,7 @@ def _classify_unknown(reason: Optional[str]) -> tuple[Optional[str], Optional[st
     timeouts and fragment refusals are failures; a genuine solver 'unknown'
     stays a verdict."""
     text = (reason or "").lower()
-    if "timeout" in text:
+    if TIMEOUT in text:
         return None, TIMEOUT
     if "unsupported" in text or "budget" in text:
         return None, UNSUPPORTED

@@ -2,7 +2,8 @@
 
 Translates an inference problem into a quantifier-free formula with a
 monotonicity specification: an uninterpreted update function per variable
-(`problem.signature`; arity = its regulators, in variable-list order),
+(`problem.signature`), whose arguments are the variable's incoming
+regulations (`problem.inputs`, in the variable-list order of their sources),
 essentiality constraints (some context where varying one regulator changes
 the output), fixed-point constraints (one per observation, skolemized), and
 bounds on every bounded integer application and skolem constant, paired
@@ -131,11 +132,12 @@ class FixedPointObservation:
 class InferenceProblem:
     """An influence graph with fixed-point observations.
 
-    Construction validates the problem and indexes it once: the regulators
-    of each variable, the regulation of each (source, target) pair,
-    `signature` (each variable's update symbol) and `spec` (their
-    monotonicity specification).  Every reader uses that index, so the
-    lists must not be mutated after construction.
+    Construction validates the problem and indexes it once: `inputs` (each
+    variable's incoming regulations in argument order, i.e. in the
+    variable-list order of their sources), `signature` (each variable's
+    update symbol) and `spec` (their monotonicity specification).  Every
+    reader walks that index by argument position, so the lists must not be
+    mutated after construction.
     """
 
     variables: list[NetworkVariable]
@@ -147,58 +149,48 @@ class InferenceProblem:
         if len(set(names)) != len(names):
             raise ProblemError("duplicate variable names")
         # keyed by variable-list positions: small ints hash far faster than
-        # variables, and sorting them orders regulators as the list does
-        self._position = {v: i for i, v in enumerate(self.variables)}
-        self._regulation: dict[tuple[int, int], Regulation] = {}
-        sources: list[list[int]] = [[] for _ in self.variables]
+        # variables, and sorting them orders each variable's inputs as the
+        # list does
+        position = {v: i for i, v in enumerate(self.variables)}
+        incoming: list[dict[int, Regulation]] = [{} for _ in self.variables]
         for reg in self.regulations:
-            source = self._position.get(reg.source)
-            target = self._position.get(reg.target)
+            source = position.get(reg.source)
+            target = position.get(reg.target)
             if source is None or target is None:
                 raise ProblemError(
                     f"regulation {reg.source.name} -> {reg.target.name} "
                     "references an undeclared variable"
                 )
-            if (source, target) in self._regulation:
+            if source in incoming[target]:
                 raise ProblemError(
                     f"duplicate regulation {reg.source.name} -> {reg.target.name}"
                 )
-            self._regulation[source, target] = reg
-            sources[target].append(source)
+            incoming[target][source] = reg
         for obs in self.observations:
             for var, _ in obs.assignments:
-                if var not in self._position:
+                if var not in position:
                     raise ProblemError(
                         f"observation references undeclared variable {var.name}"
                     )
-        self._regulators: dict[NetworkVariable, tuple[NetworkVariable, ...]] = {}
+        self.inputs: dict[NetworkVariable, tuple[Regulation, ...]] = {}
         self.signature: dict[NetworkVariable, FunctionSymbol] = {}
         entries = {}
-        for target, var in enumerate(self.variables):
-            positions = sorted(sources[target])
-            regulators = tuple(self.variables[i] for i in positions)
-            signs = [self._regulation[i, target].sign for i in positions]
+        for var, regs in zip(self.variables, incoming):
+            inputs = tuple(regs[i] for i in sorted(regs))
             func = FunctionSymbol(
-                update_symbol_name(var), [r.domain for r in regulators], var.domain
+                f"f_{var.name}", [r.source.domain for r in inputs], var.domain
             )
-            self._regulators[var] = regulators
+            self.inputs[var] = inputs
             self.signature[var] = func
             entries[func] = (
-                {i for i, s in enumerate(signs, start=1) if s == Sign.MONOTONE},
-                {i for i, s in enumerate(signs, start=1) if s == Sign.ANTI_MONOTONE},
+                {i for i, r in enumerate(inputs, start=1) if r.sign == Sign.MONOTONE},
+                {i for i, r in enumerate(inputs, start=1) if r.sign == Sign.ANTI_MONOTONE},
             )
         self.spec = MonotonicitySpec(entries)
 
     def regulators_of(self, target: NetworkVariable) -> list[NetworkVariable]:
-        """Regulators in variable-list index order (fixes argument positions)."""
-        return list(self._regulators.get(target, ()))
-
-    def regulation(self, source: NetworkVariable, target: NetworkVariable) -> Regulation:
-        key = (self._position.get(source), self._position.get(target))
-        reg = self._regulation.get(key)
-        if reg is None:
-            raise ProblemError(f"no regulation {source.name} -> {target.name}")
-        return reg
+        """Regulators in argument order."""
+        return [r.source for r in self.inputs[target]]
 
     def all_bounded(self) -> bool:
         return all(v.domain.is_bounded for v in self.variables)
@@ -264,30 +256,26 @@ class UpdateFunctionTable:
         return f"UpdateFunctionTable({self.symbol.name}, {self.outputs!r})"
 
 
-def update_symbol_name(var: NetworkVariable) -> str:
-    return f"f_{var.name}"
-
-
 def essentiality_constraint(
     problem: InferenceProblem,
     target: NetworkVariable,
-    source: NetworkVariable,
+    position: int,
     simplify: bool = True,
 ) -> Term:
-    """Existence of a context in which varying the source regulator changes
-    the target's output.  With simplification, a Boolean source is directly
-    instantiated with true/false instead of two extra binders."""
-    reg = problem.regulation(source, target)
-    if not reg.essential:
+    """Existence of a context in which varying the regulator at argument
+    `position` (1-based) changes the target's output.  With simplification,
+    a Boolean source is directly instantiated with true/false instead of two
+    extra binders."""
+    inputs = problem.inputs[target]
+    source = inputs[position - 1].source
+    if not inputs[position - 1].essential:
         raise ProblemError(
             f"regulation {source.name} -> {target.name} is not declared essential"
         )
     func = problem.signature[target]
-    regulators = problem.regulators_of(target)
-    position = regulators.index(source) + 1
     context = {
-        i: Var(f"z{i}", regulators[i - 1].domain)
-        for i in range(1, len(regulators) + 1)
+        i: Var(f"z{i}", r.source.domain)
+        for i, r in enumerate(inputs, start=1)
         if i != position
     }
     if simplify and source.is_boolean:
@@ -299,12 +287,12 @@ def essentiality_constraint(
         y = Var("y", source.domain)
         hi, lo = x, y
         binders = [x, y]
-    binders += [context[i] for i in sorted(context)]
+    binders += context.values()
     args_hi = tuple(
-        hi if i == position else context[i] for i in range(1, len(regulators) + 1)
+        hi if i == position else context[i] for i in range(1, len(inputs) + 1)
     )
     args_lo = tuple(
-        lo if i == position else context[i] for i in range(1, len(regulators) + 1)
+        lo if i == position else context[i] for i in range(1, len(inputs) + 1)
     )
     body = ne(Apply(func, args_hi), Apply(func, args_lo))
     if not binders:
@@ -378,10 +366,10 @@ def encode_inference(
     plus bounds, paired with the monotonicity specification."""
     constraints: list[Term] = []
     for target in problem.variables:
-        for source in problem.regulators_of(target):
-            if problem.regulation(source, target).essential:
+        for position, reg in enumerate(problem.inputs[target], start=1):
+            if reg.essential:
                 constraints.append(
-                    essentiality_constraint(problem, target, source, simplify)
+                    essentiality_constraint(problem, target, position, simplify)
                 )
     for obs in problem.observations:
         constraints.append(fixed_point_constraint(problem, obs, simplify))
@@ -460,15 +448,13 @@ def verify_solution(
         )
     by_name = {t.symbol.name: t for t in tables}
     for var in problem.variables:
-        if update_symbol_name(var) not in by_name:
+        if problem.signature[var].name not in by_name:
             return VerificationResult(
                 False, Violation("structure", f"missing table for {var.name}")
             )
     for var in problem.variables:
-        table = by_name[update_symbol_name(var)]
-        regulators = problem.regulators_of(var)
-        for position, reg_var in enumerate(regulators, start=1):
-            reg = problem.regulation(reg_var, var)
+        table = by_name[problem.signature[var].name]
+        for position, reg in enumerate(problem.inputs[var], start=1):
             if reg.sign != Sign.UNKNOWN:
                 bad = _sign_violation(table, position, reg.sign)
                 if bad is not None:
@@ -477,7 +463,7 @@ def verify_solution(
                         Violation(
                             "monotonicity",
                             f"{table.symbol.name} argument {position} "
-                            f"({reg_var.name} -> {var.name}, {reg.sign}): "
+                            f"({reg.source.name} -> {var.name}, {reg.sign}): "
                             f"rows {bad[0]} -> {bad[1]!r} and "
                             f"{bad[2]} -> {bad[3]!r}",
                         ),
@@ -488,7 +474,7 @@ def verify_solution(
                     Violation(
                         "essentiality",
                         f"{table.symbol.name} ignores argument {position} "
-                        f"({reg_var.name} -> {var.name})",
+                        f"({reg.source.name} -> {var.name})",
                     ),
                 )
     for obs in problem.observations:
@@ -556,7 +542,7 @@ def _extends_to_fixed_point(
         )
     base = {v: observation.value_of(v) for v in problem.variables}
     updates = [
-        (var, tables[update_symbol_name(var)], problem.regulators_of(var))
+        (var, tables[problem.signature[var].name], problem.regulators_of(var))
         for var in problem.variables
     ]
     for combo in itertools.product(*(v.values() for v in free)):

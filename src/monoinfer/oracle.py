@@ -27,7 +27,6 @@ from .network import (
     NetworkVariable,
     ProblemError,
     UpdateFunctionTable,
-    update_symbol_name,
 )
 
 DEFAULT_BUDGET = 1 << 20
@@ -116,10 +115,11 @@ def enumerate_tables(
     forced = forced or {}
     budget = budget or _Budget(DEFAULT_BUDGET)
     points = list(itertools.product(*arg_domains))
+    grid, outs = set(points), set(out_values)
     for point, value in forced.items():
-        if point not in set(points):
+        if point not in grid:
             raise ProblemError(f"forced row {point} outside the grid")
-        if value not in set(out_values):
+        if value not in outs:
             raise ProblemError(f"forced output {value!r} outside the target domain")
     comp = _dominance_pairs(points, mono, anti)
     outputs: list[Value] = [None] * len(points)  # type: ignore[list-item]
@@ -200,11 +200,7 @@ def _tables_of(
     """Every table of `var`'s update symbol meeting its regulation signs,
     its essential regulations and the forced rows."""
     func = problem.signature[var]
-    essential = [
-        i
-        for i, source in enumerate(problem.regulators_of(var), start=1)
-        if problem.regulation(source, var).essential
-    ]
+    essential = [i for i, reg in enumerate(problem.inputs[var], start=1) if reg.essential]
     return enumerate_tables(
         [s.values() for s in func.arg_sorts],
         func.result_sort.values(),
@@ -296,7 +292,7 @@ def _has_fixed_point(
     free = [v for v in problem.variables if observation.value_of(v) is None]
     base = {v: observation.value_of(v) for v in problem.variables}
     updates = [
-        (var, tables[update_symbol_name(var)], problem.regulators_of(var))
+        (var, tables[problem.signature[var].name], problem.regulators_of(var))
         for var in problem.variables
     ]
     for combo in itertools.product(*(v.values() for v in free)):

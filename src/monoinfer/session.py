@@ -23,6 +23,7 @@ from typing import Optional, Sequence, Union
 
 from .engine import Engine, EngineUnsupported
 from .model import FunctionTable, Model, Value, ValueVector, default_output, evaluate_with
+from .sat import SAT, UNKNOWN, UNSAT
 from .smtlib import (
     SmtParseError,
     balanced,
@@ -35,10 +36,8 @@ from .terms import Apply, Const, Exists, Forall, FunctionSymbol, Term
 
 ENV_SOLVER_CMD = "MONOINFER_SOLVER_CMD"
 INTERNAL_SOLVER = "internal"
-
-SAT = "sat"
-UNSAT = "unsat"
-UNKNOWN = "unknown"
+# the unknown reason of a check-sat or model extraction cut off by the limit
+TIMEOUT = "timeout"
 
 
 class SessionUsageError(RuntimeError):
@@ -198,7 +197,7 @@ class InternalSession(SolverSession):
             return UNKNOWN
         if result == UNKNOWN and self._deadline is not None:
             if time.monotonic() > self._deadline:
-                self._unknown_reason = "timeout"
+                self._unknown_reason = TIMEOUT
                 return UNKNOWN
         if result == UNKNOWN:
             self._unknown_reason = "theory budget exhausted"
@@ -341,7 +340,7 @@ class ProcessSession(SolverSession):
 
     @property
     def unknown_reason(self) -> Optional[str]:
-        return "timeout" if self._timed_out else "solver returned unknown"
+        return TIMEOUT if self._timed_out else "solver returned unknown"
 
     def _extract_model(self) -> Model:
         """One get-value for every declared constant and asserted application;

@@ -24,7 +24,6 @@ from monoinfer.network import (
     encode_inference,
     essentiality_constraint,
     fixed_point_constraint,
-    update_symbol_name,
     verify_solution,
 )
 from monoinfer.session import InternalSession
@@ -129,6 +128,9 @@ def test_regulation_order_does_not_matter(seed, params):
     shuffled = InferenceProblem(problem.variables, regulations, problem.observations)
     for var in problem.variables:
         assert shuffled.regulators_of(var) == problem.regulators_of(var)
+        incoming = [r for r in regulations if r.target == var]
+        in_order = sorted(incoming, key=lambda r: problem.variables.index(r.source))
+        assert shuffled.inputs[var] == problem.inputs[var] == tuple(in_order)
     formula, spec = encode_inference(problem)
     shuffled_formula, shuffled_spec = encode_inference(shuffled)
     assert shuffled_formula == formula
@@ -175,7 +177,7 @@ def test_positive_self_loop_spec():
 
 def test_essentiality_arity_one(fig1):
     names = _fig1_vars(fig1)
-    eta = essentiality_constraint(fig1, names["c"], names["b"])
+    eta = essentiality_constraint(fig1, names["c"], 1)
     assert isinstance(eta, Exists)
     assert [v.name for v in eta.bound] == ["x", "y"]
     assert isinstance(eta.body, Cmp) and eta.body.op is CmpOp.NE
@@ -183,7 +185,7 @@ def test_essentiality_arity_one(fig1):
 
 def test_essentiality_middle_position(fig1):
     names = _fig1_vars(fig1)
-    eta = essentiality_constraint(fig1, names["a"], names["b"])
+    eta = essentiality_constraint(fig1, names["a"], 2)
     assert [v.name for v in eta.bound] == ["x", "y", "z1", "z3"]
     lhs, rhs = eta.body.lhs, eta.body.rhs
     assert isinstance(lhs, Apply) and isinstance(rhs, Apply)
@@ -195,13 +197,13 @@ def test_essentiality_middle_position(fig1):
 def test_essentiality_boolean_source_instantiated():
     a, b = _bool_var("a"), _bool_var("b")
     problem = InferenceProblem([a, b], [Regulation(a, b, essential=True)], [])
-    eta = essentiality_constraint(problem, b, a)
+    eta = essentiality_constraint(problem, b, 1)
     f_b = problem.signature[b]
     assert eta == Cmp(
         CmpOp.NE, Apply(f_b, (BoolLit(True),)), Apply(f_b, (BoolLit(False),))
     )
     # without simplification the binders remain
-    eta_raw = essentiality_constraint(problem, b, a, simplify=False)
+    eta_raw = essentiality_constraint(problem, b, 1, simplify=False)
     assert isinstance(eta_raw, Exists) and len(eta_raw.bound) == 2
 
 
@@ -209,7 +211,7 @@ def test_essentiality_requires_flag():
     a, b = _bool_var("a"), _bool_var("b")
     problem = InferenceProblem([a, b], [Regulation(a, b, essential=False)], [])
     with pytest.raises(ProblemError):
-        essentiality_constraint(problem, b, a)
+        essentiality_constraint(problem, b, 1)
 
 
 # -- fixed points ------------------------------------------------------------------------
@@ -523,8 +525,7 @@ def _all_pairs_verdict(problem, table):
     every pair of rows that differ at one position."""
     target = problem.variables[-1]
     rows = table.rows
-    for i, source in enumerate(problem.regulators_of(target)):
-        reg = problem.regulation(source, target)
+    for i, reg in enumerate(problem.inputs[target]):
         pairs = [
             (p, q)
             for p, q in itertools.product(rows, repeat=2)
