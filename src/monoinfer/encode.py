@@ -439,15 +439,14 @@ def monotonize_model(base: Model, spec: MonotonicitySpec) -> Model:
     for func in spec.entries:
         table = base.functions.get(func.name)
         rows = table.rows if table is not None else {}
+        mono, anti = spec.monotone(func), spec.anti_monotone(func)
         completed = MonotoneTable(
-            rows,
-            default_output(func.result_sort, rows.values()),
-            spec.monotone(func),
-            spec.anti_monotone(func),
+            rows, default_output(func.result_sort, rows.values()), mono, anti
         )
         for point, out in rows.items():
-            best = completed.lookup(point)
-            if best != out:
+            # a row is reproduced unless a row it dominates has a larger output
+            if any(o > out and _dominates(q, point, mono, anti) for q, o in rows.items()):
+                best = completed.lookup(point)
                 raise MonotonizationError(
                     f"{func.name}{point} maps to {out} but a dominated point "
                     f"forces at least {best}; base model violates a ground lemma"

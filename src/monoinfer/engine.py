@@ -13,6 +13,11 @@ ladder comparisons) comes from `Engine._and` and every equivalence from
 `Engine._iff_gate`; both fold constant and repeated operands, so only what
 stays open costs a SAT variable.
 
+The engine grounds and searches; it does not build models.  After a sat
+answer, `Engine.value` values any grounded constant or application, and
+`Engine.app_points` groups each symbol's applications by their point in that
+answer, which is all a session needs to tabulate a Model.
+
 Fragment limits (anything outside raises EngineUnsupported rather than
 risking a wrong verdict):
   - linear atoms must reduce to at most two unit-coefficient unknowns;
@@ -39,7 +44,7 @@ from typing import Optional, Union
 
 from . import sat
 from .difflogic import ZERO, DiffConstraint, solve_difference_constraints
-from .model import FunctionTable, Model, Value, default_output, evaluate_with
+from .model import Value, evaluate_with
 from .sat import SatSolver
 from .terms import (
     Add,
@@ -51,7 +56,6 @@ from .terms import (
     Const,
     Exists,
     Forall,
-    FunctionSymbol,
     Implies,
     IntLit,
     Neg,
@@ -98,26 +102,19 @@ class Engine:
         self.congruence_pairs: set[frozenset[Apply]] = set()  # grounded
         self._caught: set[Apply] = set()  # applications in a broken pair
         # per symbol, its applications grouped by point in the last model
-        self._app_points: dict[str, dict[tuple[Value, ...], list[Apply]]] = {}
-        self.declared_consts: dict[str, Const] = {}
-        self.declared_funcs: dict[str, FunctionSymbol] = {}
+        self.app_points: dict[str, dict[tuple[Value, ...], list[Apply]]] = {}
         self.node_bounds: dict[Node, Optional[tuple[int, int]]] = {}
         self.order_vars: dict[Node, dict[int, int]] = {}  # node -> {j: var for x >= j}
         self.quant_instances = 0
         self._int_values: dict[Node, int] = {}
-        self._have_model = False
 
     # -- declarations -----------------------------------------------------------
 
     def declare_const(self, const: Const) -> None:
-        self.declared_consts.setdefault(const.name, const)
         if const.sort.is_bool:
             self._bool_var(("c", const.name))
         else:
             self._register_int_node(("c", const.name), const.sort.bounds)
-
-    def declare_function(self, func: FunctionSymbol) -> None:
-        self.declared_funcs.setdefault(func.name, func)
 
     # -- variable/atom allocation -------------------------------------------------
 
@@ -295,7 +292,6 @@ class Engine:
             return node
         node = ("a", app)
         self.app_node[app] = node
-        self.declare_function(app.func)
         if app.func.result_sort.is_bool:
             self._bool_var(node)
         else:
@@ -317,12 +313,12 @@ class Engine:
         round is grounded against every application of its symbol at once."""
         caught: dict[Apply, None] = {}
         for name, apps in self.apps_by_symbol.items():
-            by_point = self._app_points[name] = {}
+            by_point = self.app_points[name] = {}
             for app in apps:
-                point = tuple(evaluate_with(a, self._leaf) for a in app.args)
+                point = tuple(evaluate_with(a, self.value) for a in app.args)
                 by_point.setdefault(point, []).append(app)
             for group in by_point.values():
-                values = [self._leaf(a) for a in group]
+                values = [self.value(a) for a in group]
                 if len(set(values)) > 1:
                     pairs = itertools.combinations(zip(group, values), 2)
                     for (a, va), (b, vb) in pairs:
@@ -488,7 +484,6 @@ class Engine:
         _check_expansion_budget(total)
 
     def assert_term(self, term: Term) -> None:
-        self._have_model = False
         match term:
             case BoolLit(value=True):
                 return
@@ -536,7 +531,6 @@ class Engine:
         """SAT search, difference-logic check and congruence pass, in rounds
         until a model breaks no congruence pair; `theory_rounds` counts every
         round, congruence rounds included."""
-        self._have_model = False
         for _ in range(MAX_THEORY_ROUNDS):
             result = self.sat.solve(deadline)
             if result != sat.SAT:
@@ -556,15 +550,14 @@ class Engine:
                 assert values is not None
                 self._int_values = {n: v for n, v in values.items() if n != ZERO}
                 if not self._ground_broken_congruence():
-                    self._have_model = True
                     return sat.SAT
             if deadline is not None and time.monotonic() > deadline:
                 return sat.UNKNOWN
         return sat.UNKNOWN
 
-    # -- model extraction -----------------------------------------------------------
+    # -- valuation -------------------------------------------------------------------
 
-    def _leaf(self, term: Const | Apply) -> Value:
+    def value(self, term: Const | Apply) -> Value:
         """Evaluator leaf over the current SAT model and order ladders; every
         constant and application it meets is grounded."""
         node = ("c", term.name) if isinstance(term, Const) else self.app_node[term]
@@ -580,23 +573,6 @@ class Engine:
             if model[ladder[j]] > 0:
                 return j
         return lo
-
-    def extract_model(self) -> Model:
-        if not self._have_model:
-            raise RuntimeError("no model available; call check() first")
-        constants: dict[str, Value] = {}
-        for name, const in self.declared_consts.items():
-            constants[name] = self._leaf(const)
-        functions: dict[str, FunctionTable] = {}
-        for fname, func in self.declared_funcs.items():
-            rows = {
-                point: self._leaf(group[0])
-                for point, group in self._app_points.get(fname, {}).items()
-            }
-            functions[fname] = FunctionTable(
-                rows, default_output(func.result_sort, rows.values())
-            )
-        return Model(constants, functions)
 
 
 def _check_expansion_budget(total: int) -> None:

@@ -15,7 +15,7 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -60,29 +60,13 @@ class RunRecord:
     def solved(self) -> bool:
         return self.verdict in (SAT, UNSAT)
 
-    CSV_FIELDS = (
-        "instance",
-        "strategy",
-        "verdict",
-        "failure",
-        "wall_ms",
-        "lemma_count",
-        "check_sat_count",
-        "verified",
-        "detail",
-    )
-
     def as_row(self) -> dict:
-        return {
-            "instance": self.instance,
-            "strategy": self.strategy,
+        """The record's fields in declaration order, formatted for CSV/JSON."""
+        return asdict(self) | {
             "verdict": self.verdict or "",
             "failure": self.failure or "",
             "wall_ms": f"{self.wall_ms:.3f}",
-            "lemma_count": self.lemma_count,
-            "check_sat_count": self.check_sat_count,
             "verified": "" if self.verified is None else str(self.verified).lower(),
-            "detail": self.detail,
         }
 
 
@@ -93,7 +77,7 @@ def _classify_unknown(reason: Optional[str]) -> tuple[Optional[str], Optional[st
     text = (reason or "").lower()
     if TIMEOUT in text:
         return None, TIMEOUT
-    if "unsupported" in text or "budget" in text:
+    if "unsupported" in text:
         return None, UNSUPPORTED
     return UNKNOWN, None
 
@@ -232,7 +216,7 @@ def run_batch(
 
 def write_records_csv(records: Sequence[RunRecord], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=RunRecord.CSV_FIELDS)
+        writer = csv.DictWriter(handle, fieldnames=[f.name for f in fields(RunRecord)])
         writer.writeheader()
         for record in records:
             writer.writerow(record.as_row())

@@ -1,10 +1,11 @@
 """Finite model presentation and the one ground-term evaluator.
 
 A Model assigns values to constants and finite lookup tables (with a
-default) to uninterpreted functions; it is the shape produced by the
-internal engine, by the process driver from an external solver's
-`get-value` answer, and by monotonization, whose completed functions are
-tables with their own `lookup`.
+default) to uninterpreted functions.  Both solving backends build theirs with
+`tabulate`, from the session's declarations, the points at which the formula
+applies each function and a valuation: the internal engine's, or the process
+driver's `get-value` answer.  Monotonization also yields a Model, whose
+completed functions are tables with their own `lookup`.
 
 There is one evaluator, `evaluate_with`: it computes literals, arithmetic,
 comparisons and connectives, and asks a caller-supplied leaf for the value
@@ -116,6 +117,30 @@ def default_output(sort: Sort, outputs: Iterable[Value]) -> Value:
     else:
         least = 0
     return min(outputs, default=least)
+
+
+def tabulate(
+    declared: Iterable[Const | FunctionSymbol],
+    rows: Iterable[tuple[Apply, ValueVector]],
+    value: Callable[[Term], Value],
+) -> Model:
+    """The Model of a solver's valuation: each declared constant gets
+    `value(c)`, each declared function a table of its (application, point)
+    rows, point -> `value(app)`, with the `default_output` of those values."""
+    tables: dict[str, dict[ValueVector, Value]] = {}
+    for app, point in rows:
+        tables.setdefault(app.func.name, {})[point] = value(app)
+    constants: dict[str, Value] = {}
+    functions: dict[str, FunctionTable] = {}
+    for item in declared:
+        if isinstance(item, Const):
+            constants[item.name] = value(item)
+        else:
+            table = tables.get(item.name, {})
+            functions[item.name] = FunctionTable(
+                table, default_output(item.result_sort, table.values())
+            )
+    return Model(constants, functions)
 
 
 def _cmp(op: CmpOp, lhs: Value, rhs: Value) -> bool:

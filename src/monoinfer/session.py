@@ -3,9 +3,11 @@
 InternalSession runs the built-in engine in-process; ProcessSession drives
 any conformant external solver over an SMT-LIB2 pipe (incremental mode,
 `:print-success` off), parsing check-sat and get-value responses and
-enforcing the wall-clock limit by killing the child on expiry.  It builds a
-model from one get-value answer, whose shape the standard fixes, rather
-than from get-model, whose function bodies may be any term.  The contract
+enforcing the wall-clock limit by killing the child on expiry.  It values
+its terms with one get-value answer, whose shape the standard fixes, rather
+than with get-model, whose function bodies may be any term.  Both build
+their Model with `model.tabulate`, from the declarations, one row per
+application point and their valuation.  The contract
 is declare, assert_formula, check_sat and extract_model: assertions are
 cumulative within a session, and a model may be extracted only right after
 a sat answer.
@@ -22,7 +24,7 @@ import time
 from typing import Optional, Sequence, Union
 
 from .engine import Engine, EngineUnsupported
-from .model import FunctionTable, Model, Value, ValueVector, default_output, evaluate_with
+from .model import Model, Value, evaluate_with, tabulate
 from .sat import SAT, UNKNOWN, UNSAT
 from .smtlib import (
     SmtParseError,
@@ -176,8 +178,6 @@ class InternalSession(SolverSession):
     def _declare_new(self, item) -> None:
         if isinstance(item, Const):
             self.engine.declare_const(item)
-        else:
-            self.engine.declare_function(item)
 
     def _assert(self, term: Term) -> None:
         if self._unsupported is not None:
@@ -212,7 +212,14 @@ class InternalSession(SolverSession):
         return self._unknown_reason
 
     def _extract_model(self) -> Model:
-        return self.engine.extract_model()
+        # the last congruence pass left every group with one result, so its
+        # first application stands for the group's row
+        rows = [
+            (group[0], point)
+            for by_point in self.engine.app_points.values()
+            for point, group in by_point.items()
+        ]
+        return tabulate(self.declared.values(), rows, self.engine.value)
 
 
 class _PipeReader:
@@ -362,18 +369,8 @@ class ProcessSession(SolverSession):
                     f"get-value answered {len(values)} of {len(terms)} terms"
                 )
         value = dict(zip(terms, values)).__getitem__
-        rows: dict[str, dict[ValueVector, Value]] = {}
-        for app in self._apps:
-            point = tuple(evaluate_with(a, value) for a in app.args)
-            rows.setdefault(app.func.name, {})[point] = value(app)
-        functions = {}
-        for func in self.declared.values():
-            if isinstance(func, FunctionSymbol):
-                table = rows.get(func.name, {})
-                functions[func.name] = FunctionTable(
-                    table, default_output(func.result_sort, table.values())
-                )
-        return Model({c.name: value(c) for c in consts}, functions)
+        rows = ((app, tuple(evaluate_with(a, value) for a in app.args)) for app in self._apps)
+        return tabulate(self.declared.values(), rows, value)
 
     def dispose(self) -> None:
         try:

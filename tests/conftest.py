@@ -21,6 +21,7 @@ from monoinfer.terms import (
     mk_and,
 )
 from monoinfer.problemfile import load_problem
+from monoinfer.session import InternalSession, ProcessSession
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIG1_PATH = REPO_ROOT / "problems" / "fig1.problem"
@@ -49,6 +50,12 @@ def free_vars(term: Term) -> set[Var]:
 
 # the shipped SMT-LIB2 solver, invoked portably (no PATH requirement)
 REPL_SOLVER_CMD = f"{sys.executable} -m monoinfer.smtserver"
+
+
+def sessions():
+    """One session of each backend: the in-process engine and the shipped
+    SMT-LIB2 solver driven over a pipe."""
+    return [InternalSession(), ProcessSession(REPL_SOLVER_CMD)]
 
 
 class Example1:

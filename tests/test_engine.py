@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sessions
+
 from monoinfer.difflogic import ZERO, DiffConstraint, solve_difference_constraints
 from monoinfer.engine import Engine, EngineUnsupported
 from monoinfer.model import evaluate
 from monoinfer.oracle import oracle_mono_sat
 from monoinfer.sat import SatSolver
+from monoinfer.session import InternalSession
 from monoinfer.terms import (
     BOOL,
     INT,
@@ -165,16 +168,23 @@ def _check(assertions):
     return engine
 
 
+def _session(assertions):
+    session = InternalSession()
+    for a in assertions:
+        session.assert_formula(a)
+    return session
+
+
 def test_engine_unbounded_arithmetic_chain():
     x, y = Const("x", INT), Const("y", INT)
-    engine = _check(
+    session = _session(
         [
             Cmp(CmpOp.LT, x, y),
             Cmp(CmpOp.LT, y, Add(x, IntLit(2))),
         ]
     )
-    assert engine.check() == "sat"
-    model = engine.extract_model()
+    assert session.check_sat() == "sat"
+    model = session.extract_model()
     xv, yv = evaluate(x, model), evaluate(y, model)
     assert xv < yv < xv + 2
 
@@ -337,11 +347,11 @@ def _ground_uf_formula(draw):
 @settings(max_examples=300, deadline=None)
 @given(_ground_uf_formula())
 def test_engine_congruence_on_demand_agrees_with_oracle(formula):
-    engine = _check([formula])
-    verdict = engine.check()
+    session = _session([formula])
+    verdict = session.check_sat()
     assert verdict == oracle_mono_sat(formula, MonotonicitySpec({}), (0, 2))
     if verdict == "sat":
-        assert evaluate(formula, engine.extract_model())
+        assert evaluate(formula, session.extract_model())
 
 
 def test_folded_shapes_make_no_sat_variable():
@@ -372,15 +382,15 @@ def test_folded_shapes_make_no_sat_variable():
 
 def test_engine_boolean_structure():
     p, q = Const("p", BOOL), Const("q", BOOL)
-    engine = _check(
+    session = _session(
         [
             mk_or([p, q]),
             Implies(p, q),
             Not(And([p, q])),
         ]
     )
-    assert engine.check() == "sat"
-    model = engine.extract_model()
+    assert session.check_sat() == "sat"
+    model = session.extract_model()
     assert evaluate(q, model) is True and evaluate(p, model) is False
 
 
@@ -451,13 +461,14 @@ def test_engine_model_extraction_completeness():
     f = FunctionSymbol("f", [INT], INT)
     x = Const("x", INT)
     unused = Const("unused", INT)
-    engine = Engine()
-    engine.declare_const(unused)
-    engine.assert_term(Cmp(CmpOp.EQ, Apply(f, (x,)), IntLit(3)))
-    assert engine.check() == "sat"
-    model = engine.extract_model()
-    assert "unused" in model.constants
-    assert model.functions["f"].lookup((model.constants["x"],)) == 3
+    for session in sessions():
+        with session:
+            session.declare(unused)
+            session.assert_formula(Cmp(CmpOp.EQ, Apply(f, (x,)), IntLit(3)))
+            assert session.check_sat() == "sat"
+            model = session.extract_model()
+            assert "unused" in model.constants
+            assert model.functions["f"].lookup((model.constants["x"],)) == 3
 
 
 def test_engine_timeout_returns_unknown():

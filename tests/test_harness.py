@@ -31,6 +31,15 @@ def test_record_invariant():
         RunRecord("i", "s", verdict="sat", failure="timeout")
 
 
+def test_classify_unknown_keeps_theory_budget_a_verdict():
+    classify = harness_module._classify_unknown
+    assert classify("timeout") == (None, "timeout")
+    reason = "unsupported: quantifier expansion budget exceeded (262144 > 65536)"
+    assert classify(reason) == (None, "unsupported")
+    assert classify("theory budget exhausted") == ("unknown", None)
+    assert classify("solver returned unknown") == ("unknown", None)
+
+
 def test_run_single_fig1_lazy(fig1):
     record, tables = run_single(
         fig1, Strategy.INST_LAZY, verify=True, instance_name="fig1"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN_DIR, REPL_SOLVER_CMD
+from conftest import GOLDEN_DIR, REPL_SOLVER_CMD, sessions
 
 from monoinfer.encode import LazyRunStats, encode_eager, solve_lazy
 from monoinfer.model import evaluate
@@ -36,12 +36,8 @@ from monoinfer.terms import (
 )
 
 
-def _sessions():
-    return [InternalSession(), ProcessSession(REPL_SOLVER_CMD)]
-
-
 def test_assert_false_is_unsat():
-    for session in _sessions():
+    for session in sessions():
         with session:
             session.assert_formula(BoolLit(False))
             assert session.check_sat() == "unsat"
@@ -49,7 +45,7 @@ def test_assert_false_is_unsat():
 
 def test_cumulative_assertions():
     p = Const("p", BOOL)
-    for session in _sessions():
+    for session in sessions():
         with session:
             session.assert_formula(p)
             assert session.check_sat() == "sat"
@@ -59,7 +55,7 @@ def test_cumulative_assertions():
 
 def test_example1_eager_through_both_backends(ex1):
     for spec, expected in ((ex1.spec, "unsat"), (ex1.spec_relaxed, "sat")):
-        for session in _sessions():
+        for session in sessions():
             with session:
                 session.assert_formula(encode_eager(ex1.phi, spec).formula)
                 assert session.check_sat() == expected
@@ -85,7 +81,7 @@ def test_internal_model_round_trip(ex1):
 
 
 def test_session_discipline_enforced(ex1):
-    for session in _sessions():
+    for session in sessions():
         with session:
             with pytest.raises(SessionUsageError):
                 session.extract_model()
