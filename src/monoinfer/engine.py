@@ -11,7 +11,10 @@ bounded integer interval, within an instantiation budget.  Every conjunction
 gate (And, and Or and Implies as negated conjunctions, integer equality, order
 ladder comparisons) comes from `Engine._and` and every equivalence from
 `Engine._iff_gate`; both fold constant and repeated operands, so only what
-stays open costs a SAT variable.
+stays open costs a SAT variable.  A gate is defined in both directions, so
+its inputs force it: gate variables are not SAT decision variables, and the
+search branches only on constants, application results, ladder and atom
+variables.
 
 The engine grounds and searches; it does not build models.  After a sat
 answer, `Engine.value` values any grounded constant or application, and
@@ -381,7 +384,7 @@ class Engine:
                 open_lits[l] = None
         if len(open_lits) < 2:
             return next(iter(open_lits), t)
-        g = self.sat.new_var()
+        g = self.sat.new_var(decide=False)
         for l in open_lits:
             self.sat.add_clause([-g, l])
         self.sat.add_clause([g] + [-l for l in open_lits])
@@ -400,7 +403,7 @@ class Engine:
         key = ("iff", la, lb) if la <= lb else ("iff", lb, la)
         g = self.gate_cache.get(key)
         if g is None:
-            g = self.gate_cache[key] = self.sat.new_var()
+            g = self.gate_cache[key] = self.sat.new_var(decide=False)
             self.sat.add_clause([-g, -la, lb])
             self.sat.add_clause([-g, la, -lb])
             self.sat.add_clause([g, la, lb])

@@ -8,6 +8,12 @@ learned-clause reduction.  Literals use the DIMACS convention (+v / -v,
 variables numbered from 1).  Clauses may keep arriving between solve()
 calls; learned clauses are retained across calls.
 
+Only decision variables are branched on (MiniSat's decision flag, Eén &
+Sörensson, SAT 2003): `new_var(decide=False)` makes a variable that never
+enters the heap, meant for a gate that its inputs force.  Should one stay
+open once every decision variable is assigned, the lowest open one is
+branched on, so the solver stays complete for any clause set.
+
 Backtracking is chronological (Nadel & Ryvchin, SAT 2018, with the
 invariants of Möhle & Biere, SAT 2019), so the trail is out of order: a
 propagated literal gets its implication level, the highest level among the
@@ -42,12 +48,13 @@ class SatSolver:
         self.qhead = 0
         self.activity: list[float] = [0.0]
         self.phase: list[bool] = [False]
+        self.decide: list[bool] = [False]
         self.var_inc = 1.0
         self.var_decay = 0.95
         self.cla_activity: list[float] = []
         self.cla_inc = 1.0
         self.ok = True
-        self._heap: list[tuple[float, int]] = []
+        self._heap: list[tuple[float, int]] = []  # decision variables only
         self._model: list[int] = []
         # search counters, cumulative over solve() calls; propagations
         # counts implied literals, not decisions
@@ -58,14 +65,18 @@ class SatSolver:
 
     # -- problem construction ----------------------------------------------------
 
-    def new_var(self) -> int:
+    def new_var(self, decide: bool = True) -> int:
+        """A fresh variable; `decide=False` keeps it out of the branching
+        heap."""
         self.num_vars += 1
         self.assign.append(0)
         self.level.append(0)
         self.reason.append(None)
         self.activity.append(0.0)
         self.phase.append(False)
-        heappush(self._heap, (0.0, self.num_vars))
+        self.decide.append(decide)
+        if decide:
+            heappush(self._heap, (0.0, self.num_vars))
         return self.num_vars
 
     def add_clause(self, lits: Iterable[int]) -> bool:
@@ -185,6 +196,8 @@ class SatSolver:
     # -- conflict analysis ----------------------------------------------------------
 
     def _bump_var(self, var: int) -> None:
+        if not self.decide[var]:
+            return
         self.activity[var] += self.var_inc
         if self.activity[var] > 1e100:
             for v in range(1, self.num_vars + 1):
@@ -192,7 +205,9 @@ class SatSolver:
             self.var_inc *= 1e-100
             # the heap's keys are the old activities: rebuild it
             self._heap = [
-                (-self.activity[v], v) for v in range(1, self.num_vars + 1) if self.assign[v] == 0
+                (-self.activity[v], v)
+                for v in range(1, self.num_vars + 1)
+                if self.assign[v] == 0 and self.decide[v]
             ]
             heapify(self._heap)
         heappush(self._heap, (-self.activity[var], var))
@@ -304,6 +319,7 @@ class SatSolver:
         del self.trail_lim[target_level:]
         trail = self.trail
         level = self.level
+        decide = self.decide
         kept = start
         for i in range(start, len(trail)):
             lit = trail[i]
@@ -311,7 +327,8 @@ class SatSolver:
             if level[var] > target_level:
                 self.assign[var] = 0
                 self.reason[var] = None
-                heappush(self._heap, (-self.activity[var], var))
+                if decide[var]:
+                    heappush(self._heap, (-self.activity[var], var))
             else:
                 trail[kept] = lit
                 kept += 1
@@ -332,11 +349,16 @@ class SatSolver:
         self._enqueue(learned[0], idx, level)
 
     def _pick_branch_var(self) -> Optional[int]:
-        # every unassigned variable has a heap entry (new_var and _backtrack
-        # push one), so an empty heap means a full assignment
+        # every unassigned decision variable has a heap entry (new_var and
+        # _backtrack push one), so an empty heap means they are all assigned;
+        # then the lowest open non-decision variable, else a full assignment
         while self._heap:
             _, var = heappop(self._heap)
             if self.assign[var] == 0:
+                return var
+        assign, decide = self.assign, self.decide
+        for var in range(1, self.num_vars + 1):
+            if assign[var] == 0 and not decide[var]:
                 return var
         return None
 

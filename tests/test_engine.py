@@ -36,7 +36,7 @@ from monoinfer.terms import (
     mk_and,
     mk_or,
 )
-from monoinfer.encode import encode_eager, encode_quant_aggregated
+from monoinfer.encode import encode_eager, encode_quant_aggregated, solve_lazy
 from monoinfer.network import encode_inference
 
 
@@ -378,6 +378,52 @@ def test_folded_shapes_make_no_sat_variable():
     engine.assert_term(Implies(And([_P, FALSE]), Cmp(CmpOp.EQ, f_c, IntLit(1))))
     assert engine.sat.num_vars == before
     assert not engine.apps_by_symbol
+
+
+def test_only_input_unknowns_are_decision_variables(monkeypatch):
+    engine = Engine()
+    gates = set()
+
+    def recording(make_gate):
+        def wrapped(*args):
+            before = engine.sat.num_vars
+            lit = make_gate(*args)
+            gates.update(range(before + 1, engine.sat.num_vars + 1))
+            return lit
+        return wrapped
+
+    monkeypatch.setattr(engine, "_and", recording(engine._and))
+    monkeypatch.setattr(engine, "_iff_gate", recording(engine._iff_gate))
+    h = _SYMBOLS[2]
+    f_c = Apply(_SYMBOLS[0], (_C,))
+    x, y = Const("x", INT), Const("y", INT)
+    engine.assert_term(Or([
+        And([_P, Apply(h, (_Q, _P))]),
+        Cmp(CmpOp.EQ, _P, _Q),
+        Cmp(CmpOp.EQ, f_c, _CD),
+        Cmp(CmpOp.LE, Sub(x, y), IntLit(2)),
+    ]))
+    inputs = {engine.true_var, *engine.bool_unknowns.values(), *engine.atom_var.values()}
+    for ladder in engine.order_vars.values():
+        inputs.update(ladder.values())
+    assert gates and engine.atom_var and len(engine.order_vars) == 3
+    assert gates | inputs == set(range(1, engine.sat.num_vars + 1))
+    assert not any(engine.sat.decide[v] for v in gates)
+    assert all(engine.sat.decide[v] for v in inputs)
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_engine_model_is_total_on_an_inference_instance(fig1, lazy):
+    formula, spec = encode_inference(fig1)
+    session = InternalSession()
+    if lazy:
+        assert solve_lazy(formula, spec, session).is_sat
+    else:
+        session.assert_formula(encode_eager(formula, spec).formula)
+        assert session.check_sat() == "sat"
+    sat = session.engine.sat
+    assert len(sat.model) == sat.num_vars + 1 and 0 not in sat.model[1:]
+    assert not all(sat.decide[1:])
 
 
 def test_engine_boolean_structure():

@@ -143,25 +143,34 @@ def test_rup_checker_rejects_a_clause_that_does_not_follow():
     assert checker.implied([])
 
 
+def _solve_random_3cnf(rng, n_vars, chunks, gates=(), unused=()):
+    """A random 3-CNF of ratio 4.2 over the variables not in `unused`, fed
+    in `chunks` parts with a solve after each until unsat; `gates` are
+    non-decision variables.  Every sat model must be total."""
+    used = [v for v in range(1, n_vars + 1) if v not in unused]
+    clauses = [
+        [rng.choice((1, -1)) * v for v in rng.sample(used, 3)]
+        for _ in range(round(4.2 * len(used)))
+    ]
+    solver = ProofSolver()
+    for v in range(1, n_vars + 1):
+        solver.new_var(decide=v not in gates)
+    chunk = len(clauses) // chunks + 1
+    for start in range(0, len(clauses), chunk):
+        for clause in clauses[start : start + chunk]:
+            solver.add_clause(clause)
+        if solver.solve() == UNSAT:
+            break
+        assert 0 not in solver.model[1:], "model leaves a variable open"
+    return solver
+
+
 def test_learned_clauses_are_rup_on_random_3cnf_fed_in_chunks():
     rng = random.Random(2018)
     below = units = 0
     answers = {SAT: 0, UNSAT: 0}
     for _ in range(100):
-        n_vars = rng.randint(30, 60)
-        clauses = [
-            [rng.choice((1, -1)) * v for v in rng.sample(range(1, n_vars + 1), 3)]
-            for _ in range(round(4.2 * n_vars))
-        ]
-        solver = ProofSolver()
-        for _ in range(n_vars):
-            solver.new_var()
-        chunk = len(clauses) // 4 + 1
-        for start in range(0, len(clauses), chunk):
-            for clause in clauses[start : start + chunk]:
-                solver.add_clause(clause)
-            if solver.solve() == UNSAT:
-                break
+        solver = _solve_random_3cnf(rng, rng.randint(30, 60), chunks=4)
         for answer in check_proof(solver):
             answers[answer] += 1
         below += solver.conflicts_below_decision_level
@@ -194,14 +203,61 @@ def test_unsat_inference_instance_has_a_rup_refutation(monkeypatch):
     assert solver.conflicts > 0
 
 
+def test_non_decision_variables_keep_the_solver_sound_and_complete():
+    # a third of the variables are non-decision, so open ones are left for
+    # the fallback; a few of them are in no clause, so only it assigns them
+    rng = random.Random(2003)
+    answers = {SAT: 0, UNSAT: 0}
+    for _ in range(60):
+        n_vars = rng.randint(30, 60)
+        gates = set(rng.sample(range(1, n_vars + 1), n_vars // 3))
+        unused = set(rng.sample(sorted(gates), 3))
+        solver = _solve_random_3cnf(rng, n_vars, 3, gates, unused)
+        for answer in check_proof(solver):
+            answers[answer] += 1
+    assert answers[SAT] and answers[UNSAT]
+
+
+def _decide(s: SatSolver, var: int) -> None:
+    s.trail_lim.append(len(s.trail))
+    s._enqueue(var, None, len(s.trail_lim))
+
+
+def test_branching_prefers_decision_variables_then_the_lowest_open_gate():
+    s = SatSolver()
+    decide = [True, False, True, False, False, True]
+    for flag in decide:
+        s.new_var(decide=flag)
+    for _ in range(3):  # decision variables while any is open
+        var = s._pick_branch_var()
+        assert var is not None and decide[var - 1]
+        _decide(s, var)
+    for expected in (2, 4, 5):  # then the lowest open non-decision variable
+        assert s._pick_branch_var() == expected
+        _decide(s, expected)
+    assert s._pick_branch_var() is None
+    # undo 4 and 5: the lowest of them is picked again
+    s._backtrack(4)
+    assert s._pick_branch_var() == 4
+    _decide(s, 4)
+    # undo a decision variable and gate 2: the decision variable comes first
+    third_decision = abs(s.trail[s.trail_lim[2]])
+    s._backtrack(2)
+    assert s._pick_branch_var() == third_decision
+    _decide(s, third_decision)
+    assert s._pick_branch_var() == 2
+
+
 def test_activity_rescale_rebuilds_the_heap():
     s = SatSolver()
-    a, b = s.new_var(), s.new_var()
+    a, gate, b = s.new_var(), s.new_var(decide=False), s.new_var()
     s.var_inc = 1e99
     s._bump_var(a)
+    s._bump_var(gate)
     s.var_inc = 3e101
     s._bump_var(b)  # past 1e100: every activity is scaled by 1e-100
     assert s.activity[a] < s.activity[b]
+    assert {var for _, var in s._heap} == {a, b}
     assert s._pick_branch_var() == b
 
 
