@@ -16,10 +16,14 @@ its inputs force it: gate variables are not SAT decision variables, and the
 search branches only on constants, application results, ladder and atom
 variables.
 
-The engine grounds and searches; it does not build models.  After a sat
-answer, `Engine.value` values any grounded constant or application, and
-`Engine.app_points` groups each symbol's applications by their point in that
-answer, which is all a session needs to tabulate a Model.
+The engine grounds and searches; it does not build models.  Nothing is
+declared ahead: a constant gets its SAT variable, ladder or difference-logic
+node where grounding first meets it.  After a sat answer, `Engine.value`
+values any application or constant, and `Engine.app_points` groups each
+symbol's applications by their point in that answer, which is all a session
+needs to tabulate a Model.  A constant that no assertion grounded (declared
+but unused, or only in the consequent of a lemma whose antecedent folds to
+false) is unconstrained and takes its sort's least value.
 
 Fragment limits (anything outside raises EngineUnsupported rather than
 risking a wrong verdict):
@@ -47,7 +51,7 @@ from typing import Optional, Union
 
 from . import sat
 from .difflogic import ZERO, DiffConstraint, solve_difference_constraints
-from .model import Value, evaluate_with
+from .model import Value, default_output, evaluate_with
 from .sat import SatSolver
 from .terms import (
     Add,
@@ -110,14 +114,6 @@ class Engine:
         self.order_vars: dict[Node, dict[int, int]] = {}  # node -> {j: var for x >= j}
         self.quant_instances = 0
         self._int_values: dict[Node, int] = {}
-
-    # -- declarations -----------------------------------------------------------
-
-    def declare_const(self, const: Const) -> None:
-        if const.sort.is_bool:
-            self._bool_var(("c", const.name))
-        else:
-            self._register_int_node(("c", const.name), const.sort.bounds)
 
     # -- variable/atom allocation -------------------------------------------------
 
@@ -220,7 +216,7 @@ class Engine:
             case IntLit(value=v):
                 return {}, v
             case Const(name=name):
-                self.declare_const(term)
+                self._register_int_node(("c", name), term.sort.bounds)
                 return {("c", name): 1}, 0
             case Apply():
                 node = self._register_app(term)
@@ -419,7 +415,6 @@ class Engine:
             case BoolLit(value=v):
                 return self.true_var if v else -self.true_var
             case Const(name=name):
-                self.declare_const(term)
                 return self._bool_var(("c", name))
             case Apply():
                 node = self._register_app(term)
@@ -561,9 +556,12 @@ class Engine:
     # -- valuation -------------------------------------------------------------------
 
     def value(self, term: Const | Apply) -> Value:
-        """Evaluator leaf over the current SAT model and order ladders; every
-        constant and application it meets is grounded."""
+        """Evaluator leaf over the current SAT model and order ladders.  Every
+        application it meets is grounded; a constant that no assertion
+        grounded is unconstrained and takes its sort's least value."""
         node = ("c", term.name) if isinstance(term, Const) else self.app_node[term]
+        if node not in self.node_bounds and node not in self.bool_unknowns:
+            return default_output(term.sort, ())
         if term.sort.is_bool:
             return self.sat.model[self.bool_unknowns[node]] > 0
         bounds = self.node_bounds.get(node)

@@ -110,9 +110,8 @@ class SolverSession:
     # -- protocol ----------------------------------------------------------------
 
     def assert_formula(self, term: Term) -> None:
-        # The walk fills `declared`, which the model is tabulated over, and
-        # grounds every declared constant in the internal engine, so one that
-        # only sits under a folded-away subterm still has a value.
+        # The walk only fills `declared`, which the model is tabulated over
+        # and a redeclaration is checked against.
         for item in collect_declarations([term]):
             self.declare(item)
         self._state = "fresh"
@@ -153,7 +152,7 @@ class SolverSession:
     _deadline: Optional[float] = None
 
     def _declare_new(self, item: Union[Const, FunctionSymbol]) -> None:
-        raise NotImplementedError
+        pass
 
     def _assert(self, term: Term) -> None:
         raise NotImplementedError
@@ -172,10 +171,6 @@ class InternalSession(SolverSession):
         super().__init__()
         self.engine = Engine()
         self._unsupported: Optional[str] = None
-
-    def _declare_new(self, item) -> None:
-        if isinstance(item, Const):
-            self.engine.declare_const(item)
 
     def _assert(self, term: Term) -> None:
         if self._unsupported is not None:

@@ -357,9 +357,10 @@ def test_engine_congruence_on_demand_agrees_with_oracle(formula):
 def test_folded_shapes_make_no_sat_variable():
     engine = Engine()
     p = engine.lit_of(_P)
-    engine.declare_const(_C)
-    engine.declare_const(_CD)
     t, f = engine.true_var, -engine.true_var
+    # grounding an atom registers the ladders of c and d, even one that folds
+    assert engine.lit_of(Cmp(CmpOp.LE, Sub(_C, _CD), IntLit(2))) == t
+    assert ("c", "c") in engine.order_vars and ("c", "d") in engine.order_vars
     before = engine.sat.num_vars
     TRUE, FALSE = BoolLit(True), BoolLit(False)
     folded = {

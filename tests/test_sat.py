@@ -22,8 +22,7 @@ class RupChecker:
     """A clause database that only grows; `implied` is the RUP test."""
 
     def __init__(self) -> None:
-        self.clauses: list[list[int]] = []
-        self.occurs: dict[int, list[int]] = defaultdict(list)
+        self.watches: dict[int, list[list[int]]] = defaultdict(list)
         self.units: list[int] = []
         self.has_empty = False
 
@@ -31,17 +30,18 @@ class RupChecker:
         clause = list(dict.fromkeys(clause))
         if not clause:
             self.has_empty = True
-            return
-        idx = len(self.clauses)
-        self.clauses.append(clause)
-        for lit in clause:
-            self.occurs[lit].append(idx)
-        if len(clause) == 1:
+        elif len(clause) == 1:
             self.units.append(clause[0])
+        else:
+            for lit in clause[:2]:
+                self.watches[lit].append(clause)
 
     def implied(self, clause: list[int]) -> bool:
         """Asserting the negation of `clause` and propagating units over the
-        database reaches a conflict."""
+        database reaches a conflict.  Each clause of two or more literals is
+        watched by two of them, and propagation moves a watch off a false
+        literal; every query starts from no assignment, so the moved watches
+        serve the next one too."""
         if self.has_empty:
             return True
         true: set[int] = set()
@@ -61,14 +61,26 @@ class RupChecker:
             return True
         while queue:
             falsified = -queue.pop()
-            for idx in self.occurs[falsified]:
-                open_lits = [q for q in self.clauses[idx] if -q not in true]
-                if any(q in true for q in open_lits):
+            watching = self.watches[falsified]
+            i = 0
+            while i < len(watching):
+                c = watching[i]
+                if c[0] == falsified:
+                    c[0], c[1] = c[1], c[0]
+                if c[0] in true:
+                    i += 1
                     continue
-                if not open_lits:
-                    return True
-                if len(open_lits) == 1:
-                    assign(open_lits[0])
+                for k in range(2, len(c)):
+                    if -c[k] not in true:  # a new watch for c[1]
+                        c[1], c[k] = c[k], c[1]
+                        self.watches[c[1]].append(c)
+                        watching[i] = watching[-1]
+                        watching.pop()
+                        break
+                else:
+                    if not assign(c[0]):
+                        return True
+                    i += 1
         return False
 
 
@@ -81,6 +93,7 @@ class ProofSolver(SatSolver):
         self.steps: list[tuple[str, list[int]]] = []
         self.conflicts_below_decision_level = 0
         self.units_above_level_zero = 0
+        self.dropped_clauses = 0
 
     def add_clause(self, lits):
         lits = list(lits)
@@ -98,6 +111,11 @@ class ProofSolver(SatSolver):
         if len(learned) == 1 and self.trail_lim:
             self.units_above_level_zero += 1
         super()._record_learned(learned, level)
+
+    def _reduce_learned(self):
+        before = len(self.clauses)
+        super()._reduce_learned()
+        self.dropped_clauses += before - len(self.clauses)
 
     def solve(self, deadline=None):
         answer = super().solve(deadline)
@@ -178,6 +196,24 @@ def test_learned_clauses_are_rup_on_random_3cnf_fed_in_chunks():
     assert answers[SAT] and answers[UNSAT]
     assert below > 0, "no conflict below the decision level"
     assert units > 0, "no unit learned above level 0"
+
+
+def test_learned_clause_reduction_keeps_the_refutation_checkable():
+    # past 2,000 learned clauses a restart drops the less active half of them
+    # and rebuilds the watches; this instance is unsat after about 3,100
+    # conflicts and goes through one reduction
+    rng = random.Random(7)
+    n_vars = 150
+    solver = ProofSolver()
+    for _ in range(n_vars):
+        solver.new_var()
+    for _ in range(round(4.26 * n_vars)):
+        solver.add_clause(
+            [rng.choice((1, -1)) * v for v in rng.sample(range(1, n_vars + 1), 3)]
+        )
+    assert solver.solve() == UNSAT
+    assert solver.dropped_clauses > 0
+    assert check_proof(solver) == [UNSAT]
 
 
 def test_unsat_inference_instance_has_a_rup_refutation(monkeypatch):

@@ -11,7 +11,6 @@ from conftest import GOLDEN_DIR, REPL_SOLVER_CMD, sessions
 
 from monoinfer.encode import LazyRunStats, encode_eager, solve_lazy
 from monoinfer.model import evaluate
-from monoinfer.network import encode_inference
 from monoinfer.session import (
     InternalSession,
     ProcessSession,
@@ -24,12 +23,14 @@ from monoinfer.smtserver import CommandError, SmtServer, serve
 from monoinfer.terms import (
     BOOL,
     INT,
+    And,
     Apply,
     BoolLit,
     Cmp,
     CmpOp,
     Const,
     FunctionSymbol,
+    Implies,
     IntLit,
     bounded_int,
     mk_and,
@@ -105,25 +106,24 @@ def test_conflicting_redeclaration_rejected():
         session.declare(Const("x", BOOL))
 
 
-def test_constants_numbered_before_applications_and_gates(fig1):
-    # the declaration walk in assert_formula declares every constant before
-    # the engine grounds the assertion; the SAT heap breaks activity ties by
-    # variable number, so this order decides what is branched on first
+def test_constants_grounded_only_where_an_assertion_reaches_them():
+    # the consequent of a lemma whose antecedent folds to false is never
+    # grounded, so its constants get no SAT variable or ladder and the model
+    # gives them their sort's least value
+    p, b = Const("p", BOOL), Const("b", BOOL)
+    x, u = Const("x", bounded_int(1, 3)), Const("u", INT)
+    consequent = And([b, Cmp(CmpOp.EQ, x, IntLit(2)), Cmp(CmpOp.EQ, u, IntLit(5))])
+    formula = And([p, Implies(And([p, BoolLit(False)]), consequent)])
     session = InternalSession()
-    session.assert_formula(encode_eager(*encode_inference(fig1)).formula)
+    session.assert_formula(formula)
+    assert session.check_sat() == "sat"
     engine = session.engine
-
-    def node_vars(kind):
-        out = [v for node, v in engine.bool_unknowns.items() if node[0] == kind]
-        for node, ladder in engine.order_vars.items():
-            if node[0] == kind:
-                out.extend(ladder.values())
-        return out
-
-    constants = node_vars("c")
-    later = set(range(1, engine.sat.num_vars + 1)) - {engine.true_var, *constants}
-    assert constants and node_vars("a") and later
-    assert max(constants) < min(later)
+    for node in (("c", "b"), ("c", "x"), ("c", "u")):
+        assert node not in engine.bool_unknowns and node not in engine.node_bounds
+    assert ("c", "x") not in engine.order_vars
+    model = session.extract_model()
+    assert model.constants == {"p": True, "b": False, "x": 1, "u": 0}
+    assert evaluate(formula, model) is True
 
 
 def test_lazy_loop_through_process_session(ex1):
