@@ -27,7 +27,7 @@ from .harness import (
 )
 from .oracle import OracleBudgetError, count_solutions, oracle_inference
 from .network import InferenceProblem, ProblemError, verify_solution
-from .problemfile import ProblemParseError, load_problem, save_problem
+from .problemfile import load_problem, save_problem
 from .session import ENV_SOLVER_CMD
 
 EXIT_SAT = 0
@@ -122,10 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(path: str) -> Union[InferenceProblem, int]:
     """The problem at `path`, or the exit code after reporting why it
-    cannot be loaded."""
+    cannot be loaded.  Parse and validation errors and undecodable bytes are
+    all ValueErrors."""
     try:
         return load_problem(path)
-    except (ProblemParseError, ProblemError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as err:

@@ -4,8 +4,11 @@ Decides ground formulas over Bool and Int with uninterpreted functions by
 grounding to CNF: uninterpreted applications become opaque unknowns, integer
 atoms are normalized to difference constraints (x - y <= k), and a CDCL SAT
 core is run in a lazy theory loop against the difference-constraint checker
-and Ackermann congruence, grounded on demand for each application pair that a
-candidate model values at one point with two results.  Universal
+and Ackermann congruence.  Congruence is grounded on demand: where a candidate
+model values applications of one symbol at one point with different results,
+each application whose result differs from that of the point's first
+application is tied to that first application, and an application caught
+again in a later round is tied to every application of its symbol.  Universal
 quantifiers are expanded finitely when every binder sort is Boolean or a
 bounded integer interval, within an instantiation budget.  Every conjunction
 gate (And, and Or and Implies as negated conjunctions, integer equality, order
@@ -106,7 +109,6 @@ class Engine:
         self.gate_cache: dict[Union[Term, tuple], int] = {}
         self.apps_by_symbol: dict[str, list[Apply]] = {}
         self.app_node: dict[Apply, Node] = {}
-        self.congruence_pairs: set[frozenset[Apply]] = set()  # grounded
         self._caught: set[Apply] = set()  # applications in a broken pair
         # per symbol, its applications grouped by point in the last model
         self.app_points: dict[str, dict[tuple[Value, ...], list[Apply]]] = {}
@@ -306,10 +308,18 @@ class Engine:
         return node
 
     def _ground_broken_congruence(self) -> bool:
-        """Ground congruence for each application pair the current model values
-        at one point with two results; False if there is none.  Each round is
-        a full SAT re-descent, so an application caught again after an earlier
-        round is grounded against every application of its symbol at once."""
+        """Tie each application that the current model values at an earlier
+        application's point, with another result, to that point's first
+        application; False if no point has two results.  Each round is a full
+        SAT re-descent, so an application caught again (one over unknown
+        arguments can meet a new point every round) is grounded against
+        every application of its symbol at once.
+
+        The rounds end without a record of grounded pairs: a broken pair has
+        its arguments at one point, so no antecedent literal is false at
+        level 0, and different results, so it was never grounded; a grounded
+        pair holds in every later model.  Each round grounds a new pair, and
+        pairs are finite; a repeated pair only repeats its clauses."""
         caught: dict[Apply, None] = {}
         for name, apps in self.apps_by_symbol.items():
             by_point = self.app_points[name] = {}
@@ -317,13 +327,11 @@ class Engine:
                 point = tuple(evaluate_with(a, self.value) for a in app.args)
                 by_point.setdefault(point, []).append(app)
             for group in by_point.values():
-                values = [self.value(a) for a in group]
-                if len(set(values)) > 1:
-                    pairs = itertools.combinations(zip(group, values), 2)
-                    for (a, va), (b, vb) in pairs:
-                        if va != vb:
-                            self._congruence(a, b)
-                            caught[a] = caught[b] = None
+                first = self.value(group[0])
+                for app in group[1:]:
+                    if self.value(app) != first:
+                        self._congruence(group[0], app)
+                        caught[group[0]] = caught[app] = None
         for app in caught:
             if app in self._caught:
                 for other in self.apps_by_symbol[app.func.name]:
@@ -333,28 +341,19 @@ class Engine:
         return bool(caught)
 
     def _congruence(self, a: Apply, b: Apply) -> None:
-        """Functional consistency: equal arguments force equal results."""
-        pair = frozenset((a, b))
-        if pair in self.congruence_pairs:
-            return
-        self.congruence_pairs.add(pair)
-        antecedent: list[int] = []
+        """Functional consistency: equal arguments force equal results.  An
+        argument equality folded to true is dropped by `SatSolver.add_clause`;
+        one folded to false, which only a caught-again application meets,
+        grounds nothing."""
+        negated: list[int] = []
         for arg_a, arg_b in zip(a.args, b.args):
-            if arg_a == arg_b:
-                continue
             if arg_a.sort.is_bool:
-                antecedent.append(self._iff_gate(self.lit_of(arg_a), self.lit_of(arg_b)))
+                negated.append(-self._iff_gate(self.lit_of(arg_a), self.lit_of(arg_b)))
             else:
-                le1 = self._diff_le_lit(arg_a, arg_b)
-                le2 = self._diff_le_lit(arg_b, arg_a)
-                antecedent.extend([le1, le2])
-        pruned = []
-        for l in antecedent:
-            if l == -self.true_var:
-                return  # arguments provably distinct; pair is vacuous
-            if l != self.true_var:
-                pruned.append(l)
-        negated = [-l for l in pruned]
+                negated.append(-self._diff_le_lit(arg_a, arg_b))
+                negated.append(-self._diff_le_lit(arg_b, arg_a))
+        if self.true_var in negated:
+            return
         na, nb = self.app_node[a], self.app_node[b]
         if a.func.result_sort.is_bool:
             va, vb = self._bool_var(na), self._bool_var(nb)
@@ -470,7 +469,7 @@ class Engine:
                 raise EngineUnsupported(
                     f"quantified variable {v.name} has an unbounded sort"
                 )
-            count *= len(v.sort.values())
+            count *= v.sort.size()
         return count
 
     def _precheck_expansion_budget(self, args: tuple[Term, ...]) -> None:
@@ -527,8 +526,8 @@ class Engine:
 
     def check(self, deadline: Optional[float] = None) -> str:
         """SAT search, difference-logic check and congruence pass, in rounds
-        until a model breaks no congruence pair; `theory_rounds` counts every
-        round, congruence rounds included."""
+        until a model gives each point of each symbol one result;
+        `theory_rounds` counts every round, congruence rounds included."""
         for _ in range(MAX_THEORY_ROUNDS):
             result = self.sat.solve(deadline)
             if result != sat.SAT:

@@ -114,7 +114,8 @@ class FixedPointObservation:
                 raise ProblemError(
                     f"value {value!r} does not have the sort of {var.name}"
                 )
-            if var.domain.is_bounded and value not in var.values():
+            bounds = var.domain.bounds
+            if bounds is not None and not bounds[0] <= value <= bounds[1]:
                 raise ProblemError(
                     f"value {value!r} outside the domain of {var.name}"
                 )
@@ -535,7 +536,7 @@ def _extends_to_fixed_point(
     observation: FixedPointObservation,
 ) -> bool:
     free = [v for v in problem.variables if observation.value_of(v) is None]
-    count = math.prod(len(v.values()) for v in free)
+    count = math.prod(v.domain.size() for v in free)
     if count > MAX_EXTENSION_STATES:
         raise ProblemError(
             f"fixed-point extension space {count} exceeds budget {MAX_EXTENSION_STATES}"

@@ -10,6 +10,7 @@ independent and the combinatorics stay within desk scale.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -157,10 +158,7 @@ def _observation_extensions(
     out = []
     for obs in problem.observations:
         free = [v for v in problem.variables if obs.value_of(v) is None]
-        count = 1
-        for v in free:
-            count *= len(v.values())
-        budget.spend(count)
+        budget.spend(math.prod(v.domain.size() for v in free))
         base = {v: obs.value_of(v) for v in problem.variables}
         states = []
         for combo in itertools.product(*(v.values() for v in free)):

@@ -35,7 +35,7 @@ from .network import (
     Regulation,
     Sign,
 )
-from .terms import BOOL, SortError, TermError, bounded_int, check_symbol_name, INT
+from .terms import BOOL, SortError, TermError, bounded_int, INT
 
 FORMAT_HEADER = "monoinfer-problem"
 FORMAT_VERSION = "1"
@@ -142,7 +142,6 @@ def _parse_variable(number, line, variables, var_order) -> None:
             number, f"expected '<name> bool' or '<name> int <lo>..<hi>', got {line!r}"
         )
     try:
-        check_symbol_name(name)
         var = NetworkVariable(name, domain)
     except (TermError, ProblemError) as err:
         raise ProblemParseError(number, str(err))
@@ -212,16 +211,9 @@ def _parse_value(number, text, var: NetworkVariable):
             number, f"value {text!r} outside the domain of {var.name}"
         )
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise ProblemParseError(number, f"malformed integer value {text!r}")
-    if var.domain.bounds is not None:
-        lo, hi = var.domain.bounds
-        if not lo <= value <= hi:
-            raise ProblemParseError(
-                number, f"value {value} outside the domain of {var.name}"
-            )
-    return value
 
 
 def serialize_problem(problem: InferenceProblem) -> str:

@@ -363,28 +363,25 @@ class SatSolver:
         return None
 
     def _reduce_learned(self) -> None:
-        """Drop the less active half of the learned clauses (unlocked, len > 2)."""
+        """Drop the less active half of the learned clauses longer than two.
+        It runs right after `_backtrack(0)`, so only level-0 literals keep a
+        reason, and `_analyze` never reads a level-0 reason: every reason is
+        cleared, and any clause may go."""
         learned_idx = [i for i, flag in enumerate(self.is_learned) if flag]
         if len(learned_idx) < 2000:
             return
-        locked = {r for r in self.reason if r is not None}
         learned_idx.sort(key=lambda i: self.cla_activity[i])
-        drop = {
-            i
-            for i in learned_idx[: len(learned_idx) // 2]
-            if i not in locked and len(self.clauses[i]) > 2
-        }
+        drop = {i for i in learned_idx[: len(learned_idx) // 2] if len(self.clauses[i]) > 2}
         if not drop:
             return
         keep = [i for i in range(len(self.clauses)) if i not in drop]
-        remap = {old: new for new, old in enumerate(keep)}
         self.clauses = [self.clauses[i] for i in keep]
         self.is_learned = [self.is_learned[i] for i in keep]
         self.cla_activity = [self.cla_activity[i] for i in keep]
         self.watches = {}
         for idx in range(len(self.clauses)):
             self._watch(idx)
-        self.reason = [remap[r] if r is not None else None for r in self.reason]
+        self.reason = [None] * len(self.reason)
 
     # -- main loop ---------------------------------------------------------------
 

@@ -81,6 +81,14 @@ class Sort:
         lo, hi = self.bounds
         return list(range(lo, hi + 1))
 
+    def size(self) -> int:
+        """How many values a bounded sort has, without listing them."""
+        if self.is_bool:
+            return 2
+        if self.bounds is None:
+            raise TermError("unbounded Integer sort has no finite value list")
+        return self.bounds[1] - self.bounds[0] + 1
+
     def same_kind(self, other: "Sort") -> bool:
         return self.kind is other.kind
 

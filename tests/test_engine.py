@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -240,21 +241,84 @@ def test_engine_bounded_congruence():
 # -- congruence on demand ----------------------------------------------------------
 
 
+def _input_clauses(engine):
+    return len(engine.sat.clauses) - sum(engine.sat.is_learned)
+
+
+def _one_result_per_point(engine):
+    return all(
+        len({engine.value(app) for app in group}) == 1
+        for by_point in engine.app_points.values()
+        for group in by_point.values()
+    )
+
+
 def test_engine_eager_fig1_needs_no_congruence(fig1):
-    # the eager lemmas already make every update symbol functional
+    # the eager lemmas already make every update symbol functional: the
+    # first model gives each point one result and check grounds nothing
     formula, spec = encode_inference(fig1)
     engine = _check([encode_eager(formula, spec).formula])
+    clauses, variables = _input_clauses(engine), engine.sat.num_vars
     assert engine.check() == "sat"
     assert engine.theory_rounds == 1
-    assert engine.congruence_pairs == set()
+    assert _one_result_per_point(engine)
+    assert (_input_clauses(engine), engine.sat.num_vars) == (clauses, variables)
 
 
 def test_engine_quant_aggregated_fig1_grounds_congruence(fig1):
     formula, spec = encode_inference(fig1)
     engine = _check([encode_quant_aggregated(formula, spec).formula])
+    clauses = _input_clauses(engine)
     assert engine.check() == "sat"
-    assert len(engine.congruence_pairs) >= 1
+    # order-encoded throughout, so every round after the first is a
+    # congruence round, and its clauses stay
+    assert engine.atom_var == {}
     assert engine.theory_rounds >= 2
+    assert _input_clauses(engine) > clauses
+    assert _one_result_per_point(engine)
+
+
+def test_engine_ties_every_result_of_a_point_to_its_first_application(monkeypatch):
+    # f(x), f(y), f(z) must take results 0, 1 and 2, so x, y and z must be
+    # distinct; the first model puts all three at one point
+    dom = bounded_int(0, 2)
+    f = FunctionSymbol("f", [dom], dom)
+    args = [Const(n, dom) for n in "xyz"]
+    assertions = [Cmp(CmpOp.EQ, Apply(f, (a,)), IntLit(i)) for i, a in enumerate(args)]
+    results_per_point = []
+    ground = Engine._ground_broken_congruence
+
+    def spy(engine):
+        broken = ground(engine)
+        results_per_point.append(max(
+            len({engine.value(app) for app in group})
+            for group in engine.app_points["f"].values()
+        ))
+        return broken
+
+    monkeypatch.setattr(Engine, "_ground_broken_congruence", spy)
+    session = _session(assertions)
+    assert session.check_sat() == "sat"
+    assert results_per_point[0] == 3 and results_per_point[-1] == 1
+    assert _one_result_per_point(session.engine)
+    model = session.extract_model()
+    assert all(evaluate(a, model) for a in assertions)
+    assert sorted(evaluate(a, model) for a in args) == [0, 1, 2]
+
+
+def test_engine_grounds_an_application_caught_again_against_its_whole_symbol():
+    # g(x) is true only at one of 64 points, so a tie per round would let
+    # the model move x through the points one round at a time
+    g = FunctionSymbol("g", [BOOL] * 6, BOOL)
+    target = (True, False, True, True, False, True)
+    assertions = [Apply(g, tuple(Const(f"x{i}", BOOL) for i in range(6)))]
+    for point in itertools.product((False, True), repeat=6):
+        app = Apply(g, tuple(BoolLit(v) for v in point))
+        assertions.append(app if point == target else Not(app))
+    engine = _check(assertions)
+    assert engine.check() == "sat"
+    assert engine.theory_rounds <= 4
+    assert tuple(engine.value(Const(f"x{i}", BOOL)) for i in range(6)) == target
 
 
 def _congruence_broken_in_every_model():
@@ -267,10 +331,11 @@ def _congruence_broken_in_every_model():
 def test_engine_deadline_bounds_congruence_rounds():
     import time
 
-    # unsat only in a second round, after the first grounds the broken pair
+    # the first round's model breaks the one pair, and grounding it leaves
+    # no model, so no second round runs
     engine = _congruence_broken_in_every_model()
     assert engine.check() == "unsat"
-    assert len(engine.congruence_pairs) == 1
+    assert engine.theory_rounds == 1
     late = time.monotonic() - 1
     assert _congruence_broken_in_every_model().check(deadline=late) == "unknown"
 

@@ -243,6 +243,15 @@ def test_cli_empty_integer_range_exit_code(tmp_path):
         assert "line 3: empty bounds interval (5, 3)" in proc.stderr
 
 
+def test_cli_undecodable_problem_file_exit_code(tmp_path):
+    bad = tmp_path / "latin1.problem"
+    bad.write_bytes(b"monoinfer-problem 1\nvariables\n  \xe9t\xe9 bool\nend\n")
+    for command in ("solve", "oracle"):
+        proc = _cli(command, "--problem", str(bad), expect=65)
+        assert "can't decode byte 0xe9" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_cli_usage_error_exit_code():
     _cli("solve", "--problem", str(FIG1_PATH), "--encoding", "bogus", expect=64)
     _cli("frobnicate", expect=64)

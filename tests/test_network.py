@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import free_vars, subterms
 from monoinfer import network
-from monoinfer.encode import encode_eager
+from monoinfer.encode import Strategy, encode, encode_eager, solve
 from monoinfer.generate import GeneratorParams, generate_instance
 from monoinfer.model import FunctionTable, Model
 from monoinfer.network import (
@@ -26,6 +26,8 @@ from monoinfer.network import (
     fixed_point_constraint,
     verify_solution,
 )
+from monoinfer.oracle import OracleBudgetError, oracle_inference
+from monoinfer.problemfile import ProblemParseError, parse_problem
 from monoinfer.session import InternalSession
 from monoinfer.terms import (
     BOOL,
@@ -627,3 +629,33 @@ def test_simplification_equivalence_unsat_case(fig1):
         session = InternalSession()
         session.assert_formula(encode_eager(formula, spec).formula)
         assert session.check_sat() == "unsat"
+
+
+# -- domains too large to list ----------------------------------------------------------------
+
+
+def _huge_problem_text(a_value):
+    # 10**15 + 1 values for a: listing them would take petabytes, and the
+    # quantified encodings range over them as b's argument
+    return (
+        "monoinfer-problem 1\nvariables\n  a int 0..1000000000000000\n  b bool\nend\n"
+        "regulations\n  b -> a sign=mono\n  a -> b sign=mono\nend\n"
+        f"observations\n  F1 {{ a={a_value} }}\n  F2 {{ b=1 }}\nend\n"
+    )
+
+
+def test_huge_bounded_domain_is_counted_not_listed():
+    with pytest.raises(ProblemParseError, match="outside the domain of a"):
+        parse_problem(_huge_problem_text(10**15 + 1))
+    problem = parse_problem(_huge_problem_text(10**15))
+    formula, spec = encode_inference(problem)
+    for strategy in Strategy:
+        verdict = solve(encode(formula, spec, strategy), spec, InternalSession())
+        if strategy in (Strategy.QUANT_INDIVIDUAL, Strategy.QUANT_AGGREGATED):
+            assert verdict.kind == "unknown"
+            assert "quantifier expansion budget exceeded" in verdict.reason
+        else:
+            assert verdict.is_sat
+    # F2 leaves a free: its extensions are counted against the budget
+    with pytest.raises(OracleBudgetError):
+        oracle_inference(problem)

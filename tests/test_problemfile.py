@@ -74,7 +74,8 @@ observations
   F1 { a=7 }
 end
 """
-    _expect_error(bad, "outside the domain")
+    err = _expect_error(bad, "value 7 outside the domain of a")
+    assert err.line == 9
 
 
 def test_empty_integer_range_is_positioned():

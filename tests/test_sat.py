@@ -198,22 +198,49 @@ def test_learned_clauses_are_rup_on_random_3cnf_fed_in_chunks():
     assert units > 0, "no unit learned above level 0"
 
 
-def test_learned_clause_reduction_keeps_the_refutation_checkable():
+def _add_random_3cnf_past_one_reduction(solver):
     # past 2,000 learned clauses a restart drops the less active half of them
     # and rebuilds the watches; this instance is unsat after about 3,100
     # conflicts and goes through one reduction
     rng = random.Random(7)
     n_vars = 150
-    solver = ProofSolver()
     for _ in range(n_vars):
         solver.new_var()
     for _ in range(round(4.26 * n_vars)):
         solver.add_clause(
             [rng.choice((1, -1)) * v for v in rng.sample(range(1, n_vars + 1), 3)]
         )
+
+
+def test_learned_clause_reduction_keeps_the_refutation_checkable():
+    solver = ProofSolver()
+    _add_random_3cnf_past_one_reduction(solver)
     assert solver.solve() == UNSAT
     assert solver.dropped_clauses > 0
     assert check_proof(solver) == [UNSAT]
+
+
+def test_learned_clause_reduction_clears_every_reason():
+    # the reduction runs at level 0, where no reason is read again
+    solver = ProofSolver()
+    reductions = []
+    reduce = solver._reduce_learned
+
+    def recording():
+        clauses, reasons = len(solver.clauses), sum(r is not None for r in solver.reason)
+        reduce()
+        if len(solver.clauses) < clauses:
+            reductions.append((reasons, sum(r is not None for r in solver.reason)))
+
+    solver._reduce_learned = recording
+    _add_random_3cnf_past_one_reduction(solver)
+    # y is propagated at level 0, with [-x, y] as its reason
+    x, y = solver.new_var(), solver.new_var()
+    solver.add_clause([-x, y])
+    solver.add_clause([x])
+    assert solver.solve() == UNSAT
+    assert reductions and all(before for before, _ in reductions)
+    assert all(after == 0 for _, after in reductions)
 
 
 def test_unsat_inference_instance_has_a_rup_refutation(monkeypatch):
