@@ -7,8 +7,11 @@ aggregated axiom at pairs of application argument vectors occurring in the
 formula suffice for equisatisfiability.  Both read one index of the
 formula's applications, built in a single traversal.  The eager encoding
 asserts every instance up front; the lazy loop values the applications
-on each candidate model the session extracts and builds a lemma only for a
-pair that model violates.
+on each candidate model the session extracts and asserts a lemma only for
+a pair that model violates.  Both hand a lemma to the session as its two
+applications (`SolverSession.assert_lemma`); a lemma Term is built only
+where text is needed: for an external solver, and in `encode_eager` and
+`ground_lemmas`, which `--emit-smt2` writes.
 
 Monotonization replaces each constrained symbol's table by a MonotoneTable,
 whose lookup is the monotone completion of its rows, so a monotonized model
@@ -25,7 +28,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .model import (
     FunctionTable,
@@ -172,15 +175,18 @@ def monotonicity_lemma(
     return _aggregated_body(func, spec, t, s)
 
 
+def lemma_pairs(formula: Term, spec: MonotonicitySpec) -> Iterator[tuple[Apply, Apply]]:
+    """The ordered pairs (t, s) of applications of one constrained symbol
+    occurring in the formula, in emission order.  The diagonal is dropped:
+    the lemma at (t, t) is valid."""
+    for apps in _application_index(formula, spec).values():
+        yield from itertools.permutations(apps, 2)
+
+
 def ground_lemmas(formula: Term, spec: MonotonicitySpec) -> list[Term]:
-    """All ordered-pair ground lemmas for applications occurring in the
-    formula, in emission order.  The diagonal is dropped: the lemma at
-    (t, t) is valid."""
-    return [
-        monotonicity_lemma(func, t.args, s.args, spec)
-        for func, apps in _application_index(formula, spec).items()
-        for t, s in itertools.permutations(apps, 2)
-    ]
+    """The lemma of every pair of `lemma_pairs`, in emission order."""
+    pairs = lemma_pairs(formula, spec)
+    return [monotonicity_lemma(t.func, t.args, s.args, spec) for t, s in pairs]
 
 
 def eager_lemma_count(formula: Term, spec: MonotonicitySpec) -> int:
@@ -198,14 +204,15 @@ def encode_eager(formula: Term, spec: MonotonicitySpec) -> EncodedProblem:
 
 
 def encode(formula: Term, spec: MonotonicitySpec, strategy: Strategy) -> EncodedProblem:
-    """The formula `solve` asserts under a strategy.  Lazy keeps the base
-    formula, with the eager lemma count as the bound on its candidates."""
+    """The formula `solve` asserts under a strategy.  Both instantiated
+    strategies keep the base formula, with the eager lemma count: `solve`
+    asserts the lemmas at application pairs, with no lemma Term."""
     if strategy is Strategy.QUANT_INDIVIDUAL:
         return encode_quant_individual(formula, spec)
     if strategy is Strategy.QUANT_AGGREGATED:
         return encode_quant_aggregated(formula, spec)
-    if strategy is Strategy.INST_EAGER:
-        return encode_eager(formula, spec)
+    if strategy is Strategy.INST_EAGER and not is_quantifier_free(formula):
+        raise EncodingError("eager instantiation requires a quantifier-free formula")
     return EncodedProblem(formula, eager_lemma_count(formula, spec), strategy)
 
 
@@ -235,31 +242,31 @@ def solve(
     stats: Optional[LazyRunStats] = None,
 ) -> SolverVerdict:
     """Solve an encoded problem through a session: the lazy loop for the
-    lazy strategy, one assert/check/extract for the others."""
+    lazy strategy, one assert/check/extract for the others.  Eager asserts
+    every ordered application pair's lemma after the base formula, in
+    emission order."""
     if encoded.strategy is Strategy.INST_LAZY:
         return solve_lazy(encoded.formula, spec, session, stats)
     session.assert_formula(encoded.formula)
+    if encoded.strategy is Strategy.INST_EAGER:
+        for t, s in lemma_pairs(encoded.formula, spec):
+            session.assert_lemma(t, s, spec)
     verdict = _check(session)
     return verdict if verdict is not None else _sat(session)
-
-
-# a lemma candidate: the symbol and the positions of its two applications
-# in the application index
-Pair = tuple[FunctionSymbol, int, int]
 
 
 def _violated_pairs(
     index: Mapping[FunctionSymbol, Sequence[Apply]],
     spec: MonotonicitySpec,
     model: Model,
-    asserted: set[Pair],
-) -> list[Pair]:
-    """The pairs (f, i, j) whose lemma the model falsifies, in emission order:
-    application i precedes application j in the specification order while
-    its result is larger (False < True).  Each application's point is valued
-    once and its result read from f's table at that point; pairs in
-    `asserted` are skipped.  A pair whose numeral arguments break the order
-    breaks it on values too, so it is never flagged."""
+    asserted: set[tuple[Apply, Apply]],
+) -> list[tuple[Apply, Apply]]:
+    """The application pairs (t, s) whose lemma the model falsifies, in
+    emission order: t precedes s in the specification order while its
+    result is larger (False < True).  Each application's point is valued
+    once and its result read from the symbol's table at that point; pairs
+    in `asserted` are skipped.  A pair whose numeral arguments break the
+    order breaks it on values too, so it is never flagged."""
     out = []
     leaf = model.leaf_value
     for func, apps in index.items():
@@ -270,24 +277,18 @@ def _violated_pairs(
         points = []
         for app in apps:
             point = tuple(evaluate_with(a, leaf) for a in app.args)
-            points.append((point, table.lookup(point)))
-        for (i, (p, p_out)), (j, (q, q_out)) in itertools.permutations(enumerate(points), 2):
-            if p_out > q_out and (func, i, j) not in asserted and _dominates(p, q, mono, anti):
-                out.append((func, i, j))
+            points.append((app, point, table.lookup(point)))
+        for (t, p, p_out), (s, q, q_out) in itertools.permutations(points, 2):
+            if p_out > q_out and (t, s) not in asserted and _dominates(p, q, mono, anti):
+                out.append((t, s))
     return out
-
-
-def _lemma(
-    index: Mapping[FunctionSymbol, Sequence[Apply]], spec: MonotonicitySpec, pair: Pair
-) -> Term:
-    func, i, j = pair
-    return monotonicity_lemma(func, index[func][i].args, index[func][j].args, spec)
 
 
 @dataclass
 class LazyRunStats:
     check_sat_calls: int = 0
-    asserted_lemmas: list[Term] = field(default_factory=list)
+    # the application pairs (t, s) whose lemma was asserted, in order
+    asserted_lemmas: list[tuple[Apply, Apply]] = field(default_factory=list)
 
 
 def solve_lazy(
@@ -301,9 +302,10 @@ def solve_lazy(
     no lemma is violated (sat, with that model) or the solver reports unsat.
 
     The applications are indexed once from the formula (the set never
-    grows); each candidate model values them once, and a lemma Term is built
-    only for a violated pair.  Every round asserts at least one new lemma,
-    so the loop terminates within (eager lemma count + 1) checks.
+    grows); each candidate model values them once, and only a violated
+    pair's lemma is asserted, through `session.assert_lemma`.  Every round
+    asserts at least one new lemma, so the loop terminates within (eager
+    lemma count + 1) checks.
     """
     if not is_quantifier_free(formula):
         raise EncodingError("lazy instantiation requires a quantifier-free formula")
@@ -311,7 +313,7 @@ def solve_lazy(
         stats = LazyRunStats()
     index = _application_index(formula, spec)
     session.assert_formula(formula)
-    asserted: set[Pair] = set()
+    asserted: set[tuple[Apply, Apply]] = set()
     while True:
         verdict = _check(session)
         stats.check_sat_calls += 1
@@ -323,10 +325,9 @@ def solve_lazy(
         violated = _violated_pairs(index, spec, verdict.model, asserted)
         if not violated:
             return verdict
-        for pair in violated:
-            lemma = _lemma(index, spec, pair)
-            session.assert_formula(lemma)
-            stats.asserted_lemmas.append(lemma)
+        for t, s in violated:
+            session.assert_lemma(t, s, spec)
+        stats.asserted_lemmas += violated
         asserted.update(violated)
 
 

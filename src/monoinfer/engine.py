@@ -17,7 +17,9 @@ ladder comparisons) comes from `Engine._and` and every equivalence from
 stays open costs a SAT variable.  A gate is defined in both directions, so
 its inputs force it: gate variables are not SAT decision variables, and the
 search branches only on constants, application results, ladder and atom
-variables.
+variables.  A monotonicity lemma becomes one clause over its antecedent and
+consequent literals, whether it arrives as a Term (`assert_term`) or as its
+two applications (`assert_lemma`).
 
 The engine grounds and searches; it does not build models.  Nothing is
 declared ahead: a constant gets its SAT variable, ladder or difference-logic
@@ -405,6 +407,13 @@ class Engine:
             self.sat.add_clause([g, -la, -lb])
         return g
 
+    def _and_not(self, x: int, y: int) -> int:
+        """x and not y, the negation of x -> y, cached on the literal pair."""
+        key = ("andnot", x, y)
+        if key not in self.gate_cache:
+            self.gate_cache[key] = self._and([x, -y])
+        return self.gate_cache[key]
+
     def lit_of(self, term: Term) -> int:
         """Literal equisatisfiably representing a Boolean-sorted ground term."""
         cached = self.gate_cache.get(term)
@@ -427,7 +436,7 @@ class Engine:
             case Or(args=args):
                 lit = -self._and([-self.lit_of(a) for a in args])
             case Implies(lhs=l, rhs=r):
-                lit = -self._and([self.lit_of(l), -self.lit_of(r)])
+                lit = -self._and_not(self.lit_of(l), self.lit_of(r))
             case Forall() | Exists():
                 raise EngineUnsupported(
                     "quantifier in a non-positive position; skolemize first"
@@ -452,13 +461,17 @@ class Engine:
             return self._diff_le_lit(r, l, 0)
         if op is CmpOp.GT:
             return self._diff_le_lit(r, l, -1)
+        both = self._int_eq_lit(l, r)
+        return both if op is CmpOp.EQ else -both
+
+    def _int_eq_lit(self, l: Term, r: Term) -> int:
         a1 = self._diff_le_lit(l, r, 0)
         a2 = self._diff_le_lit(r, l, 0)
         key = ("inteq", a1, a2)
         both = self.gate_cache.get(key)
         if both is None:
             both = self.gate_cache[key] = self._and([a1, a2])
-        return both if op is CmpOp.EQ else -both
+        return both
 
     # -- assertion ---------------------------------------------------------------------
 
@@ -497,19 +510,49 @@ class Engine:
             case Exists():
                 raise EngineUnsupported("existential quantifier; skolemize first")
             case Implies(lhs=l, rhs=r):
-                # direct clause when the antecedent is a conjunction (lemma
-                # shape); a false antecedent literal satisfies it, and then the
-                # consequent is never grounded
+                # direct clause when the antecedent is a conjunction and the
+                # consequent an implication (lemma shape); a false antecedent
+                # literal satisfies it, and then the consequent is never
+                # grounded
                 if isinstance(l, And):
                     negs = [-self.lit_of(a) for a in l.args]
                 else:
                     negs = [-self.lit_of(l)]
-                if self.true_var not in negs:
+                if self.true_var in negs:
+                    return
+                if isinstance(r, Implies):
+                    self.sat.add_clause(negs + [-self.lit_of(r.lhs), self.lit_of(r.rhs)])
+                else:
                     self.sat.add_clause(negs + [self.lit_of(r)])
             case Or(args=args):
                 self.sat.add_clause([self.lit_of(a) for a in args])
             case _:
                 self.sat.add_clause([self.lit_of(term)])
+
+    def assert_lemma(
+        self, t: Apply, s: Apply, mono: frozenset[int], anti: frozenset[int]
+    ) -> None:
+        """Ground the lemma at two applications of one symbol as the clause
+        `assert_term` makes of its Term: the negated antecedent literals in
+        `encode._aggregated_body`'s order, then f(t) <= f(s)."""
+        rest = [i for i in range(1, len(t.args) + 1) if i not in mono and i not in anti]
+        negs = []
+        for i in [*sorted(mono), *sorted(anti), *rest]:
+            x, y = t.args[i - 1], s.args[i - 1]
+            if i in anti:
+                x, y = y, x
+            signed = i in mono or i in anti
+            if x.sort.is_bool:
+                lx, ly = self.lit_of(x), self.lit_of(y)
+                negs.append(self._and_not(lx, ly) if signed else -self._iff_gate(lx, ly))
+            else:
+                negs.append(-(self._diff_le_lit(x, y) if signed else self._int_eq_lit(x, y)))
+        if self.true_var in negs:
+            return
+        if t.sort.is_bool:
+            self.sat.add_clause(negs + [-self.lit_of(t), self.lit_of(s)])
+        else:
+            self.sat.add_clause(negs + [self._diff_le_lit(t, s)])
 
     def _expand_forall(self, term: Forall) -> list[Term]:
         count = self._forall_instance_count(term)

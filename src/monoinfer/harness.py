@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .encode import Strategy, encode, solve
+from .encode import Strategy, encode, encode_eager, solve
 from .network import (
     InferenceProblem,
     ProblemError,
@@ -109,7 +109,9 @@ def run_single(
         # candidate-set bound (same as eager's count)
         lemma_count = encoded.lemma_count
         if emit_path is not None:
-            target = encoded.formula
+            # the script states every eager lemma; `solve` builds none
+            eager = strategy is Strategy.INST_EAGER
+            target = (encode_eager(formula, spec) if eager else encoded).formula
             assertions = list(target.args) if isinstance(target, And) else [target]
             script = emit_script(assertions)
             Path(emit_path).write_text(script, encoding="utf-8")

@@ -230,9 +230,9 @@ class UpdateFunctionTable:
         size = math.prod(sizes)
         if count != size:
             raise ProblemError(f"{symbol.name}: table has {count} rows, expected {size}")
-        out_values = symbol.result_sort.values()
-        if not set(outputs).issubset(out_values):
-            k = next(k for k, out in enumerate(outputs) if out not in out_values)
+        out_sort = symbol.result_sort
+        if not out_sort.admits(outputs):
+            k = next(k for k, out in enumerate(outputs) if not out_sort.admits([out]))
             raise ProblemError(
                 f"{symbol.name}{self.point(k)}: output {outputs[k]!r} outside the target domain"
             )
@@ -400,12 +400,11 @@ def decode_solution(
     tables = []
     for func in problem.signature.values():
         outputs = completed.functions[func.name].grid_outputs([s.values() for s in func.arg_sorts])
-        out_values = func.result_sort.values()
-        if not set(outputs).issubset(out_values):
-            # model values may exceed the domain only where the formula
-            # never constrained the point; clamp into the target domain
-            lo, hi = out_values[0], out_values[-1]
-            outputs = [out if out in out_values else max(min(out, hi), lo) for out in outputs]
+        if not func.result_sort.admits(outputs):
+            # model values may exceed an integer domain only where the
+            # formula never constrained the point; clamp into the domain
+            lo, hi = func.result_sort.bounds
+            outputs = [max(min(out, hi), lo) for out in outputs]
         tables.append(UpdateFunctionTable.from_outputs(func, outputs))
     return tables
 

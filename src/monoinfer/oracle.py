@@ -9,6 +9,7 @@ independent and the combinatorics stay within desk scale.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -112,15 +113,16 @@ def enumerate_tables(
     budget: Optional[_Budget] = None,
 ) -> Iterator[dict[ValueVector, Value]]:
     """All complete tables satisfying the sign, essentiality and forced-row
-    constraints, in deterministic mixed-radix order."""
+    constraints, in deterministic mixed-radix order.  `out_values` must be
+    ascending; a range is sliced and tested by its bounds, never listed."""
     forced = forced or {}
     budget = budget or _Budget(DEFAULT_BUDGET)
     points = list(itertools.product(*arg_domains))
-    grid, outs = set(points), set(out_values)
+    grid = set(points)
     for point, value in forced.items():
         if point not in grid:
             raise ProblemError(f"forced row {point} outside the grid")
-        if value not in outs:
+        if value not in out_values:
             raise ProblemError(f"forced output {value!r} outside the target domain")
     comp = _dominance_pairs(points, mono, anti)
     outputs: list[Value] = [None] * len(points)  # type: ignore[list-item]
@@ -133,20 +135,15 @@ def enumerate_tables(
             return
         point = points[j]
         choices = [forced[point]] if point in forced else out_values
-        for out in choices:
-            consistent = True
-            for i, rel in comp[j]:
-                if rel > 0:
-                    if not outputs[i] <= out:
-                        consistent = False
-                        break
-                elif not out <= outputs[i]:
-                    consistent = False
-                    break
-            if consistent:
-                outputs[j] = out
-                yield from dfs(j + 1)
-        return
+        # the outputs consistent with the earlier rows are one slice of the
+        # ascending choices, so every output tried spends budget
+        lo = max((outputs[i] for i, rel in comp[j] if rel > 0), default=None)
+        hi = min((outputs[i] for i, rel in comp[j] if rel < 0), default=None)
+        start = 0 if lo is None else bisect.bisect_left(choices, lo)
+        stop = len(choices) if hi is None else bisect.bisect_right(choices, hi)
+        for out in choices[start:stop]:
+            outputs[j] = out
+            yield from dfs(j + 1)
 
     yield from dfs(0)
 
@@ -199,9 +196,13 @@ def _tables_of(
     its essential regulations and the forced rows."""
     func = problem.signature[var]
     essential = [i for i, reg in enumerate(problem.inputs[var], start=1) if reg.essential]
+    # a range is iterated lazily and tested by its bounds, so a huge result
+    # domain meets the budget instead of being listed
+    bounds = func.result_sort.bounds
+    outputs = func.result_sort.values() if bounds is None else range(bounds[0], bounds[1] + 1)
     return enumerate_tables(
         [s.values() for s in func.arg_sorts],
-        func.result_sort.values(),
+        outputs,
         problem.spec.monotone(func),
         problem.spec.anti_monotone(func),
         essential,

@@ -7,10 +7,12 @@ enforcing the wall-clock limit by killing the child on expiry.  It values
 its terms with one get-value answer, whose shape the standard fixes, rather
 than with get-model, whose function bodies may be any term.  Both build
 their Model with `model.tabulate`, from the declarations, one row per
-application point and their valuation.  The contract
-is declare, assert_formula, check_sat and extract_model: assertions are
+application point and their valuation.  The contract is declare,
+assert_formula, assert_lemma, check_sat and extract_model: assertions are
 cumulative within a session, and a model may be extracted only right after
-a sat answer.
+a sat answer.  `assert_lemma` takes a monotonicity lemma as its two
+applications; an external solver is sent the lemma's Term, and the engine
+grounds it as one clause with no Term, stopping at the deadline.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .smtlib import (
     parse_get_value_response,
     term_to_sexpr,
 )
-from .terms import Apply, Const, Exists, Forall, FunctionSymbol, Term
+from .terms import Apply, Const, Exists, Forall, FunctionSymbol, MonotonicitySpec, Term
 
 ENV_SOLVER_CMD = "MONOINFER_SOLVER_CMD"
 INTERNAL_SOLVER = "internal"
@@ -117,6 +119,14 @@ class SolverSession:
         self._state = "fresh"
         self._assert(term)
 
+    def assert_lemma(self, t: Apply, s: Apply, spec: MonotonicitySpec) -> None:
+        """Assert the monotonicity lemma at two applications of one
+        constrained symbol; by default as its Term, which is the text an
+        external solver is sent."""
+        from .encode import monotonicity_lemma  # encode imports this module
+
+        self.assert_formula(monotonicity_lemma(t.func, t.args, s.args, spec))
+
     def check_sat(self) -> str:
         self.check_sat_count += 1
         answer = self._check_sat()
@@ -170,39 +180,48 @@ class InternalSession(SolverSession):
     def __init__(self) -> None:
         super().__init__()
         self.engine = Engine()
-        self._unsupported: Optional[str] = None
+        # why every later check answers unknown: an unsupported input, or a
+        # lemma left ungrounded at the deadline
+        self._refused: Optional[str] = None
+        self._unknown_reason: Optional[str] = None
 
     def _assert(self, term: Term) -> None:
-        if self._unsupported is not None:
+        self._ground(self.engine.assert_term, term)
+
+    def assert_lemma(self, t: Apply, s: Apply, spec: MonotonicitySpec) -> None:
+        """Ground the lemma in the engine, with no declaration walk: its
+        symbols and constants came with the base formula."""
+        self._state = "fresh"
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            self._refused = self._refused or TIMEOUT
+            return
+        mono, anti = spec.monotone(t.func), spec.anti_monotone(t.func)
+        self._ground(self.engine.assert_lemma, t, s, mono, anti)
+
+    def _ground(self, method, *args) -> None:
+        if self._refused is not None:
             return
         try:
-            self.engine.assert_term(term)
+            method(*args)
         except EngineUnsupported as err:
-            self._unsupported = str(err)
+            self._refused = f"unsupported: {err}"
 
     def _check_sat(self) -> str:
-        if self._unsupported is not None:
+        if self._refused is not None:
             return UNKNOWN
         try:
             result = self.engine.check(self._deadline)
         except EngineUnsupported as err:  # e.g. a congruence pair mixing sorts
-            self._unsupported = str(err)
+            self._refused = f"unsupported: {err}"
             return UNKNOWN
-        if result == UNKNOWN and self._deadline is not None:
-            if time.monotonic() > self._deadline:
-                self._unknown_reason = TIMEOUT
-                return UNKNOWN
         if result == UNKNOWN:
-            self._unknown_reason = "theory budget exhausted"
+            timed_out = self._deadline is not None and time.monotonic() > self._deadline
+            self._unknown_reason = TIMEOUT if timed_out else "theory budget exhausted"
         return result
-
-    _unknown_reason: Optional[str] = None
 
     @property
     def unknown_reason(self) -> Optional[str]:
-        if self._unsupported is not None:
-            return f"unsupported: {self._unsupported}"
-        return self._unknown_reason
+        return self._refused or self._unknown_reason
 
     def _extract_model(self) -> Model:
         # the last congruence pass left every group with one result, so its

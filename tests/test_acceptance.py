@@ -24,7 +24,7 @@ from monoinfer.encode import (
     encode_eager,
     encode_quant_aggregated,
     encode_quant_individual,
-    ground_lemmas,
+    lemma_pairs,
     monotonize_model,
     solve,
     solve_lazy,
@@ -246,7 +246,7 @@ def sweep_results():
                 "checks": stats.check_sat_calls,
                 "bound": eager_lemma_count(formula, spec) + 1,
                 "asserted": set(stats.asserted_lemmas),
-                "eager_set": set(ground_lemmas(formula, spec)),
+                "eager_set": set(lemma_pairs(formula, spec)),
             }
         )
     return results

@@ -16,6 +16,7 @@ from monoinfer.encode import (
     encode_quant_aggregated,
     encode_quant_individual,
     ground_lemmas,
+    lemma_pairs,
     monotonicity_lemma,
     solve,
     solve_lazy,
@@ -23,7 +24,7 @@ from monoinfer.encode import (
 from monoinfer.generate import GeneratorParams, generate_instance
 from monoinfer.model import Model, FunctionTable, evaluate
 from monoinfer.network import encode_inference
-from monoinfer.session import InternalSession
+from monoinfer.session import InternalSession, SolverSession
 from monoinfer.terms import (
     BOOL,
     INT,
@@ -39,6 +40,7 @@ from monoinfer.terms import (
     Implies,
     IntLit,
     MonotonicitySpec,
+    Not,
     bounded_int,
     is_quantifier_free,
     mk_and,
@@ -270,6 +272,65 @@ def test_eager_rejects_quantified_input(ex1):
     phi = Forall([x], Cmp(CmpOp.LE, x, x))
     with pytest.raises(EncodingError):
         encode_eager(phi, ex1.spec)
+    with pytest.raises(EncodingError):
+        encode(phi, ex1.spec, Strategy.INST_EAGER)
+
+
+def _mixed_lemma_problem(unsat):
+    """Boolean, order-encoded and difference-logic symbols with monotone,
+    anti-monotone and unsigned arguments of both sorts."""
+    dom = bounded_int(0, 3)
+    g = FunctionSymbol("g", [BOOL, BOOL, BOOL], BOOL)
+    h = FunctionSymbol("h", [dom, dom, dom], dom)
+    m = FunctionSymbol("m", [BOOL, dom], BOOL)
+    k = FunctionSymbol("k", [INT, INT], INT)
+    a, b, c = (Const(n, BOOL) for n in "abc")
+    x, y, z = (Const(n, dom) for n in "xyz")
+    u, v = Const("u", INT), Const("v", INT)
+    gs = [Apply(g, (a, b, c)), Apply(g, (b, a, c)), Apply(g, (BoolLit(True), b, BoolLit(False)))]
+    hs = [Apply(h, (x, y, z)), Apply(h, (y, x, z)), Apply(h, (IntLit(1), y, IntLit(2)))]
+    ms = [Apply(m, (a, x)), Apply(m, (b, y)), Apply(m, (c, IntLit(0)))]
+    ks = [Apply(k, (u, v)), Apply(k, (v, u))]
+    base = [gs[0], Not(gs[1]), gs[2], ms[0], Not(ms[1]), Not(ms[2]), Cmp(CmpOp.LT, ks[0], ks[1])]
+    base += [Cmp(CmpOp.LE, hs[2], z)]
+    if unsat:  # the lemma at (y, x, z), (x, y, z) forbids h(x, y, z) < h(y, x, z)
+        base += [Cmp(CmpOp.LT, hs[0], hs[1]), Cmp(CmpOp.LE, y, x)]
+    else:
+        base += [Cmp(CmpOp.LT, hs[1], hs[0])]
+    spec = MonotonicitySpec(
+        {g: ({1}, {2}), h: ({1}, {2}), m: ({2}, set()), k: (set(), {2})}
+    )
+    return mk_and(base), spec
+
+
+@pytest.mark.parametrize("unsat", [False, True])
+def test_eager_pair_path_grounds_as_the_term_path(unsat):
+    formula, spec = _mixed_lemma_problem(unsat)
+    by_pairs = InternalSession()
+    verdict = solve(encode(formula, spec, Strategy.INST_EAGER), spec, by_pairs)
+    by_terms = InternalSession()
+    by_terms.assert_formula(encode_eager(formula, spec).formula)
+    assert verdict.kind == by_terms.check_sat() == ("unsat" if unsat else "sat")
+    engines = by_pairs.engine, by_terms.engine
+    assert engines[0].sat.num_vars == engines[1].sat.num_vars
+    # the same input clauses, in the same order
+    inputs = [
+        [clause for clause, learned in zip(e.sat.clauses, e.sat.is_learned) if not learned]
+        for e in engines
+    ]
+    assert inputs[0] == inputs[1]
+
+
+def test_eager_pair_grounding_stops_at_the_deadline(monkeypatch):
+    formula, spec = _mixed_lemma_problem(False)
+    session = InternalSession()
+    grounded = []
+    monkeypatch.setattr(session.engine, "assert_lemma", lambda *args: grounded.append(args))
+    session.set_time_limit(0)  # expired before the first lemma
+    verdict = solve(encode(formula, spec, Strategy.INST_EAGER), spec, session)
+    assert verdict.kind == "unknown" and verdict.reason == "timeout"
+    assert grounded == []
+    assert eager_lemma_count(formula, spec) > 0
 
 
 def test_eager_count_invariant_on_example(ex1):
@@ -299,7 +360,7 @@ def violated_lemmas(formula, spec, model):
     hold a table for every constrained symbol applied twice."""
     index = encode_module._application_index(formula, spec)
     pairs = encode_module._violated_pairs(index, spec, model, set())
-    return {encode_module._lemma(index, spec, pair) for pair in pairs}
+    return {monotonicity_lemma(t.func, t.args, s.args, spec) for t, s in pairs}
 
 
 def test_violated_lemmas_all_equal_valuation(ex1):
@@ -430,8 +491,8 @@ def test_lazy_empty_spec_single_check(ex1):
 def test_lazy_asserted_lemmas_subset_of_eager(ex1):
     stats = LazyRunStats()
     solve_lazy(ex1.phi, ex1.spec, InternalSession(), stats)
-    eager_set = set(ground_lemmas(ex1.phi, ex1.spec))
-    assert set(stats.asserted_lemmas) <= eager_set
+    assert stats.asserted_lemmas
+    assert set(stats.asserted_lemmas) <= set(lemma_pairs(ex1.phi, ex1.spec))
 
 
 def test_lazy_asserted_lemma_order_pinned():
@@ -443,17 +504,27 @@ def test_lazy_asserted_lemma_order_pinned():
     formula, spec = encode_inference(generate_instance(3, params))
     stats = LazyRunStats()
     verdict = solve_lazy(formula, spec, InternalSession(), stats)
-    eager = ground_lemmas(formula, spec)
+    eager = list(lemma_pairs(formula, spec))
+    assert len(eager) == len(ground_lemmas(formula, spec))
     assert verdict.is_sat
     # criterion 6's bounds hold whatever order the SAT search produces
     assert set(stats.asserted_lemmas) <= set(eager)
     assert stats.check_sat_calls <= eager_lemma_count(formula, spec) + 1
     assert stats.check_sat_calls == 2
-    assert [eager.index(term) for term in stats.asserted_lemmas] == [
+    # each asserted pair's index among the eager pairs is its lemma's index
+    # in ground_lemmas
+    assert [eager.index(pair) for pair in stats.asserted_lemmas] == [
         0, 2, 19, 20, 33, 35, 47, 49, 54, 55, 56, 57, 58, 59, 61, 63, 89, 91, 92,
         103, 105, 107, 117, 119, 121, 139, 141, 159, 160, 169, 171, 174, 175, 176,
         177, 179, 181,
     ]
+
+
+class _TermLemmaSession(InternalSession):
+    """The in-process engine fed each lemma as a Term, through the default
+    `SolverSession.assert_lemma` that external solvers use."""
+
+    assert_lemma = SolverSession.assert_lemma
 
 
 def test_lazy_builds_only_the_lemmas_it_asserts(monkeypatch):
@@ -468,11 +539,18 @@ def test_lazy_builds_only_the_lemmas_it_asserts(monkeypatch):
         return monotonicity_lemma(*args)
 
     monkeypatch.setattr(encode_module, "monotonicity_lemma", counting)
+    # in-process, a lemma is grounded from its two applications: no Term
     stats = LazyRunStats()
     assert solve_lazy(formula, spec, InternalSession(), stats).is_sat
     assert stats.asserted_lemmas
+    assert built == []
+    # through the default session method, one Term per asserted pair
+    stats = LazyRunStats()
+    assert solve_lazy(formula, spec, _TermLemmaSession(), stats).is_sat
+    assert stats.asserted_lemmas
     assert len(built) == len(stats.asserted_lemmas)
     assert len(built) < eager_lemma_count(formula, spec)
+    assert built == [(t.func, t.args, s.args, spec) for t, s in stats.asserted_lemmas]
 
 
 def test_lazy_rejects_quantified_input(ex1):

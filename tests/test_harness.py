@@ -1,12 +1,13 @@
 import csv
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import FIG1_PATH, REPL_SOLVER_CMD
+from conftest import FIG1_PATH, GOLDEN_DIR, REPL_SOLVER_CMD
 
 from monoinfer import harness as harness_module
 from monoinfer.encode import Strategy
@@ -112,9 +113,7 @@ def test_run_single_emits_script(fig1, tmp_path):
         fig1, Strategy.INST_EAGER, emit_path=str(target), instance_name="fig1"
     )
     assert record.verdict == "sat"
-    text = target.read_text()
-    assert text.startswith("(set-logic UFLIA)")
-    assert text.rstrip().endswith("(check-sat)")
+    assert target.read_text() == (GOLDEN_DIR / "fig1_eager.smt2").read_text()
 
 
 def _make_suite(tmp_path, count=3):
@@ -178,12 +177,17 @@ def test_run_batch_empty_dir(tmp_path):
 # -- CLI ------------------------------------------------------------------------------
 
 
-def _cli(*args, expect=None):
+def _cli(*args, expect=None, memory_mb=None):
+    def limit_memory():  # a listed huge domain fails fast instead of growing
+        limit = memory_mb * 1024 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
     proc = subprocess.run(
         [sys.executable, "-m", "monoinfer.cli", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        preexec_fn=limit_memory if memory_mb else None,
     )
     if expect is not None:
         assert proc.returncode == expect, (proc.stdout, proc.stderr)
@@ -252,6 +256,39 @@ def test_cli_undecodable_problem_file_exit_code(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+HUGE_RESULT_DOMAIN = """\
+monoinfer-problem 1
+variables
+  a int 0..1000000000000000
+  b bool
+end
+regulations
+  b -> a sign=mono essential
+  b -> b sign=mono
+end
+observations
+  O1 { a=5 }
+end
+"""
+
+
+def test_cli_huge_result_domain_is_never_listed(tmp_path):
+    path = tmp_path / "huge.problem"
+    path.write_text(HUGE_RESULT_DOMAIN)
+    for strategy in ("instantiated-eager", "instantiated-lazy"):
+        proc = _cli(
+            "solve", "--problem", str(path), "--encoding", strategy, "--verify",
+            expect=0, memory_mb=2048,
+        )
+        assert f"{strategy}: sat" in proc.stdout
+        assert "verified: True" in proc.stdout
+    proc = _cli("oracle", "--problem", str(path), expect=0, memory_mb=2048)
+    assert proc.stdout.splitlines() == ["sat", "witness verified: True"]
+    # counting every table of `a` meets the budget, which refuses the file
+    proc = _cli("oracle", "--problem", str(path), "--count-solutions", expect=2, memory_mb=2048)
+    assert "enumeration budget exceeded" in proc.stderr
+
+
 def test_cli_usage_error_exit_code():
     _cli("solve", "--problem", str(FIG1_PATH), "--encoding", "bogus", expect=64)
     _cli("frobnicate", expect=64)
@@ -318,7 +355,8 @@ def test_cli_emit_smt2(tmp_path):
         "solve", "--problem", str(FIG1_PATH), "--encoding", "instantiated-eager",
         "--emit-smt2", str(target), expect=0,
     )
-    assert target.read_text().startswith("(set-logic UFLIA)")
+    # every ground lemma, byte for byte, although solving builds none
+    assert target.read_text() == (GOLDEN_DIR / "fig1_eager.smt2").read_text()
 
 
 STALLING_SOLVER = """\
