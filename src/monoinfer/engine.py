@@ -4,7 +4,8 @@ Decides ground formulas over Bool and Int with uninterpreted functions by
 grounding to CNF: uninterpreted applications become opaque unknowns, integer
 atoms are normalized to difference constraints (x - y <= k), and a CDCL SAT
 core is run in a lazy theory loop against the difference-constraint checker
-and Ackermann congruence.  Congruence is grounded on demand: where a candidate
+and Ackermann congruence, the monotonicity lemma with every argument unsigned
+asserted both ways.  Congruence is grounded on demand: where a candidate
 model values applications of one symbol at one point with different results,
 each application whose result differs from that of the point's first
 application is tied to that first application, and an application caught
@@ -343,27 +344,10 @@ class Engine:
         return bool(caught)
 
     def _congruence(self, a: Apply, b: Apply) -> None:
-        """Functional consistency: equal arguments force equal results.  An
-        argument equality folded to true is dropped by `SatSolver.add_clause`;
-        one folded to false, which only a caught-again application meets,
-        grounds nothing."""
-        negated: list[int] = []
-        for arg_a, arg_b in zip(a.args, b.args):
-            if arg_a.sort.is_bool:
-                negated.append(-self._iff_gate(self.lit_of(arg_a), self.lit_of(arg_b)))
-            else:
-                negated.append(-self._diff_le_lit(arg_a, arg_b))
-                negated.append(-self._diff_le_lit(arg_b, arg_a))
-        if self.true_var in negated:
-            return
-        na, nb = self.app_node[a], self.app_node[b]
-        if a.func.result_sort.is_bool:
-            va, vb = self._bool_var(na), self._bool_var(nb)
-            self.sat.add_clause(negated + [-va, vb])
-            self.sat.add_clause(negated + [va, -vb])
-        else:
-            self.sat.add_clause(negated + [self._node_le_lit(na, nb)])
-            self.sat.add_clause(negated + [self._node_le_lit(nb, na)])
+        """Functional consistency at (a, b): the lemma with every argument
+        unsigned, both ways (Ackermann's reduction)."""
+        self.assert_lemma(a, b, frozenset(), frozenset())
+        self.assert_lemma(b, a, frozenset(), frozenset())
 
     # -- Tseitin ----------------------------------------------------------------------
 
@@ -465,9 +449,10 @@ class Engine:
         return both if op is CmpOp.EQ else -both
 
     def _int_eq_lit(self, l: Term, r: Term) -> int:
+        """Literal for l = r, one gate that r = l shares."""
         a1 = self._diff_le_lit(l, r, 0)
         a2 = self._diff_le_lit(r, l, 0)
-        key = ("inteq", a1, a2)
+        key = ("inteq", a1, a2) if a1 <= a2 else ("inteq", a2, a1)
         both = self.gate_cache.get(key)
         if both is None:
             both = self.gate_cache[key] = self._and([a1, a2])
@@ -534,7 +519,9 @@ class Engine:
     ) -> None:
         """Ground the lemma at two applications of one symbol as the clause
         `assert_term` makes of its Term: the negated antecedent literals in
-        `encode._aggregated_body`'s order, then f(t) <= f(s)."""
+        `encode._aggregated_body`'s order, then f(t) <= f(s).  An argument in
+        neither `mono` nor `anti` is compared by equality, so with both empty
+        the lemma both ways is congruence at (t, s)."""
         rest = [i for i in range(1, len(t.args) + 1) if i not in mono and i not in anti]
         negs = []
         for i in [*sorted(mono), *sorted(anti), *rest]:

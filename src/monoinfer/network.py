@@ -399,6 +399,11 @@ def decode_solution(
     completed = monotonize_model(model, problem.spec)
     tables = []
     for func in problem.signature.values():
+        size = math.prod(s.size() for s in func.arg_sorts)
+        if size > MAX_EXTENSION_STATES:
+            raise ProblemError(
+                f"{func.name}: grid of {size} points exceeds budget {MAX_EXTENSION_STATES}"
+            )
         outputs = completed.functions[func.name].grid_outputs([s.values() for s in func.arg_sorts])
         if not func.result_sort.admits(outputs):
             # model values may exceed an integer domain only where the
@@ -424,8 +429,8 @@ class VerificationResult:
         return self.ok
 
 
-# the largest number of unobserved-variable assignments verify enumerates
-# for one observation
+# the largest grid decode tabulates for one symbol, and the largest number of
+# unobserved-variable assignments verify enumerates for one observation
 MAX_EXTENSION_STATES = 1 << 20
 
 

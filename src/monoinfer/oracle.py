@@ -195,6 +195,10 @@ def _tables_of(
     """Every table of `var`'s update symbol meeting its regulation signs,
     its essential regulations and the forced rows."""
     func = problem.signature[var]
+    # every grid row spends budget: refuse a grid over it before listing an axis
+    size = math.prod(s.size() for s in func.arg_sorts)
+    if size > budget.remaining:
+        raise OracleBudgetError(f"{func.name}: grid of {size} points exceeds the budget")
     essential = [i for i, reg in enumerate(problem.inputs[var], start=1) if reg.essential]
     # a range is iterated lazily and tested by its bounds, so a huge result
     # domain meets the budget instead of being listed

@@ -108,10 +108,10 @@ class SmtServer:
                 if item.arity != 0:
                     raise CommandError(f"{sexpr} expects {item.arity} arguments")
                 return Apply(item, ())
-            try:
+            # an SMT-LIB numeral: 0, or ASCII digits not starting with 0
+            if sexpr.isascii() and sexpr.isdigit() and (sexpr == "0" or sexpr[0] != "0"):
                 return IntLit(int(sexpr))
-            except ValueError:
-                raise CommandError(f"unknown symbol {sexpr!r}")
+            raise CommandError(f"unknown symbol {sexpr!r}")
         if not sexpr:
             raise CommandError("empty term")
         head, *rest = sexpr

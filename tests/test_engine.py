@@ -37,7 +37,12 @@ from monoinfer.terms import (
     mk_and,
     mk_or,
 )
-from monoinfer.encode import encode_eager, encode_quant_aggregated, solve_lazy
+from monoinfer.encode import (
+    encode_eager,
+    encode_quant_aggregated,
+    monotonicity_lemma,
+    solve_lazy,
+)
 from monoinfer.network import encode_inference
 
 
@@ -338,6 +343,46 @@ def test_engine_deadline_bounds_congruence_rounds():
     assert engine.theory_rounds == 1
     late = time.monotonic() - 1
     assert _congruence_broken_in_every_model().check(deadline=late) == "unknown"
+
+
+@pytest.mark.parametrize("result", [BOOL, bounded_int(0, 3), INT], ids=str)
+def test_congruence_is_the_unsigned_lemma_both_ways(result):
+    # Boolean, order-encoded and difference-logic arguments, some folding to
+    # constants or offsets
+    dom = bounded_int(0, 3)
+    f = FunctionSymbol("f", [BOOL, dom, INT], result)
+    a, x, y, u, v = Const("a", BOOL), Const("x", dom), Const("y", dom), Const("u", INT), Const("v", INT)
+    t = Apply(f, (a, x, u))
+    s = Apply(f, (BoolLit(True), y, Add(v, IntLit(1))))
+    base = Not(Cmp(CmpOp.EQ, t, s))
+    engines = _check([base]), _check([base])
+    engines[0]._congruence(t, s)
+    unsigned = MonotonicitySpec({})
+    engines[1].assert_term(monotonicity_lemma(f, t.args, s.args, unsigned))
+    engines[1].assert_term(monotonicity_lemma(f, s.args, t.args, unsigned))
+    assert engines[0].sat.num_vars == engines[1].sat.num_vars
+    # the same input clauses, in the same order
+    inputs = [
+        [clause for clause, learned in zip(e.sat.clauses, e.sat.is_learned) if not learned]
+        for e in engines
+    ]
+    assert inputs[0] == inputs[1]
+    for e in engines:
+        assert e.check() == "sat"
+        for equal in [a, Cmp(CmpOp.EQ, x, y), Cmp(CmpOp.EQ, u, Add(v, IntLit(1)))]:
+            e.assert_term(equal)
+        assert e.check() == "unsat"
+
+
+def test_integer_equality_is_one_literal_either_way():
+    dom = bounded_int(0, 3)
+    engine = Engine()
+    for x, y in [(Const("x", dom), Const("y", dom)), (Const("u", INT), Const("v", INT))]:
+        vars_before = engine.sat.num_vars
+        lit = engine.lit_of(Cmp(CmpOp.EQ, x, y))
+        vars_after = engine.sat.num_vars
+        assert engine.lit_of(Cmp(CmpOp.EQ, y, x)) == lit
+        assert engine.sat.num_vars == vars_after > vars_before
 
 
 _D = bounded_int(0, 2)

@@ -289,6 +289,39 @@ def test_cli_huge_result_domain_is_never_listed(tmp_path):
     assert "enumeration budget exceeded" in proc.stderr
 
 
+HUGE_ARGUMENT_DOMAIN = """\
+monoinfer-problem 1
+variables
+  a int 0..1000000000000000
+  b bool
+end
+regulations
+  a -> b sign=mono
+  b -> a sign=mono
+end
+observations
+  O1 { a=5 }
+end
+"""
+
+
+def test_cli_huge_argument_domain_is_refused_by_grid_size(tmp_path):
+    # b's table has a row per value of a: neither decode nor the oracle can
+    # tabulate it, and both refuse before listing a's axis
+    path = tmp_path / "huge.problem"
+    path.write_text(HUGE_ARGUMENT_DOMAIN)
+    for strategy in ("instantiated-eager", "instantiated-lazy"):
+        proc = _cli(
+            "solve", "--problem", str(path), "--encoding", strategy, "--verify",
+            expect=0, memory_mb=2048,
+        )
+        assert f"{strategy}: sat" in proc.stdout
+        assert "verification unavailable: f_b: grid of 1000000000000001 points" in proc.stdout
+    proc = _cli("oracle", "--problem", str(path), expect=2, memory_mb=2048)
+    assert "f_b: grid of 1000000000000001 points exceeds the budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_usage_error_exit_code():
     _cli("solve", "--problem", str(FIG1_PATH), "--encoding", "bogus", expect=64)
     _cli("frobnicate", expect=64)

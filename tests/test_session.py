@@ -374,9 +374,15 @@ def test_repl_malformed_terms_answer_errors():
         "(assert (= p))",
         "(assert (distinct p))",
     ]
-    out = _run_script("(declare-fun p () Bool)\n" + "\n".join(bad) + "\n(check-sat)\n(exit)\n")
+    # an SMT-LIB numeral is 0 or ASCII digits with no leading 0: no sign,
+    # separator or other script's digits
+    numerals = ["1_000", "-5", "+5", "007", "\uff11", "1\u0661"]
+    bad += [f"(assert (= x {n}))" for n in numerals]
+    declare = "(declare-fun p () Bool)\n(declare-fun x () Int)\n"
+    out = _run_script(declare + "\n".join(bad) + "\n(check-sat)\n(exit)\n")
     assert len(out) == len(bad) + 1
     assert all(line.startswith("(error") for line in out[:-1])
+    assert all("unknown symbol" in line for line in out[-1 - len(numerals):-1])
     assert out[-1] == "sat"
 
 
