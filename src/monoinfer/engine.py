@@ -11,7 +11,11 @@ each application whose result differs from that of the point's first
 application is tied to that first application, and an application caught
 again in a later round is tied to every application of its symbol.  Universal
 quantifiers are expanded finitely when every binder sort is Boolean or a
-bounded integer interval, within an instantiation budget.  Every conjunction
+bounded integer interval, within an instantiation budget that counts the full
+product of the binder domains.  Where the body is an implication, each
+antecedent conjunct over binders and literals alone is tabulated once, and an
+assignment that falsifies one is skipped before its instance is built.
+Expansion stops at the deadline it is given.  Every conjunction
 gate (And, and Or and Implies as negated conjunctions, integer equality, order
 ladder comparisons) comes from `Engine._and` and every equivalence from
 `Engine._iff_gate`; both fold constant and repeated operands, so only what
@@ -53,7 +57,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Optional, Union
+from operator import itemgetter
+from typing import Optional, Sequence, Union
 
 from . import sat
 from .difflogic import ZERO, DiffConstraint, solve_difference_constraints
@@ -77,6 +82,7 @@ from .terms import (
     Sub,
     Term,
     Var,
+    iter_subterms,
     lit as value_lit,
     substitute,
 )
@@ -449,13 +455,18 @@ class Engine:
         return both if op is CmpOp.EQ else -both
 
     def _int_eq_lit(self, l: Term, r: Term) -> int:
-        """Literal for l = r, one gate that r = l shares."""
-        a1 = self._diff_le_lit(l, r, 0)
-        a2 = self._diff_le_lit(r, l, 0)
-        key = ("inteq", a1, a2) if a1 <= a2 else ("inteq", a2, a1)
-        both = self.gate_cache.get(key)
+        """Literal for l = r, one gate that r = l shares: cached on the term
+        pair either way round, so neither bound is built twice, and on the
+        unordered literal pair of its bounds."""
+        both = self.gate_cache.get(("inteq", l, r))
         if both is None:
-            both = self.gate_cache[key] = self._and([a1, a2])
+            a1 = self._diff_le_lit(l, r, 0)
+            a2 = self._diff_le_lit(r, l, 0)
+            key = ("inteq", a1, a2) if a1 <= a2 else ("inteq", a2, a1)
+            both = self.gate_cache.get(key)
+            if both is None:
+                both = self.gate_cache[key] = self._and([a1, a2])
+            self.gate_cache[("inteq", l, r)] = self.gate_cache[("inteq", r, l)] = both
         return both
 
     # -- assertion ---------------------------------------------------------------------
@@ -478,7 +489,9 @@ class Engine:
                 total += self._forall_instance_count(a)
         _check_expansion_budget(total)
 
-    def assert_term(self, term: Term) -> None:
+    def assert_term(self, term: Term, deadline: Optional[float] = None) -> None:
+        """Ground `term` as clauses.  Quantifier expansion polls `deadline` and
+        raises TimeoutError once it has passed, leaving the rest ungrounded."""
         match term:
             case BoolLit(value=True):
                 return
@@ -488,31 +501,31 @@ class Engine:
             case And(args=args):
                 self._precheck_expansion_budget(args)
                 for a in args:
-                    self.assert_term(a)
+                    self.assert_term(a, deadline)
             case Forall():
-                for instance in self._expand_forall(term):
-                    self.assert_term(instance)
+                self._expand_forall(term, deadline)
             case Exists():
                 raise EngineUnsupported("existential quantifier; skolemize first")
             case Implies(lhs=l, rhs=r):
-                # direct clause when the antecedent is a conjunction and the
-                # consequent an implication (lemma shape); a false antecedent
-                # literal satisfies it, and then the consequent is never
-                # grounded
-                if isinstance(l, And):
-                    negs = [-self.lit_of(a) for a in l.args]
-                else:
-                    negs = [-self.lit_of(l)]
-                if self.true_var in negs:
-                    return
-                if isinstance(r, Implies):
-                    self.sat.add_clause(negs + [-self.lit_of(r.lhs), self.lit_of(r.rhs)])
-                else:
-                    self.sat.add_clause(negs + [self.lit_of(r)])
+                self._assert_implies(l.args if isinstance(l, And) else (l,), r)
             case Or(args=args):
                 self.sat.add_clause([self.lit_of(a) for a in args])
             case _:
                 self.sat.add_clause([self.lit_of(term)])
+
+    def _assert_implies(self, antecedent: Sequence[Term], consequent: Term) -> None:
+        """One clause for the conjunction `antecedent` implying `consequent`,
+        flattening a consequent implication (lemma shape); a false antecedent
+        literal satisfies it, and then the consequent is never grounded."""
+        negs = [-self.lit_of(a) for a in antecedent]
+        if self.true_var in negs:
+            return
+        if isinstance(consequent, Implies):
+            self.sat.add_clause(
+                negs + [-self.lit_of(consequent.lhs), self.lit_of(consequent.rhs)]
+            )
+        else:
+            self.sat.add_clause(negs + [self.lit_of(consequent)])
 
     def assert_lemma(
         self, t: Apply, s: Apply, mono: frozenset[int], anti: frozenset[int]
@@ -541,16 +554,47 @@ class Engine:
         else:
             self.sat.add_clause(negs + [self._diff_le_lit(t, s)])
 
-    def _expand_forall(self, term: Forall) -> list[Term]:
-        count = self._forall_instance_count(term)
-        domains = [v.sort.values() for v in term.bound]
-        self.quant_instances += count
+    def _expand_forall(self, term: Forall, deadline: Optional[float]) -> None:
+        """Ground every instance of `term` in product order; the budget counts
+        the full product.  An implication body's antecedent conjuncts over
+        binders and literals alone are tabulated once, and an assignment that
+        falsifies one is skipped unbuilt, since its clause holds a true
+        literal; a survivor grounds only the other conjuncts and the
+        consequent, which makes the clause its whole instance makes."""
+        self.quant_instances += self._forall_instance_count(term)
         _check_expansion_budget(self.quant_instances)
-        instances = []
+        bound, body = term.bound, term.body
+        domains = [[value_lit(val) for val in v.sort.values()] for v in bound]
+        guards: list[tuple[itemgetter, set]] = []  # (sub-tuple key, satisfying keys)
+        rest: list[Term] = []
+        if isinstance(body, Implies):
+            for conjunct in body.lhs.args if isinstance(body.lhs, And) else (body.lhs,):
+                positions = _binder_positions(conjunct, bound)
+                if not positions:
+                    rest.append(conjunct)
+                    continue
+                binders = [bound[i] for i in positions]
+                # itemgetter gives a bare value for one position; keying each
+                # sub-tuple by the getter of its own positions matches that
+                sub_key = itemgetter(*range(len(positions)))
+                table = {
+                    sub_key(sub)
+                    for sub in itertools.product(*(domains[i] for i in positions))
+                    if evaluate_with(substitute(conjunct, dict(zip(binders, sub))), self.value)
+                }
+                guards.append((itemgetter(*positions), table))
         for combo in itertools.product(*domains):
-            mapping = {v: value_lit(val) for v, val in zip(term.bound, combo)}
-            instances.append(substitute(term.body, mapping))
-        return instances
+            if any(key(combo) not in table for key, table in guards):
+                continue
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError("quantifier expansion passed the deadline")
+            mapping = dict(zip(bound, combo))
+            if isinstance(body, Implies):
+                self._assert_implies(
+                    [substitute(c, mapping) for c in rest], substitute(body.rhs, mapping)
+                )
+            else:
+                self.assert_term(substitute(body, mapping), deadline)
 
     # -- solving -----------------------------------------------------------------------
 
@@ -611,6 +655,18 @@ def _check_expansion_budget(total: int) -> None:
             f"quantifier expansion budget exceeded "
             f"({total} > {MAX_QUANTIFIER_INSTANCES})"
         )
+
+
+def _binder_positions(term: Term, bound: tuple[Var, ...]) -> list[int]:
+    """Positions in `bound` of the binders `term` mentions, or none when it
+    holds a Const, an Apply, a quantifier or a Var bound elsewhere."""
+    subterms = list(iter_subterms(term))
+    for t in subterms:
+        if isinstance(t, (Const, Apply, Forall, Exists)):
+            return []
+        if isinstance(t, Var) and t not in bound:
+            return []
+    return [i for i, v in enumerate(bound) if v in subterms]
 
 
 def _merge(a: dict[Node, int], b: dict[Node, int], sign: int) -> dict[Node, int]:

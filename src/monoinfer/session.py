@@ -12,7 +12,9 @@ assert_formula, assert_lemma, check_sat and extract_model: assertions are
 cumulative within a session, and a model may be extracted only right after
 a sat answer.  `assert_lemma` takes a monotonicity lemma as its two
 applications; an external solver is sent the lemma's Term, and the engine
-grounds it as one clause with no Term, stopping at the deadline.
+grounds it as one clause with no Term.  The engine stops grounding lemmas
+and quantifier instances at the deadline, and every later check answers
+unknown (`timeout`).
 """
 
 from __future__ import annotations
@@ -181,12 +183,12 @@ class InternalSession(SolverSession):
         super().__init__()
         self.engine = Engine()
         # why every later check answers unknown: an unsupported input, or a
-        # lemma left ungrounded at the deadline
+        # lemma or quantifier instance left ungrounded at the deadline
         self._refused: Optional[str] = None
         self._unknown_reason: Optional[str] = None
 
     def _assert(self, term: Term) -> None:
-        self._ground(self.engine.assert_term, term)
+        self._ground(self.engine.assert_term, term, self._deadline)
 
     def assert_lemma(self, t: Apply, s: Apply, spec: MonotonicitySpec) -> None:
         """Ground the lemma in the engine, with no declaration walk: its
@@ -205,6 +207,8 @@ class InternalSession(SolverSession):
             method(*args)
         except EngineUnsupported as err:
             self._refused = f"unsupported: {err}"
+        except TimeoutError:  # quantifier expansion reached the deadline
+            self._refused = TIMEOUT
 
     def _check_sat(self) -> str:
         if self._refused is not None:

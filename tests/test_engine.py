@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -34,12 +35,16 @@ from monoinfer.terms import (
     Sub,
     Var,
     bounded_int,
+    lit,
     mk_and,
     mk_or,
+    ordering_atom,
+    substitute,
 )
 from monoinfer.encode import (
     encode_eager,
     encode_quant_aggregated,
+    encode_quant_individual,
     monotonicity_lemma,
     solve_lazy,
 )
@@ -574,6 +579,77 @@ def test_engine_quantifier_expansion_bounded_int():
         ]
     )
     assert engine.check() == "unsat"
+
+
+def _term_expansion(engine, axiom):
+    """Every instance of `axiom` as its own substituted Term, in product order."""
+    for combo in itertools.product(*(v.sort.values() for v in axiom.bound)):
+        engine.assert_term(substitute(axiom.body, {v: lit(x) for v, x in zip(axiom.bound, combo)}))
+
+
+_D3 = bounded_int(0, 2)
+_GUARDED = {
+    "mono-anti": (FunctionSymbol("f", [_D3, _D3], _D3), ({1}, {2})),
+    "mono-unsigned": (FunctionSymbol("f", [_D3, _D3], _D3), ({1}, set())),
+    "anti-unsigned": (FunctionSymbol("f", [_D3, _D3], _D3), (set(), {2})),
+    "boolean-arguments": (FunctionSymbol("h", [BOOL, BOOL, BOOL], BOOL), ({1}, {2})),
+}
+
+
+@pytest.mark.parametrize("encoder", [encode_quant_individual, encode_quant_aggregated])
+@pytest.mark.parametrize("case", sorted(_GUARDED))
+def test_guarded_expansion_grounds_what_the_term_expansion_grounds(case, encoder):
+    func, signs = _GUARDED[case]
+    spec = MonotonicitySpec({func: signs})
+    args = [Const(f"a{i}", s) for i, s in enumerate(func.arg_sorts)]
+    base = Not(Cmp(CmpOp.EQ, Apply(func, tuple(args)), Apply(func, tuple(reversed(args)))))
+    axioms = [c for c in encoder(base, spec).formula.args if isinstance(c, Forall)]
+    assert axioms
+    guarded, by_term = _check([base]), _check([base])
+    for axiom in axioms:
+        guarded.assert_term(axiom)
+        _term_expansion(by_term, axiom)
+    assert guarded.sat.num_vars == by_term.sat.num_vars
+    assert guarded.sat.clauses == by_term.sat.clauses
+    assert guarded.sat.trail == by_term.sat.trail
+    assert guarded.quant_instances == sum(
+        math.prod(v.sort.size() for v in a.bound) for a in axioms
+    )
+    assert guarded.check() == by_term.check()
+
+
+@pytest.mark.parametrize("c_value", [0, 1])
+def test_guard_conjunct_over_a_constant_stays_in_the_instance(c_value):
+    f = FunctionSymbol("f", [_D3], _D3)
+    c = Const("c", bounded_int(0, 1))
+    x, y = Var("x", _D3), Var("y", _D3)
+    fx, fy = Apply(f, (x,)), Apply(f, (y,))
+    # constrained only where x <= c: at c = 1 the pair (1, 2) is, and breaks
+    axiom = Forall([x, y], Implies(And([ordering_atom(x, y), ordering_atom(x, c)]),
+                                   ordering_atom(fx, fy)))
+    base = [
+        Cmp(CmpOp.EQ, c, IntLit(c_value)),
+        Cmp(CmpOp.EQ, Apply(f, (IntLit(1),)), IntLit(2)),
+        Cmp(CmpOp.EQ, Apply(f, (IntLit(2),)), IntLit(0)),
+    ]
+    guarded, by_term = _check(base), _check(base)
+    guarded.assert_term(axiom)
+    _term_expansion(by_term, axiom)
+    assert guarded.quant_instances == 9
+    verdicts = guarded.check(), by_term.check()
+    assert verdicts == (("sat", "sat") if c_value == 0 else ("unsat", "unsat"))
+
+
+def test_expansion_stops_at_the_deadline():
+    import time
+
+    f = FunctionSymbol("f", [_D3, _D3], _D3)
+    axiom = encode_quant_aggregated(BoolLit(True), MonotonicitySpec({f: ({1}, {2})})).formula
+    engine = Engine()
+    vars_before = engine.sat.num_vars
+    with pytest.raises(TimeoutError):
+        engine.assert_term(axiom, deadline=time.monotonic() - 1)
+    assert engine.sat.num_vars == vars_before
 
 
 def test_engine_rejects_unbounded_quantifier():

@@ -232,6 +232,22 @@ def test_internal_timeout():
     assert session.unknown_reason == "timeout"
 
 
+def test_internal_deadline_stops_quantifier_expansion():
+    from monoinfer.encode import encode_quant_aggregated
+    from monoinfer.terms import MonotonicitySpec
+
+    f = FunctionSymbol("f", [BOOL] * 6, BOOL)
+    axiom = encode_quant_aggregated(BoolLit(True), MonotonicitySpec({f: ({1, 2, 3}, {4})})).formula
+    session = InternalSession()
+    vars_before = session.engine.sat.num_vars
+    session.set_time_limit(1)
+    time.sleep(0.01)
+    session.assert_formula(axiom)
+    assert session.engine.sat.num_vars == vars_before
+    assert session.check_sat() == "unknown"
+    assert session.unknown_reason == "timeout"
+
+
 # -- REPL conformance over a raw pipe ---------------------------------------------------
 
 
