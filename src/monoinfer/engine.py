@@ -15,16 +15,20 @@ bounded integer interval, within an instantiation budget that counts the full
 product of the binder domains.  Where the body is an implication, each
 antecedent conjunct over binders and literals alone is tabulated once, and an
 assignment that falsifies one is skipped before its instance is built.
-Expansion stops at the deadline it is given.  Every conjunction
-gate (And, and Or and Implies as negated conjunctions, integer equality, order
-ladder comparisons) comes from `Engine._and` and every equivalence from
-`Engine._iff_gate`; both fold constant and repeated operands, so only what
-stays open costs a SAT variable.  A gate is defined in both directions, so
-its inputs force it: gate variables are not SAT decision variables, and the
-search branches only on constants, application results, ladder and atom
-variables.  A monotonicity lemma becomes one clause over its antecedent and
-consequent literals, whether it arrives as a Term (`assert_term`) or as its
-two applications (`assert_lemma`).
+Expansion, and a conjunction between its conjuncts, stop at the deadline
+they are given.  Every conjunction gate (And, and Or and Implies as negated
+conjunctions, integer equality, order ladder comparisons inside a formula)
+comes from `Engine._and` and every equivalence from `Engine._iff_gate`; both
+fold constant and repeated operands, so only what stays open costs a SAT
+variable.  A gate is defined in both directions, so its inputs force it: gate
+variables are not SAT decision variables, and the search branches only on
+constants, application results, ladder and atom variables.  A monotonicity
+lemma becomes one clause over its antecedent and consequent literals, whether
+it arrives as a Term (`assert_term`) or as its two applications
+(`assert_lemma`).  Where that clause's last literal, or a bare asserted atom,
+would compare two order-encoded nodes, `Engine._add_le_clause` adds the
+comparison's order-encoding clauses instead, one per value of its right
+node, with no gate.
 
 The engine grounds and searches; it does not build models.  Nothing is
 declared ahead: a constant gets its SAT variable, ladder or difference-logic
@@ -101,6 +105,14 @@ MAX_THEORY_ROUNDS = 1 << 20
 # difference-logic theory
 MAX_ORDER_ENCODING_RANGE = 64
 
+# an integer comparison l op r as a - b <= offset
+_AS_DIFFERENCE = {
+    CmpOp.LE: lambda l, r: (l, r, 0),
+    CmpOp.LT: lambda l, r: (l, r, -1),
+    CmpOp.GE: lambda l, r: (r, l, 0),
+    CmpOp.GT: lambda l, r: (r, l, -1),
+}
+
 
 class Engine:
     """One incremental solving context (assertions are cumulative)."""
@@ -165,20 +177,26 @@ class Engine:
             return -self.true_var
         return self.order_vars[node][j]
 
-    def _ladder_le_lit(self, x: Node, y: Node, k: int) -> int:
-        """Literal for x - y <= k over order-encoded nodes.
+    def _ladder_steps(self, x: Node, y: Node, k: int) -> list[list[int]]:
+        """x - y <= k over order-encoded nodes as one disjunction per value v
+        of y:  (y >= v+1) or not (x >= v+k+1),  i.e. (y <= v) -> (x <= v+k)
+        (Tamura et al., "Compiling finite linear CSP into SAT", 2009)."""
+        ylo, yhi = self.node_bounds[y]  # type: ignore[misc]
+        return [
+            [self._ge_lit(y, v + 1), -self._ge_lit(x, v + k + 1)]
+            for v in range(ylo, yhi + 1)
+        ]
 
-        Built from  x <= y + k  <=>  for all v: (y <= v) -> (x <= v + k),
-        with v ranging over y's domain; each step is a negated and-gate over
-        ladder literals, and the steps are conjoined.
-        """
+    def _ladder_le_lit(self, x: Node, y: Node, k: int) -> int:
+        """Literal for x - y <= k over order-encoded nodes, where it stands
+        in a gate: each step of `_ladder_steps` is a negated and-gate, and
+        the steps are conjoined.  In a clause position `_add_le_clause`
+        adds the steps as clauses instead."""
         key = ("ladder", x, y, k)
         lit = self.gate_cache.get(key)
         if lit is None:
-            ylo, yhi = self.node_bounds[y]  # type: ignore[misc]
             lit = self.gate_cache[key] = self._and([
-                -self._and([-self._ge_lit(y, v + 1), self._ge_lit(x, v + k + 1)])
-                for v in range(ylo, yhi + 1)
+                -self._and([-a, -b]) for a, b in self._ladder_steps(x, y, k)
             ])
         return lit
 
@@ -250,49 +268,68 @@ class Engine:
                     f"non-linear or non-integer term {type(term).__name__}"
                 )
 
-    def _is_laddered(self, node: Node) -> bool:
+    def _is_laddered(self, node: Optional[Node]) -> bool:
         return self.node_bounds.get(node) is not None
 
-    def _node_le_lit(self, a: Node, b: Node, k: int = 0) -> int:
-        """Literal for a - b <= k over already-registered integer nodes."""
-        la, lb = self._is_laddered(a), self._is_laddered(b)
-        if la and lb:
-            return self._ladder_le_lit(a, b, k)
-        if not la and not lb:
-            return self._atom_lit(a, b, k)
-        raise EngineUnsupported(
-            "atom mixes a small-bounded unknown with an unbounded one"
-        )
-
-    def _diff_le_lit(self, lhs: Term, rhs: Term, offset: int = 0) -> int:
-        """Literal asserting lhs - rhs <= offset."""
+    def _difference(
+        self, lhs: Term, rhs: Term, offset: int
+    ) -> tuple[Optional[Node], Optional[Node], int]:
+        """lhs - rhs <= offset normalized to x - y <= k over registered
+        nodes, None standing for the zero node."""
         cl, kl = self._linform(lhs)
         cr, kr = self._linform(rhs)
         coeffs = _merge(cl, cr, -1)
-        coeffs = {n: c for n, c in coeffs.items() if c != 0}
-        k = offset + kr - kl
-        if not coeffs:
-            return self.true_var if 0 <= k else -self.true_var
-        if len(coeffs) == 1:
-            ((node, c),) = coeffs.items()
-            if c == 1:  # node <= k
-                if self._is_laddered(node):
-                    return -self._ge_lit(node, k + 1)
-                return self._atom_lit(node, None, k)
-            if c == -1:  # node >= -k
-                if self._is_laddered(node):
-                    return self._ge_lit(node, -k)
-                return self._atom_lit(None, node, k)
-        elif len(coeffs) == 2:
-            (n1, c1), (n2, c2) = coeffs.items()
-            if c1 == -1 and c2 == 1:
-                (n1, c1), (n2, c2) = (n2, c2), (n1, c1)
-            if c1 == 1 and c2 == -1:  # n1 - n2 <= k
-                return self._node_le_lit(n1, n2, k)
-        raise EngineUnsupported(
-            "integer atom outside the difference fragment "
-            f"(coefficients {sorted(coeffs.values())})"
-        )
+        x = y = None
+        for node, c in coeffs.items():
+            if c == 1 and x is None:
+                x = node
+            elif c == -1 and y is None:
+                y = node
+            elif c != 0:
+                raise EngineUnsupported(
+                    "integer atom outside the difference fragment "
+                    f"(coefficients {sorted(v for v in coeffs.values() if v != 0)})"
+                )
+        return x, y, offset + kr - kl
+
+    def _le_lit(self, x: Optional[Node], y: Optional[Node], k: int) -> int:
+        """Literal for x - y <= k, None standing for the zero node."""
+        lx, ly = self._is_laddered(x), self._is_laddered(y)
+        if lx and ly:
+            return self._ladder_le_lit(x, y, k)
+        if lx and y is None:  # x <= k
+            return -self._ge_lit(x, k + 1)
+        if ly and x is None:  # y >= -k
+            return self._ge_lit(y, -k)
+        if lx or ly:
+            raise EngineUnsupported(
+                "atom mixes a small-bounded unknown with an unbounded one"
+            )
+        return self._atom_lit(x, y, k)
+
+    def _diff_le_lit(self, lhs: Term, rhs: Term, offset: int = 0) -> int:
+        """Literal asserting lhs - rhs <= offset."""
+        return self._le_lit(*self._difference(lhs, rhs, offset))
+
+    def _add_le_clause(self, negs: list[int], lhs: Term, rhs: Term, offset: int = 0) -> None:
+        """Add the clause negs or (lhs - rhs <= offset).  Between two
+        order-encoded nodes that is one clause per step of `_ladder_steps`,
+        with no gate and no SAT variable; otherwise one clause over its
+        literal."""
+        x, y, k = self._difference(lhs, rhs, offset)
+        if self._is_laddered(x) and self._is_laddered(y):
+            for step in self._ladder_steps(x, y, k):
+                self.sat.add_clause(negs + step)
+        else:
+            self.sat.add_clause(negs + [self._le_lit(x, y, k)])
+
+    def _add_clause(self, negs: list[int], last: Term) -> None:
+        """Add the clause negs or `last`; an integer <=, <, >= or > goes
+        through `_add_le_clause`."""
+        if isinstance(last, Cmp) and last.op in _AS_DIFFERENCE and not last.lhs.sort.is_bool:
+            self._add_le_clause(negs, *_AS_DIFFERENCE[last.op](last.lhs, last.rhs))
+        else:
+            self.sat.add_clause(negs + [self.lit_of(last)])
 
     # -- uninterpreted applications ----------------------------------------------
 
@@ -443,14 +480,8 @@ class Engine:
         if l.sort.is_bool:
             iff = self._iff_gate(self.lit_of(l), self.lit_of(r))
             return iff if op is CmpOp.EQ else -iff
-        if op is CmpOp.LE:
-            return self._diff_le_lit(l, r, 0)
-        if op is CmpOp.LT:
-            return self._diff_le_lit(l, r, -1)
-        if op is CmpOp.GE:
-            return self._diff_le_lit(r, l, 0)
-        if op is CmpOp.GT:
-            return self._diff_le_lit(r, l, -1)
+        if op in _AS_DIFFERENCE:
+            return self._diff_le_lit(*_AS_DIFFERENCE[op](l, r))
         both = self._int_eq_lit(l, r)
         return both if op is CmpOp.EQ else -both
 
@@ -490,8 +521,9 @@ class Engine:
         _check_expansion_budget(total)
 
     def assert_term(self, term: Term, deadline: Optional[float] = None) -> None:
-        """Ground `term` as clauses.  Quantifier expansion polls `deadline` and
-        raises TimeoutError once it has passed, leaving the rest ungrounded."""
+        """Ground `term` as clauses.  A conjunction between its conjuncts and
+        quantifier expansion between its instances poll `deadline` and raise
+        TimeoutError once it has passed, leaving the rest ungrounded."""
         match term:
             case BoolLit(value=True):
                 return
@@ -501,6 +533,8 @@ class Engine:
             case And(args=args):
                 self._precheck_expansion_budget(args)
                 for a in args:
+                    if deadline is not None and time.monotonic() > deadline:
+                        raise TimeoutError("grounding passed the deadline")
                     self.assert_term(a, deadline)
             case Forall():
                 self._expand_forall(term, deadline)
@@ -511,7 +545,7 @@ class Engine:
             case Or(args=args):
                 self.sat.add_clause([self.lit_of(a) for a in args])
             case _:
-                self.sat.add_clause([self.lit_of(term)])
+                self._add_clause([], term)
 
     def _assert_implies(self, antecedent: Sequence[Term], consequent: Term) -> None:
         """One clause for the conjunction `antecedent` implying `consequent`,
@@ -521,11 +555,9 @@ class Engine:
         if self.true_var in negs:
             return
         if isinstance(consequent, Implies):
-            self.sat.add_clause(
-                negs + [-self.lit_of(consequent.lhs), self.lit_of(consequent.rhs)]
-            )
-        else:
-            self.sat.add_clause(negs + [self.lit_of(consequent)])
+            negs.append(-self.lit_of(consequent.lhs))
+            consequent = consequent.rhs
+        self._add_clause(negs, consequent)
 
     def assert_lemma(
         self, t: Apply, s: Apply, mono: frozenset[int], anti: frozenset[int]
@@ -552,7 +584,7 @@ class Engine:
         if t.sort.is_bool:
             self.sat.add_clause(negs + [-self.lit_of(t), self.lit_of(s)])
         else:
-            self.sat.add_clause(negs + [self._diff_le_lit(t, s)])
+            self._add_le_clause(negs, t, s)
 
     def _expand_forall(self, term: Forall, deadline: Optional[float]) -> None:
         """Ground every instance of `term` in product order; the budget counts

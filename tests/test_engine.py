@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import sessions
 
+from monoinfer import engine as engine_module
 from monoinfer.difflogic import ZERO, DiffConstraint, solve_difference_constraints
 from monoinfer.engine import Engine, EngineUnsupported
 from monoinfer.model import evaluate
@@ -379,6 +381,49 @@ def test_congruence_is_the_unsigned_lemma_both_ways(result):
         assert e.check() == "unsat"
 
 
+def _admits(engine, values):
+    """Whether `engine` has no empty clause, and every input clause and
+    level-0 unit holds, where each constant in `values` takes its value; the
+    constants' variables and the true variable must be all there are."""
+    truth = {engine.true_var: True}
+    for c, v in values.items():
+        node = ("c", c.name)
+        if c.sort.is_bool:
+            truth[engine.bool_unknowns[node]] = v
+        else:
+            truth.update({var: v >= j for j, var in engine.order_vars[node].items()})
+    assert len(truth) == engine.sat.num_vars
+    clauses = [c for c, learned in zip(engine.sat.clauses, engine.sat.is_learned) if not learned]
+    clauses += [[unit] for unit in engine.sat.trail]
+    return engine.sat.ok and all(any(truth[abs(q)] == (q > 0) for q in clause) for clause in clauses)
+
+
+_COMPARE = {CmpOp.LE: operator.le, CmpOp.LT: operator.lt, CmpOp.GE: operator.ge, CmpOp.GT: operator.gt}
+
+
+@pytest.mark.parametrize("ranges", [((0, 3), (1, 2)), ((0, 2), (0, 3))], ids=str)
+def test_ladder_comparison_in_a_clause_is_its_order_encoding(ranges):
+    # x - y op k as the consequent of an implication from p, and as a bare
+    # atom: its clauses admit exactly the (x, y) that satisfy it, and every
+    # (x, y) where p is false, with no SAT variable of their own
+    x, y = Const("x", bounded_int(*ranges[0])), Const("y", bounded_int(*ranges[1]))
+    p = Const("p", BOOL)
+    for op, k in itertools.product(_COMPARE, range(-2, 3)):
+        cmp = Cmp(op, Sub(x, y), IntLit(k))
+        for assertion in (Implies(p, cmp), cmp):
+            engine = Engine()
+            engine.lit_of(p)
+            engine._linform(x)
+            engine._linform(y)
+            before = engine.sat.num_vars
+            engine.assert_term(assertion)
+            assert engine.sat.num_vars == before
+            values = itertools.product(x.sort.values(), y.sort.values(), (True, False))
+            for xv, yv, pv in values:
+                holds = _COMPARE[op](xv - yv, k) or (not pv and assertion != cmp)
+                assert _admits(engine, {p: pv, x: xv, y: yv}) == holds, (op, k, xv, yv, pv)
+
+
 def test_integer_equality_is_one_literal_either_way():
     dom = bounded_int(0, 3)
     engine = Engine()
@@ -650,6 +695,17 @@ def test_expansion_stops_at_the_deadline():
     with pytest.raises(TimeoutError):
         engine.assert_term(axiom, deadline=time.monotonic() - 1)
     assert engine.sat.num_vars == vars_before
+
+
+def test_conjunction_stops_at_the_deadline(monkeypatch):
+    # the clock passes the deadline after the first conjunct's poll
+    clock = itertools.count()
+    monkeypatch.setattr(engine_module.time, "monotonic", lambda: next(clock))
+    x, y, z = Const("x", INT), Const("y", INT), Const("z", INT)
+    engine = Engine()
+    with pytest.raises(TimeoutError):
+        engine.assert_term(And([Cmp(CmpOp.LE, x, y), Cmp(CmpOp.LE, y, z)]), deadline=0.5)
+    assert list(engine.atom_var) == [(("c", "x"), ("c", "y"), 0)]
 
 
 def test_engine_rejects_unbounded_quantifier():

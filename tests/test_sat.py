@@ -10,6 +10,8 @@ way.  Every `sat` model must satisfy every input clause.
 import random
 from collections import defaultdict
 
+import pytest
+
 from monoinfer import engine as engine_module
 from monoinfer.encode import Strategy, encode, solve
 from monoinfer.generate import GeneratorParams, generate_instance
@@ -243,10 +245,14 @@ def test_learned_clause_reduction_clears_every_reason():
     assert all(after == 0 for _, after in reductions)
 
 
-def test_unsat_inference_instance_has_a_rup_refutation(monkeypatch):
-    # perturbed seed 2 is unsat after three checks; the lazy loop adds lemma
-    # clauses between solves, and the engine adds congruence clauses, all
-    # checked as inputs
+@pytest.mark.parametrize(
+    "strategy", [Strategy.INST_LAZY, Strategy.INST_EAGER, Strategy.QUANT_INDIVIDUAL],
+    ids=lambda s: s.value,
+)
+def test_unsat_inference_instance_has_a_rup_refutation(monkeypatch, strategy):
+    # perturbed seed 2 is unsat; the lazy loop adds lemma clauses between
+    # solves, eager lemmas and quantifier instances arrive as order-encoding
+    # clauses, and the engine adds congruence clauses, all checked as inputs
     params = GeneratorParams(
         n_vars=8, max_arity=3, domain_size=3, mode="perturbed", essential_ratio=1.0
     )
@@ -258,12 +264,15 @@ def test_unsat_inference_instance_has_a_rup_refutation(monkeypatch):
         return solvers[-1]
 
     monkeypatch.setattr(engine_module, "SatSolver", recording_solver)
-    verdict = solve(encode(formula, spec, Strategy.INST_LAZY), spec, InternalSession())
+    verdict = solve(encode(formula, spec, strategy), spec, InternalSession())
     assert verdict.is_unsat
     [solver] = solvers
     answers = check_proof(solver)
-    assert answers[-1] == UNSAT and answers.count(SAT) >= 1
-    assert solver.conflicts > 0
+    assert answers[-1] == UNSAT
+    if strategy is Strategy.INST_LAZY:  # unsat after three checks
+        assert answers.count(SAT) >= 1
+    if strategy is not Strategy.INST_EAGER:  # eager refutes by propagation alone
+        assert solver.conflicts > 0
 
 
 def test_non_decision_variables_keep_the_solver_sound_and_complete():

@@ -248,6 +248,18 @@ def test_internal_deadline_stops_quantifier_expansion():
     assert session.unknown_reason == "timeout"
 
 
+def test_internal_deadline_stops_a_quantifier_free_conjunction():
+    x, y = Const("x", INT), Const("y", INT)
+    session = InternalSession()
+    vars_before = session.engine.sat.num_vars
+    session.set_time_limit(1)
+    time.sleep(0.01)
+    session.assert_formula(mk_and([Cmp(CmpOp.LE, x, y), Cmp(CmpOp.LT, y, x)]))
+    assert session.engine.sat.num_vars == vars_before
+    assert session.check_sat() == "unknown"
+    assert session.unknown_reason == "timeout"
+
+
 # -- REPL conformance over a raw pipe ---------------------------------------------------
 
 
