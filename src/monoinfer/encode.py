@@ -6,9 +6,13 @@ instantiation-based encodings exploit locality: ground instances of the
 aggregated axiom at pairs of application argument vectors occurring in the
 formula suffice for equisatisfiability.  Both read one index of the
 formula's applications, built in a single traversal.  The eager encoding
-asserts every instance up front; the lazy loop values the applications
-on each candidate model the session extracts and asserts a lemma only for
-a pair that model violates.  Both hand a lemma to the session as its two
+asserts every instance up front.  The lazy strategy asserts a lemma only
+for a pair that a candidate model violates.  Where the session accepts the
+specification's signs (`SolverSession.check_lemmas_in_search`, the
+in-process engine), the engine checks the pairs in its theory rounds and
+one check-sat answers.  Otherwise the lazy loop values the applications
+on each candidate model the session extracts and hands it the violated
+pairs.  Both strategies hand a lemma to the session as its two
 applications (`SolverSession.assert_lemma`); a lemma Term is built only
 where text is needed: for an external solver, and in `encode_eager` and
 `ground_lemmas`, which `--emit-smt2` writes.
@@ -36,6 +40,7 @@ from .model import (
     Value,
     ValueVector,
     default_output,
+    dominates,
     evaluate_with,
 )
 from .session import TIMEOUT, UNKNOWN, UNSAT, SolverSession, SolverVerdict
@@ -279,7 +284,7 @@ def _violated_pairs(
             point = tuple(evaluate_with(a, leaf) for a in app.args)
             points.append((app, point, table.lookup(point)))
         for (t, p, p_out), (s, q, q_out) in itertools.permutations(points, 2):
-            if p_out > q_out and (t, s) not in asserted and _dominates(p, q, mono, anti):
+            if p_out > q_out and (t, s) not in asserted and dominates(p, q, mono, anti):
                 out.append((t, s))
     return out
 
@@ -301,18 +306,26 @@ def solve_lazy(
     model, find the ground lemmas it violates, and assert them, until either
     no lemma is violated (sat, with that model) or the solver reports unsat.
 
-    The applications are indexed once from the formula (the set never
-    grows); each candidate model values them once, and only a violated
-    pair's lemma is asserted, through `session.assert_lemma`.  Every round
-    asserts at least one new lemma, so the loop terminates within (eager
-    lemma count + 1) checks.
+    A session that checks the lemmas in its own search
+    (`check_lemmas_in_search`) runs those rounds inside one check-sat and
+    logs the pairs it grounds into `stats.asserted_lemmas`.  Otherwise the
+    applications are indexed once from the formula (the set never grows);
+    each candidate model values them once, and only a violated pair's lemma
+    is asserted, through `session.assert_lemma`.  Every round asserts at
+    least one new lemma, so the loop terminates within (eager lemma count
+    + 1) checks.
     """
     if not is_quantifier_free(formula):
         raise EncodingError("lazy instantiation requires a quantifier-free formula")
     if stats is None:
         stats = LazyRunStats()
-    index = _application_index(formula, spec)
+    in_search = session.check_lemmas_in_search(spec, stats.asserted_lemmas)
     session.assert_formula(formula)
+    if in_search:
+        stats.check_sat_calls += 1
+        verdict = _check(session)
+        return verdict if verdict is not None else _sat(session)
+    index = _application_index(formula, spec)
     asserted: set[tuple[Apply, Apply]] = set()
     while True:
         verdict = _check(session)
@@ -362,7 +375,7 @@ class MonotoneTable(FunctionTable):
     def lookup(self, args: ValueVector) -> Value:
         mono, anti = self.mono, self.anti
         return max(
-            (out for point, out in self.rows.items() if _dominates(point, args, mono, anti)),
+            (out for point, out in self.rows.items() if dominates(point, args, mono, anti)),
             default=self.default,
         )
 
@@ -409,24 +422,6 @@ class MonotoneTable(FunctionTable):
         return (k, k + 1) if k < len(values) and values[k] == p else (0, 0)
 
 
-def _dominates(
-    p: ValueVector, q: ValueVector, mono: frozenset[int], anti: frozenset[int]
-) -> bool:
-    """p precedes q in the specification order given by a symbol's monotone
-    and anti-monotone index sets: p_i <= q_i on monotone arguments,
-    q_i <= p_i on anti-monotone ones, equality elsewhere."""
-    for i, (a, b) in enumerate(zip(p, q), start=1):
-        if i in mono:
-            if a > b:
-                return False
-        elif i in anti:
-            if b > a:
-                return False
-        elif a != b:
-            return False
-    return True
-
-
 def monotonize_model(base: Model, spec: MonotonicitySpec) -> Model:
     """Complete the finite tables of a model into globally monotone functions.
 
@@ -446,7 +441,7 @@ def monotonize_model(base: Model, spec: MonotonicitySpec) -> Model:
         )
         for point, out in rows.items():
             # a row is reproduced unless a row it dominates has a larger output
-            if any(o > out and _dominates(q, point, mono, anti) for q, o in rows.items()):
+            if any(o > out and dominates(q, point, mono, anti) for q, o in rows.items()):
                 best = completed.lookup(point)
                 raise MonotonizationError(
                     f"{func.name}{point} maps to {out} but a dominated point "

@@ -5,14 +5,19 @@ grounding to CNF: uninterpreted applications become opaque unknowns, integer
 atoms are normalized to difference constraints (x - y <= k), and a CDCL SAT
 core is run in a lazy theory loop against the difference-constraint checker
 and Ackermann congruence, the monotonicity lemma with every argument unsigned
-asserted both ways.  Congruence is grounded on demand: where a candidate
-model values applications of one symbol at one point with different results,
-each application whose result differs from that of the point's first
-application is tied to that first application, and an application caught
-again in a later round is tied to every application of its symbol.  Universal
-quantifiers are expanded finitely when every binder sort is Boolean or a
-bounded integer interval, within an instantiation budget that counts the full
-product of the binder domains.  Where the body is an implication, each
+asserted both ways.  Both are grounded on demand, in the theory rounds.  A
+symbol whose signs a session handed in (`lemma_signs`, the lazy strategy
+in-process) gets the monotonicity lemma of each ordered pair of its
+applications whose points a candidate model orders while their results
+decrease; equal points are ordered both ways, so this covers its
+congruence.  For every other symbol, where a candidate model values
+applications at one point with different results, each application whose
+result differs from that of the point's first application is tied to that
+first application, and an application caught again in a later round is
+tied to every application of its symbol.  Universal quantifiers are
+expanded finitely when every binder sort is Boolean or a bounded integer
+interval, within an instantiation budget that counts the full product of
+the binder domains.  Where the body is an implication, each
 antecedent conjunct over binders and literals alone is tabulated once, and an
 assignment that falsifies one is skipped before its instance is built.
 Expansion, and a conjunction between its conjuncts, stop at the deadline
@@ -66,7 +71,7 @@ from typing import Optional, Sequence, Union
 
 from . import sat
 from .difflogic import ZERO, DiffConstraint, solve_difference_constraints
-from .model import Value, default_output, evaluate_with
+from .model import Value, default_output, dominates, evaluate_with
 from .sat import SatSolver
 from .terms import (
     Add,
@@ -131,6 +136,11 @@ class Engine:
         self.apps_by_symbol: dict[str, list[Apply]] = {}
         self.app_node: dict[Apply, Node] = {}
         self._caught: set[Apply] = set()  # applications in a broken pair
+        # per constrained symbol, its monotone and anti-monotone index sets:
+        # each theory round checks that symbol's monotonicity lemmas, and
+        # grounds and logs the violated pairs, in grounding order
+        self.lemma_signs: dict[str, tuple[frozenset[int], frozenset[int]]] = {}
+        self.lemma_log: list[tuple[Apply, Apply]] = []
         # per symbol, its applications grouped by point in the last model
         self.app_points: dict[str, dict[tuple[Value, ...], list[Apply]]] = {}
         self.node_bounds: dict[Node, Optional[tuple[int, int]]] = {}
@@ -354,24 +364,39 @@ class Engine:
         return node
 
     def _ground_broken_congruence(self) -> bool:
-        """Tie each application that the current model values at an earlier
-        application's point, with another result, to that point's first
-        application; False if no point has two results.  Each round is a full
-        SAT re-descent, so an application caught again (one over unknown
+        """Ground what the current model breaks; False if it breaks nothing.
+
+        A symbol in `lemma_signs` gets the lemma of each ordered pair (t, s)
+        whose points are in specification order while f(t) > f(s).  Equal
+        points are ordered both ways, so these pairs cover its congruence.
+        Each other symbol gets congruence: each application that the model
+        values at an earlier application's point, with another result, is
+        tied to that point's first application.  Each round is a full SAT
+        re-descent, so an application caught again (one over unknown
         arguments can meet a new point every round) is grounded against
         every application of its symbol at once.
 
         The rounds end without a record of grounded pairs: a broken pair has
-        its arguments at one point, so no antecedent literal is false at
-        level 0, and different results, so it was never grounded; a grounded
+        its points ordered, so no antecedent literal is false at level 0,
+        and its results out of order, so it was never grounded; a grounded
         pair holds in every later model.  Each round grounds a new pair, and
         pairs are finite; a repeated pair only repeats its clauses."""
+        broken = False
         caught: dict[Apply, None] = {}
         for name, apps in self.apps_by_symbol.items():
             by_point = self.app_points[name] = {}
-            for app in apps:
-                point = tuple(evaluate_with(a, self.value) for a in app.args)
+            points = [tuple(evaluate_with(a, self.value) for a in app.args) for app in apps]
+            for app, point in zip(apps, points):
                 by_point.setdefault(point, []).append(app)
+            signs = self.lemma_signs.get(name)
+            if signs is not None:
+                valued = [(app, point, self.value(app)) for app, point in zip(apps, points)]
+                for (t, p, p_out), (s, q, q_out) in itertools.permutations(valued, 2):
+                    if p_out > q_out and dominates(p, q, *signs):
+                        self.assert_lemma(t, s, *signs)
+                        self.lemma_log.append((t, s))
+                        broken = True
+                continue
             for group in by_point.values():
                 first = self.value(group[0])
                 for app in group[1:]:
@@ -384,7 +409,7 @@ class Engine:
                     if other is not app:
                         self._congruence(app, other)
         self._caught.update(caught)
-        return bool(caught)
+        return broken or bool(caught)
 
     def _congruence(self, a: Apply, b: Apply) -> None:
         """Functional consistency at (a, b): the lemma with every argument
@@ -631,9 +656,10 @@ class Engine:
     # -- solving -----------------------------------------------------------------------
 
     def check(self, deadline: Optional[float] = None) -> str:
-        """SAT search, difference-logic check and congruence pass, in rounds
-        until a model gives each point of each symbol one result;
-        `theory_rounds` counts every round, congruence rounds included."""
+        """SAT search, difference-logic check and the pass over application
+        pairs, in rounds until a model breaks no lemma of `lemma_signs` and
+        gives each point of each other symbol one result; `theory_rounds`
+        counts every round, lemma and congruence rounds included."""
         for _ in range(MAX_THEORY_ROUNDS):
             result = self.sat.solve(deadline)
             if result != sat.SAT:

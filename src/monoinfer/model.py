@@ -143,6 +143,24 @@ def tabulate(
     return Model(constants, functions)
 
 
+def dominates(
+    p: ValueVector, q: ValueVector, mono: frozenset[int], anti: frozenset[int]
+) -> bool:
+    """p precedes q in the specification order given by a symbol's monotone
+    and anti-monotone index sets: p_i <= q_i on monotone arguments,
+    q_i <= p_i on anti-monotone ones, equality elsewhere."""
+    for i, (a, b) in enumerate(zip(p, q), start=1):
+        if i in mono:
+            if a > b:
+                return False
+        elif i in anti:
+            if b > a:
+                return False
+        elif a != b:
+            return False
+    return True
+
+
 def _cmp(op: CmpOp, lhs: Value, rhs: Value) -> bool:
     if op is CmpOp.EQ:
         return lhs == rhs

@@ -12,9 +12,12 @@ assert_formula, assert_lemma, check_sat and extract_model: assertions are
 cumulative within a session, and a model may be extracted only right after
 a sat answer.  `assert_lemma` takes a monotonicity lemma as its two
 applications; an external solver is sent the lemma's Term, and the engine
-grounds it as one clause with no Term.  The engine stops grounding lemmas
-and quantifier instances at the deadline, and every later check answers
-unknown (`timeout`).
+grounds it as one clause with no Term.  `check_lemmas_in_search` hands the
+session a specification's signs for the lazy strategy: InternalSession
+passes them to its engine, which checks the lemmas in the theory rounds of
+one `check_sat`; every other session declines, and the lazy loop stays
+above it.  The engine stops grounding lemmas and quantifier instances at
+the deadline, and every later check answers unknown (`timeout`).
 """
 
 from __future__ import annotations
@@ -129,6 +132,15 @@ class SolverSession:
 
         self.assert_formula(monotonicity_lemma(t.func, t.args, s.args, spec))
 
+    def check_lemmas_in_search(
+        self, spec: MonotonicitySpec, log: list[tuple[Apply, Apply]]
+    ) -> bool:
+        """Hand the backend the signs of `spec`'s constrained symbols, so that
+        `check_sat` itself grounds each lemma its candidate models violate
+        and appends the pair to `log`; True if it does.  By default it does
+        not, and the lazy loop checks each extracted model."""
+        return False
+
     def check_sat(self) -> str:
         self.check_sat_count += 1
         answer = self._check_sat()
@@ -199,6 +211,17 @@ class InternalSession(SolverSession):
             return
         mono, anti = spec.monotone(t.func), spec.anti_monotone(t.func)
         self._ground(self.engine.assert_lemma, t, s, mono, anti)
+
+    def check_lemmas_in_search(
+        self, spec: MonotonicitySpec, log: list[tuple[Apply, Apply]]
+    ) -> bool:
+        """The engine checks the lemmas in its theory rounds."""
+        self.engine.lemma_signs = {
+            func.name: (spec.monotone(func), spec.anti_monotone(func))
+            for func in spec.constrained_symbols()
+        }
+        self.engine.lemma_log = log
+        return True
 
     def _ground(self, method, *args) -> None:
         if self._refused is not None:

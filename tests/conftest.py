@@ -21,7 +21,7 @@ from monoinfer.terms import (
     mk_and,
 )
 from monoinfer.problemfile import load_problem
-from monoinfer.session import InternalSession, ProcessSession
+from monoinfer.session import InternalSession, ProcessSession, SolverSession
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIG1_PATH = REPO_ROOT / "problems" / "fig1.problem"
@@ -56,6 +56,13 @@ def sessions():
     """One session of each backend: the in-process engine and the shipped
     SMT-LIB2 solver driven over a pipe."""
     return [InternalSession(), ProcessSession(REPL_SOLVER_CMD)]
+
+
+class SessionLoopSession(InternalSession):
+    """The in-process engine under the session-level lazy loop that external
+    solvers get: it keeps the default `check_lemmas_in_search`."""
+
+    check_lemmas_in_search = SolverSession.check_lemmas_in_search
 
 
 class Example1:

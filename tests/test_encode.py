@@ -1,10 +1,11 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import subterms
+from conftest import SessionLoopSession, subterms
 from monoinfer import encode as encode_module
 from monoinfer.encode import (
     EncodingError,
@@ -24,7 +25,8 @@ from monoinfer.encode import (
 from monoinfer.generate import GeneratorParams, generate_instance
 from monoinfer.model import Model, FunctionTable, evaluate
 from monoinfer.network import encode_inference
-from monoinfer.session import InternalSession, SolverSession
+from monoinfer.engine import Engine
+from monoinfer.session import TIMEOUT, InternalSession, SolverSession
 from monoinfer.terms import (
     BOOL,
     INT,
@@ -495,15 +497,20 @@ def test_lazy_asserted_lemmas_subset_of_eager(ex1):
     assert set(stats.asserted_lemmas) <= set(lemma_pairs(ex1.phi, ex1.spec))
 
 
-def test_lazy_asserted_lemma_order_pinned():
-    # every regulation essential: two checks, the lemmas the first model
-    # violates asserted in one round
+def _pinned_lazy_instance():
+    # every regulation essential
     params = GeneratorParams(
         n_vars=6, max_arity=3, domain_size=3, n_observations=2, essential_ratio=1.0
     )
-    formula, spec = encode_inference(generate_instance(3, params))
+    return encode_inference(generate_instance(3, params))
+
+
+def test_lazy_asserted_lemma_order_pinned():
+    # the session-level loop: two checks, the lemmas the first model
+    # violates asserted in one round
+    formula, spec = _pinned_lazy_instance()
     stats = LazyRunStats()
-    verdict = solve_lazy(formula, spec, InternalSession(), stats)
+    verdict = solve_lazy(formula, spec, SessionLoopSession(), stats)
     eager = list(lemma_pairs(formula, spec))
     assert len(eager) == len(ground_lemmas(formula, spec))
     assert verdict.is_sat
@@ -520,9 +527,51 @@ def test_lazy_asserted_lemma_order_pinned():
     ]
 
 
-class _TermLemmaSession(InternalSession):
-    """The in-process engine fed each lemma as a Term, through the default
-    `SolverSession.assert_lemma` that external solvers use."""
+def test_lazy_in_engine_lemma_order_pinned():
+    # the engine checks the lemmas in its theory rounds: one check, and
+    # the pairs each round's model violates, in grounding order
+    formula, spec = _pinned_lazy_instance()
+    stats = LazyRunStats()
+    session = InternalSession()
+    verdict = solve_lazy(formula, spec, session, stats)
+    eager = list(lemma_pairs(formula, spec))
+    assert verdict.is_sat
+    # criterion 6's bounds
+    assert set(stats.asserted_lemmas) <= set(eager)
+    assert stats.check_sat_calls <= eager_lemma_count(formula, spec) + 1
+    assert stats.check_sat_calls == session.check_sat_count == 1
+    assert [eager.index(pair) for pair in stats.asserted_lemmas] == [
+        3, 5, 19, 20, 22, 33, 35, 36, 47, 49, 51, 54, 55, 56, 57, 58, 59, 61, 62,
+        63, 64, 65, 66, 75, 76, 78, 89, 91, 92, 103, 105, 107, 117, 119, 121, 129,
+        130, 139, 141, 159, 160, 169, 171, 174, 175, 176, 177, 179, 181, 189, 190,
+        199, 201, 114, 97, 100, 101,
+    ]
+
+
+def test_lazy_in_engine_answers_timeout_at_the_deadline(monkeypatch):
+    # the first round grounds violated pairs, then finds the deadline passed
+    formula, spec = _pinned_lazy_instance()
+    session = InternalSession()
+    session.set_time_limit(500)
+    ground = Engine._ground_broken_congruence
+
+    def late(engine):
+        broken = ground(engine)
+        time.sleep(max(0.0, session._deadline - time.monotonic()) + 0.01)
+        return broken
+
+    monkeypatch.setattr(Engine, "_ground_broken_congruence", late)
+    stats = LazyRunStats()
+    verdict = solve_lazy(formula, spec, session, stats)
+    assert verdict.kind == "unknown" and verdict.reason == TIMEOUT
+    assert stats.check_sat_calls == 1
+    assert stats.asserted_lemmas and session.engine.theory_rounds == 1
+
+
+class _TermLemmaSession(SessionLoopSession):
+    """The in-process engine under the session-level loop, fed each lemma as
+    a Term through the default `SolverSession.assert_lemma`, as an external
+    solver is."""
 
     assert_lemma = SolverSession.assert_lemma
 

@@ -333,6 +333,43 @@ def test_engine_grounds_an_application_caught_again_against_its_whole_symbol():
     assert tuple(engine.value(Const(f"x{i}", BOOL)) for i in range(6)) == target
 
 
+def test_engine_mends_a_constrained_symbol_by_lemma_pairs(monkeypatch):
+    # f is monotone and g unconstrained; the first model puts x and y at one
+    # point, and u and v at one point
+    dom = bounded_int(0, 2)
+    f = FunctionSymbol("f", [dom], dom)
+    g = FunctionSymbol("g", [dom], dom)
+    x, y, u, v = (Const(name, dom) for name in "xyuv")
+    fx, fy = Apply(f, (x,)), Apply(f, (y,))
+    assertions = [
+        Cmp(CmpOp.EQ, fx, IntLit(1)),
+        Cmp(CmpOp.EQ, fy, IntLit(0)),
+        Cmp(CmpOp.EQ, Apply(g, (u,)), IntLit(1)),
+        Cmp(CmpOp.EQ, Apply(g, (v,)), IntLit(0)),
+    ]
+    tied = []
+    congruence = Engine._congruence
+
+    def spy(engine, a, b):
+        tied.append(a.func)
+        congruence(engine, a, b)
+
+    monkeypatch.setattr(Engine, "_congruence", spy)
+    session = InternalSession()
+    log = []
+    assert session.check_lemmas_in_search(MonotonicitySpec({f: ({1}, set())}), log)
+    for a in assertions:
+        session.assert_formula(a)
+    assert session.check_sat() == "sat"
+    assert tied and set(tied) == {g}
+    assert log[0] == (fx, fy)
+    assert {app.func for pair in log for app in pair} == {f}
+    model = session.extract_model()
+    assert all(evaluate(a, model) for a in assertions)
+    assert evaluate(y, model) < evaluate(x, model)
+    assert evaluate(u, model) != evaluate(v, model)
+
+
 def _congruence_broken_in_every_model():
     f = FunctionSymbol("f", [INT], INT)
     x = Const("x", INT)
