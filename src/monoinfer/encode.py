@@ -15,7 +15,10 @@ on each candidate model the session extracts and hands it the violated
 pairs.  Both strategies hand a lemma to the session as its two
 applications (`SolverSession.assert_lemma`); a lemma Term is built only
 where text is needed: for an external solver, and in `encode_eager` and
-`ground_lemmas`, which `--emit-smt2` writes.
+`ground_lemmas`, which `--emit-smt2` writes.  The lemma Terms of one
+`ground_lemmas` call share their parts: each consequent compares the
+pair's own applications, and each distinct antecedent comparison is one
+Term, held by every lemma that uses it.
 
 Monotonization replaces each constrained symbol's table by a MonotoneTable,
 whose lookup is the monotone completion of its rows, so a monotonized model
@@ -133,26 +136,38 @@ def encode_quant_individual(formula: Term, spec: MonotonicitySpec) -> EncodedPro
 
 
 def _aggregated_body(
-    func: FunctionSymbol,
     spec: MonotonicitySpec,
-    xs: Sequence[Term],
-    ys: Sequence[Term],
+    t: Apply,
+    s: Apply,
+    atoms: Optional[dict[tuple[str, Term, Term], Term]] = None,
 ) -> Term:
-    """The aggregated implication over argument vectors xs, ys:
+    """The aggregated implication between two applications t = f(xs) and
+    s = f(ys) of one symbol:
     (/\\ mono x_i <= y_i) /\\ (/\\ anti y_i <= x_i) /\\ (/\\ rest x_i = y_i)
-    -> f(xs) <= f(ys)."""
+    -> t <= s.
+    Each antecedent atom is taken from `atoms`, keyed on its comparison, and
+    stored there when missing, so lemmas built with one table share it."""
+    func, xs, ys = t.func, t.args, s.args
     mono = spec.monotone(func)
     anti = spec.anti_monotone(func)
+    comparisons = [("<=", xs[i - 1], ys[i - 1]) for i in sorted(mono)]
+    comparisons += [("<=", ys[i - 1], xs[i - 1]) for i in sorted(anti)]
+    comparisons += [
+        ("=", xs[i - 1], ys[i - 1])
+        for i in range(1, func.arity + 1)
+        if i not in mono and i not in anti
+    ]
+    if atoms is None:
+        atoms = {}
     antecedent: list[Term] = []
-    for i in sorted(mono):
-        antecedent.append(ordering_atom(xs[i - 1], ys[i - 1]))
-    for i in sorted(anti):
-        antecedent.append(ordering_atom(ys[i - 1], xs[i - 1]))
-    for i in range(1, func.arity + 1):
-        if i not in mono and i not in anti:
-            antecedent.append(Cmp(CmpOp.EQ, xs[i - 1], ys[i - 1]))
-    consequent = ordering_atom(Apply(func, tuple(xs)), Apply(func, tuple(ys)))
-    return mk_implies(antecedent, consequent)
+    for key in comparisons:
+        atom = atoms.get(key)
+        if atom is None:
+            op, x, y = key
+            atom = ordering_atom(x, y) if op == "<=" else Cmp(CmpOp.EQ, x, y)
+            atoms[key] = atom
+        antecedent.append(atom)
+    return mk_implies(antecedent, ordering_atom(t, s))
 
 
 def encode_quant_aggregated(formula: Term, spec: MonotonicitySpec) -> EncodedProblem:
@@ -162,7 +177,7 @@ def encode_quant_aggregated(formula: Term, spec: MonotonicitySpec) -> EncodedPro
     for func in _application_index(formula, spec):
         xs = _bound_vars(func, "x")
         ys = _bound_vars(func, "y")
-        body = _aggregated_body(func, spec, xs, ys)
+        body = _aggregated_body(spec, Apply(func, xs), Apply(func, ys))
         conjuncts.append(Forall(xs + ys, body))
         count += 1
     return EncodedProblem(mk_and(conjuncts), count, Strategy.QUANT_AGGREGATED)
@@ -177,7 +192,7 @@ def monotonicity_lemma(
     """Ground instance of the aggregated implication at argument vectors (t, s)."""
     if len(t) != func.arity or len(s) != func.arity:
         raise EncodingError(f"argument vectors must have arity {func.arity}")
-    return _aggregated_body(func, spec, t, s)
+    return _aggregated_body(spec, Apply(func, t), Apply(func, s))
 
 
 def lemma_pairs(formula: Term, spec: MonotonicitySpec) -> Iterator[tuple[Apply, Apply]]:
@@ -189,9 +204,12 @@ def lemma_pairs(formula: Term, spec: MonotonicitySpec) -> Iterator[tuple[Apply, 
 
 
 def ground_lemmas(formula: Term, spec: MonotonicitySpec) -> list[Term]:
-    """The lemma of every pair of `lemma_pairs`, in emission order."""
-    pairs = lemma_pairs(formula, spec)
-    return [monotonicity_lemma(t.func, t.args, s.args, spec) for t, s in pairs]
+    """The lemma of every pair of `lemma_pairs`, in emission order, equal to
+    `monotonicity_lemma` at the pair's argument vectors.  The consequent
+    compares the pair's own applications, and each distinct antecedent
+    comparison is one Term shared by every lemma that uses it."""
+    atoms: dict[tuple[str, Term, Term], Term] = {}
+    return [_aggregated_body(spec, t, s, atoms) for t, s in lemma_pairs(formula, spec)]
 
 
 def eager_lemma_count(formula: Term, spec: MonotonicitySpec) -> int:

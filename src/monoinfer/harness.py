@@ -3,9 +3,11 @@
 Each run encodes a problem under one strategy, solves it through a session
 (in-process engine or an external SMT-LIB2 solver), and records the verdict
 or failure kind together with wall-clock time (inclusive of parsing and
-encoding overhead), lemma and check-sat counts.  The batch runner fans jobs
-out over a process pool and emits a per-record CSV plus per-strategy
-cumulative (time, solved-count) tables ready for plotting.
+encoding overhead), lemma and check-sat counts, and what the search did:
+the in-process engine's theory rounds and the lemmas lazy asserted.  The
+batch runner fans jobs out over a process pool and emits a per-record CSV
+plus per-strategy cumulative (time, solved-count) tables ready for
+plotting.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .encode import Strategy, encode, encode_eager, solve
+from .encode import LazyRunStats, Strategy, encode, encode_eager, solve
 from .network import (
     InferenceProblem,
     ProblemError,
@@ -29,7 +31,7 @@ from .network import (
     verify_solution,
 )
 from .problemfile import load_problem
-from .session import SAT, TIMEOUT, UNKNOWN, UNSAT, open_session
+from .session import SAT, TIMEOUT, UNKNOWN, UNSAT, InternalSession, open_session
 from .smtlib import emit_script
 from .terms import And
 
@@ -51,6 +53,8 @@ class RunRecord:
     check_sat_count: int = 0
     verified: Optional[bool] = None
     detail: str = ""
+    theory_rounds: Optional[int] = None  # in-process engine only
+    lazy_lemmas: Optional[int] = None  # lemmas lazy asserted; lazy only
 
     def __post_init__(self):
         if (self.verdict is None) == (self.failure is None):
@@ -67,6 +71,8 @@ class RunRecord:
             "failure": self.failure or "",
             "wall_ms": f"{self.wall_ms:.3f}",
             "verified": "" if self.verified is None else str(self.verified).lower(),
+            "theory_rounds": "" if self.theory_rounds is None else self.theory_rounds,
+            "lazy_lemmas": "" if self.lazy_lemmas is None else self.lazy_lemmas,
         }
 
 
@@ -117,7 +123,8 @@ def run_single(
             Path(emit_path).write_text(script, encoding="utf-8")
         session = open_session(solver_cmd)
         session.set_time_limit(time_limit_ms)
-        verdict = solve(encoded, spec, session)
+        stats = LazyRunStats()
+        verdict = solve(encoded, spec, session, stats)
         if verdict.kind == UNKNOWN:
             kind, failure = _classify_unknown(verdict.reason)
         else:
@@ -132,6 +139,10 @@ def run_single(
             check_sat_count=session.check_sat_count,
             detail=verdict.reason or "",
         )
+        if isinstance(session, InternalSession):
+            record.theory_rounds = session.engine.theory_rounds
+        if strategy is Strategy.INST_LAZY:
+            record.lazy_lemmas = len(stats.asserted_lemmas)
         if verdict.is_sat and verify:
             try:
                 tables = decode_solution(verdict.model, problem)

@@ -45,6 +45,7 @@ from monoinfer.terms import (
     Not,
     bounded_int,
     is_quantifier_free,
+    iter_subterms,
     mk_and,
 )
 
@@ -338,6 +339,77 @@ def test_eager_pair_grounding_stops_at_the_deadline(monkeypatch):
 def test_eager_count_invariant_on_example(ex1):
     # sum over constrained symbols of n*(n-1)
     assert eager_lemma_count(ex1.phi, ex1.spec) == 2 * 1 + 2 * 1
+
+
+# generated instances for the shared lemma Terms: Boolean with a symbol of
+# arity 6, and multivalued over the domain 0..2
+_LEMMA_SET_INSTANCES = {
+    "boolean": (1, GeneratorParams(n_vars=8, max_arity=6, essential_ratio=1.0)),
+    "multivalued": (3, GeneratorParams(n_vars=6, max_arity=3, domain_size=3, essential_ratio=1.0)),
+}
+
+
+def _lemma_set_instance(kind):
+    seed, params = _LEMMA_SET_INSTANCES[kind]
+    return encode_inference(generate_instance(seed, params))
+
+
+def _antecedent(lemma):
+    return lemma.lhs.args if isinstance(lemma.lhs, And) else (lemma.lhs,)
+
+
+@pytest.mark.parametrize("kind", sorted(_LEMMA_SET_INSTANCES))
+def test_ground_lemmas_equal_the_lemma_of_each_pair(kind):
+    formula, spec = _lemma_set_instance(kind)
+    pairs = list(lemma_pairs(formula, spec))
+    if kind == "boolean":
+        assert max(t.func.arity for t, _ in pairs) >= 6
+    assert ground_lemmas(formula, spec) == [
+        monotonicity_lemma(t.func, t.args, s.args, spec) for t, s in pairs
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(_LEMMA_SET_INSTANCES))
+def test_ground_lemmas_share_atoms_and_applications(kind):
+    formula, spec = _lemma_set_instance(kind)
+    pairs = list(lemma_pairs(formula, spec))
+    lemmas = ground_lemmas(formula, spec)
+    # the consequent compares the pair's own applications
+    for (t, s), lemma in zip(pairs, lemmas):
+        assert lemma.rhs.lhs is t and lemma.rhs.rhs is s
+    # each distinct comparison is one object, held by every lemma using it
+    held = {}
+    for lemma in lemmas:
+        for atom in _antecedent(lemma):
+            held.setdefault(atom, []).append(atom)
+    assert all(atom is group[0] for group in held.values() for atom in group)
+    assert max(len(group) for group in held.values()) > 1
+
+
+@pytest.mark.parametrize("kind", sorted(_LEMMA_SET_INSTANCES))
+def test_eager_shared_terms_ground_as_unshared(kind):
+    formula, spec = _lemma_set_instance(kind)
+    pairs = lemma_pairs(formula, spec)
+    unshared = [monotonicity_lemma(t.func, t.args, s.args, spec) for t, s in pairs]
+    engines = Engine(), Engine()
+    engines[0].assert_term(encode_eager(formula, spec).formula)
+    engines[1].assert_term(mk_and([formula] + unshared))
+    assert engines[0].sat.num_vars == engines[1].sat.num_vars
+    assert engines[0].sat.clauses == engines[1].sat.clauses
+
+
+def test_eager_formula_nodes_bounded_by_shared_parts():
+    # a rebuilt application or atom per lemma breaks the bound
+    formula, spec = _lemma_set_instance("boolean")
+    encoded = encode_eager(formula, spec)
+    lemmas = encoded.formula.args[1:]
+    assert len(lemmas) == encoded.lemma_count > 0
+    base = len({id(t) for t in iter_subterms(formula)})
+    atoms = len({atom for lemma in lemmas for atom in _antecedent(lemma)})
+    nodes = len({id(t) for t in iter_subterms(encoded.formula)})
+    # the root conjunction; per lemma its implication, antecedent conjunction
+    # and consequent
+    assert nodes <= base + 1 + 3 * len(lemmas) + atoms
 
 
 # -- violated lemmas ------------------------------------------------------------------------

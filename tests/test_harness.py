@@ -116,6 +116,33 @@ def test_run_single_emits_script(fig1, tmp_path):
     assert target.read_text() == (GOLDEN_DIR / "fig1_eager.smt2").read_text()
 
 
+def test_run_single_records_theory_rounds_and_lazy_lemmas(tmp_path):
+    # every regulation essential: lazy asserts pairs in the engine's rounds,
+    # all under one check-sat
+    params = GeneratorParams(n_vars=6, max_arity=3, domain_size=3, essential_ratio=1.0)
+    problem = generate_instance(3, params)
+    lazy, _ = run_single(problem, Strategy.INST_LAZY, instance_name="lazy")
+    assert lazy.verdict == "sat" and lazy.check_sat_count == 1
+    assert lazy.lazy_lemmas > 0 and lazy.theory_rounds > 1
+    eager, _ = run_single(problem, Strategy.INST_EAGER, instance_name="eager")
+    assert eager.verdict == "sat"
+    assert eager.lazy_lemmas is None and eager.theory_rounds >= 1
+    # an external solver's search is not visible: one lemma round per check
+    external, _ = run_single(problem, Strategy.INST_LAZY, solver_cmd=REPL_SOLVER_CMD)
+    assert external.verdict == "sat" and external.theory_rounds is None
+    assert 0 < external.lazy_lemmas <= external.lemma_count
+    assert external.check_sat_count > 1
+    path = tmp_path / "records.csv"
+    write_records_csv([lazy, eager, external], str(path))
+    with open(path) as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(row["theory_rounds"], row["lazy_lemmas"]) for row in rows] == [
+        (str(lazy.theory_rounds), str(lazy.lazy_lemmas)),
+        (str(eager.theory_rounds), ""),
+        ("", str(external.lazy_lemmas)),
+    ]
+
+
 def _make_suite(tmp_path, count=3):
     params = GeneratorParams(n_vars=4, max_arity=2)
     for seed in range(count):
@@ -210,6 +237,7 @@ def test_cli_solve_json_output():
     payload = json.loads(proc.stdout)
     assert payload["verdict"] == "sat"
     assert payload["strategy"] == "instantiated-lazy"
+    assert payload["theory_rounds"] >= 1 and payload["lazy_lemmas"] >= 0
 
 
 def test_cli_solve_unsat_exit_code(tmp_path, fig1):
