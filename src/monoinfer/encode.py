@@ -6,13 +6,12 @@ instantiation-based encodings exploit locality: ground instances of the
 aggregated axiom at pairs of application argument vectors occurring in the
 formula suffice for equisatisfiability.  Both read one index of the
 formula's applications, built in a single traversal.  The eager encoding
-asserts every instance up front.  The lazy strategy asserts a lemma only
-for a pair that a candidate model violates.  Where the session accepts the
+asserts every instance up front.  The lazy strategy asserts the lemma of
+each pair a candidate model breaks (`model.broken_pairs`): in the engine's
+theory rounds, within one check-sat, where the session accepts the
 specification's signs (`SolverSession.check_lemmas_in_search`, the
-in-process engine), the engine checks the pairs in its theory rounds and
-one check-sat answers.  Otherwise the lazy loop values the applications
-on each candidate model the session extracts and hands it the violated
-pairs.  Both strategies hand a lemma to the session as its two
+in-process engine), else in a loop over the models the session extracts.
+Both strategies hand a lemma to the session as its two
 applications (`SolverSession.assert_lemma`); a lemma Term is built only
 where text is needed: for an external solver, and in `encode_eager` and
 `ground_lemmas`, which `--emit-smt2` writes.  The lemma Terms of one
@@ -42,6 +41,7 @@ from .model import (
     Model,
     Value,
     ValueVector,
+    broken_pairs,
     default_output,
     dominates,
     evaluate_with,
@@ -285,25 +285,22 @@ def _violated_pairs(
     asserted: set[tuple[Apply, Apply]],
 ) -> list[tuple[Apply, Apply]]:
     """The application pairs (t, s) whose lemma the model falsifies, in
-    emission order: t precedes s in the specification order while its
-    result is larger (False < True).  Each application's point is valued
-    once and its result read from the symbol's table at that point; pairs
-    in `asserted` are skipped.  A pair whose numeral arguments break the
-    order breaks it on values too, so it is never flagged."""
+    emission order: each symbol's `broken_pairs`, with each application's
+    point valued once and its result read from the symbol's table at that
+    point, less the pairs in `asserted`.  A pair whose numeral arguments
+    break the order breaks it on values too, so it is never flagged."""
     out = []
     leaf = model.leaf_value
     for func, apps in index.items():
         if len(apps) < 2:
             continue
         table = model.table(func)
-        mono, anti = spec.monotone(func), spec.anti_monotone(func)
-        points = []
+        valued = []
         for app in apps:
             point = tuple(evaluate_with(a, leaf) for a in app.args)
-            points.append((app, point, table.lookup(point)))
-        for (t, p, p_out), (s, q, q_out) in itertools.permutations(points, 2):
-            if p_out > q_out and (t, s) not in asserted and dominates(p, q, mono, anti):
-                out.append((t, s))
+            valued.append((app, point, table.lookup(point)))
+        broken = broken_pairs(valued, spec.monotone(func), spec.anti_monotone(func))
+        out += [pair for pair in broken if pair not in asserted]
     return out
 
 

@@ -4,17 +4,13 @@ Decides ground formulas over Bool and Int with uninterpreted functions by
 grounding to CNF: uninterpreted applications become opaque unknowns, integer
 atoms are normalized to difference constraints (x - y <= k), and a CDCL SAT
 core is run in a lazy theory loop against the difference-constraint checker
-and Ackermann congruence, the monotonicity lemma with every argument unsigned
-asserted both ways.  Both are grounded on demand, in the theory rounds.  A
-symbol whose signs a session handed in (`lemma_signs`, the lazy strategy
-in-process) gets the monotonicity lemma of each ordered pair of its
-applications whose points a candidate model orders while their results
-decrease; equal points are ordered both ways, so this covers its
-congruence.  For every other symbol, where a candidate model values
-applications at one point with different results, each application whose
-result differs from that of the point's first application is tied to that
-first application, and an application caught again in a later round is
-tied to every application of its symbol.  Universal quantifiers are
+and one rule: each round grounds the monotonicity lemma of every ordered
+pair of one symbol's applications whose points a candidate model orders
+while their results decrease (`model.broken_pairs`).  A symbol's signs are
+those a session handed in (`lemma_signs`, the lazy strategy in-process),
+else none, and then the lemma is Ackermann congruence.  An application of
+an unsigned symbol caught again in a later round is tied to every
+application of its symbol.  Universal quantifiers are
 expanded finitely when every binder sort is Boolean or a bounded integer
 interval, within an instantiation budget that counts the full product of
 the binder domains.  Where the body is an implication, each
@@ -71,7 +67,7 @@ from typing import Optional, Sequence, Union
 
 from . import sat
 from .difflogic import ZERO, DiffConstraint, solve_difference_constraints
-from .model import Value, default_output, dominates, evaluate_with
+from .model import Value, broken_pairs, default_output, evaluate_with
 from .sat import SatSolver
 from .terms import (
     Add,
@@ -136,9 +132,8 @@ class Engine:
         self.apps_by_symbol: dict[str, list[Apply]] = {}
         self.app_node: dict[Apply, Node] = {}
         self._caught: set[Apply] = set()  # applications in a broken pair
-        # per constrained symbol, its monotone and anti-monotone index sets:
-        # each theory round checks that symbol's monotonicity lemmas, and
-        # grounds and logs the violated pairs, in grounding order
+        # per constrained symbol, its monotone and anti-monotone index sets;
+        # its broken pairs are logged, in grounding order
         self.lemma_signs: dict[str, tuple[frozenset[int], frozenset[int]]] = {}
         self.lemma_log: list[tuple[Apply, Apply]] = []
         # per symbol, its applications grouped by point in the last model
@@ -363,18 +358,15 @@ class Engine:
         self.apps_by_symbol.setdefault(app.func.name, []).append(app)
         return node
 
-    def _ground_broken_congruence(self) -> bool:
-        """Ground what the current model breaks; False if it breaks nothing.
+    def _ground_broken_pairs(self) -> bool:
+        """Ground each pair the current model breaks; False if it breaks none.
 
-        A symbol in `lemma_signs` gets the lemma of each ordered pair (t, s)
-        whose points are in specification order while f(t) > f(s).  Equal
-        points are ordered both ways, so these pairs cover its congruence.
-        Each other symbol gets congruence: each application that the model
-        values at an earlier application's point, with another result, is
-        tied to that point's first application.  Each round is a full SAT
-        re-descent, so an application caught again (one over unknown
+        Each symbol's `model.broken_pairs`, under its signs in `lemma_signs`
+        (then logged) or with every argument unsigned, are grounded one way
+        by `assert_lemma`.  Each round is a full SAT re-descent, so an
+        application of an unsigned symbol caught again (one over unknown
         arguments can meet a new point every round) is grounded against
-        every application of its symbol at once.
+        every application of its symbol, both ways, at once.
 
         The rounds end without a record of grounded pairs: a broken pair has
         its points ordered, so no antecedent literal is false at level 0,
@@ -383,39 +375,30 @@ class Engine:
         pairs are finite; a repeated pair only repeats its clauses."""
         broken = False
         caught: dict[Apply, None] = {}
+        unsigned = (frozenset(), frozenset())
         for name, apps in self.apps_by_symbol.items():
             by_point = self.app_points[name] = {}
-            points = [tuple(evaluate_with(a, self.value) for a in app.args) for app in apps]
-            for app, point in zip(apps, points):
+            valued = []
+            for app in apps:
+                point = tuple(evaluate_with(a, self.value) for a in app.args)
                 by_point.setdefault(point, []).append(app)
-            signs = self.lemma_signs.get(name)
-            if signs is not None:
-                valued = [(app, point, self.value(app)) for app, point in zip(apps, points)]
-                for (t, p, p_out), (s, q, q_out) in itertools.permutations(valued, 2):
-                    if p_out > q_out and dominates(p, q, *signs):
-                        self.assert_lemma(t, s, *signs)
-                        self.lemma_log.append((t, s))
-                        broken = True
-                continue
-            for group in by_point.values():
-                first = self.value(group[0])
-                for app in group[1:]:
-                    if self.value(app) != first:
-                        self._congruence(group[0], app)
-                        caught[group[0]] = caught[app] = None
+                valued.append((app, point, self.value(app)))
+            signs = self.lemma_signs.get(name, unsigned)
+            for t, s in broken_pairs(valued, *signs):
+                self.assert_lemma(t, s, *signs)
+                broken = True
+                if signs is unsigned:
+                    caught[t] = caught[s] = None
+                else:
+                    self.lemma_log.append((t, s))
         for app in caught:
             if app in self._caught:
                 for other in self.apps_by_symbol[app.func.name]:
                     if other is not app:
-                        self._congruence(app, other)
+                        self.assert_lemma(app, other, *unsigned)
+                        self.assert_lemma(other, app, *unsigned)
         self._caught.update(caught)
-        return broken or bool(caught)
-
-    def _congruence(self, a: Apply, b: Apply) -> None:
-        """Functional consistency at (a, b): the lemma with every argument
-        unsigned, both ways (Ackermann's reduction)."""
-        self.assert_lemma(a, b, frozenset(), frozenset())
-        self.assert_lemma(b, a, frozenset(), frozenset())
+        return broken
 
     # -- Tseitin ----------------------------------------------------------------------
 
@@ -657,9 +640,8 @@ class Engine:
 
     def check(self, deadline: Optional[float] = None) -> str:
         """SAT search, difference-logic check and the pass over application
-        pairs, in rounds until a model breaks no lemma of `lemma_signs` and
-        gives each point of each other symbol one result; `theory_rounds`
-        counts every round, lemma and congruence rounds included."""
+        pairs, in rounds until a model breaks no pair; `theory_rounds`
+        counts every round."""
         for _ in range(MAX_THEORY_ROUNDS):
             result = self.sat.solve(deadline)
             if result != sat.SAT:
@@ -678,7 +660,7 @@ class Engine:
             else:
                 assert values is not None
                 self._int_values = {n: v for n, v in values.items() if n != ZERO}
-                if not self._ground_broken_congruence():
+                if not self._ground_broken_pairs():
                     return sat.SAT
             if deadline is not None and time.monotonic() > deadline:
                 return sat.UNKNOWN

@@ -18,7 +18,8 @@ can serve as the second leg of round-trip checks.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .terms import (
     Add,
@@ -159,6 +160,31 @@ def dominates(
         elif a != b:
             return False
     return True
+
+
+def broken_pairs(
+    valued: Sequence[tuple[Apply, ValueVector, Value]],
+    mono: frozenset[int],
+    anti: frozenset[int],
+) -> list[tuple[Apply, Apply]]:
+    """The pairs (t, s) of one symbol's (application, point, result) triples
+    whose lemma the valuation breaks: t's point `dominates` s's while t's
+    result is larger (False < True), in `itertools.permutations(valued, 2)`
+    order.  Only triples that agree at every unsigned argument are
+    compared, so a symbol with no signed argument costs its point groups."""
+    arity = len(valued[0][1]) if valued else 0
+    unsigned = [i for i in range(arity) if i + 1 not in mono and i + 1 not in anti]
+    groups: dict[object, list[tuple[Apply, ValueVector, Value]]] = {}
+    if unsigned:
+        key = itemgetter(*unsigned)
+        for triple in valued:
+            groups.setdefault(key(triple[1]), []).append(triple)
+    return [
+        (t, s)
+        for t, p, p_out in valued
+        for s, q, q_out in (groups[key(p)] if unsigned else valued)
+        if p_out > q_out and dominates(p, q, mono, anti)
+    ]
 
 
 def _cmp(op: CmpOp, lhs: Value, rhs: Value) -> bool:

@@ -238,7 +238,7 @@ class InternalSession(SolverSession):
             return UNKNOWN
         try:
             result = self.engine.check(self._deadline)
-        except EngineUnsupported as err:  # e.g. a congruence pair mixing sorts
+        except EngineUnsupported as err:  # e.g. a broken pair mixing sorts
             self._refused = f"unsupported: {err}"
             return UNKNOWN
         if result == UNKNOWN:
@@ -251,8 +251,8 @@ class InternalSession(SolverSession):
         return self._refused or self._unknown_reason
 
     def _extract_model(self) -> Model:
-        # the last congruence pass left every group with one result, so its
-        # first application stands for the group's row
+        # the last round broke no pair, so every point group has one result
+        # and its first application stands for the group's row
         rows = [
             (group[0], point)
             for by_point in self.engine.app_points.values()

@@ -45,7 +45,7 @@ class Sort:
     term of Int sort is expected.
     """
 
-    __slots__ = ("kind", "bounds", "_hash")
+    __slots__ = ("kind", "bounds", "is_bool", "is_int", "_hash")
 
     def __init__(self, kind: SortKind, bounds: Optional[tuple[int, int]] = None):
         if bounds is not None:
@@ -57,15 +57,9 @@ class Sort:
             bounds = (int(lo), int(hi))
         self.kind = kind
         self.bounds = bounds
+        self.is_bool = kind is SortKind.BOOL
+        self.is_int = kind is SortKind.INT
         self._hash = hash((kind, bounds))
-
-    @property
-    def is_bool(self) -> bool:
-        return self.kind is SortKind.BOOL
-
-    @property
-    def is_int(self) -> bool:
-        return self.kind is SortKind.INT
 
     @property
     def is_bounded(self) -> bool:
@@ -372,7 +366,8 @@ class _NaryBool(Term):
         if len(args) < 2:
             raise TermError(f"{type(self).__name__} needs at least two operands")
         for a in args:
-            _require_bool(a, type(self).__name__.lower())
+            if not a.sort.is_bool:
+                _require_bool(a, type(self).__name__.lower())
         self.args = args
         self._seal(BOOL, args)
 

@@ -625,14 +625,14 @@ def test_lazy_in_engine_answers_timeout_at_the_deadline(monkeypatch):
     formula, spec = _pinned_lazy_instance()
     session = InternalSession()
     session.set_time_limit(500)
-    ground = Engine._ground_broken_congruence
+    ground = Engine._ground_broken_pairs
 
     def late(engine):
         broken = ground(engine)
         time.sleep(max(0.0, session._deadline - time.monotonic()) + 0.01)
         return broken
 
-    monkeypatch.setattr(Engine, "_ground_broken_congruence", late)
+    monkeypatch.setattr(Engine, "_ground_broken_pairs", late)
     stats = LazyRunStats()
     verdict = solve_lazy(formula, spec, session, stats)
     assert verdict.kind == "unknown" and verdict.reason == TIMEOUT

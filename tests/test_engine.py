@@ -12,7 +12,7 @@ from conftest import sessions
 from monoinfer import engine as engine_module
 from monoinfer.difflogic import ZERO, DiffConstraint, solve_difference_constraints
 from monoinfer.engine import Engine, EngineUnsupported
-from monoinfer.model import evaluate
+from monoinfer.model import broken_pairs, dominates, evaluate
 from monoinfer.oracle import oracle_mono_sat
 from monoinfer.sat import SatSolver
 from monoinfer.session import InternalSession
@@ -290,7 +290,7 @@ def test_engine_quant_aggregated_fig1_grounds_congruence(fig1):
     assert _one_result_per_point(engine)
 
 
-def test_engine_ties_every_result_of_a_point_to_its_first_application(monkeypatch):
+def test_engine_grounds_every_broken_pair_of_a_point(monkeypatch):
     # f(x), f(y), f(z) must take results 0, 1 and 2, so x, y and z must be
     # distinct; the first model puts all three at one point
     dom = bounded_int(0, 2)
@@ -298,7 +298,7 @@ def test_engine_ties_every_result_of_a_point_to_its_first_application(monkeypatc
     args = [Const(n, dom) for n in "xyz"]
     assertions = [Cmp(CmpOp.EQ, Apply(f, (a,)), IntLit(i)) for i, a in enumerate(args)]
     results_per_point = []
-    ground = Engine._ground_broken_congruence
+    ground = Engine._ground_broken_pairs
 
     def spy(engine):
         broken = ground(engine)
@@ -308,7 +308,7 @@ def test_engine_ties_every_result_of_a_point_to_its_first_application(monkeypatc
         ))
         return broken
 
-    monkeypatch.setattr(Engine, "_ground_broken_congruence", spy)
+    monkeypatch.setattr(Engine, "_ground_broken_pairs", spy)
     session = _session(assertions)
     assert session.check_sat() == "sat"
     assert results_per_point[0] == 3 and results_per_point[-1] == 1
@@ -347,21 +347,27 @@ def test_engine_mends_a_constrained_symbol_by_lemma_pairs(monkeypatch):
         Cmp(CmpOp.EQ, Apply(g, (u,)), IntLit(1)),
         Cmp(CmpOp.EQ, Apply(g, (v,)), IntLit(0)),
     ]
-    tied = []
-    congruence = Engine._congruence
+    signs = []
+    assert_lemma = Engine.assert_lemma
 
-    def spy(engine, a, b):
-        tied.append(a.func)
-        congruence(engine, a, b)
+    def spy(engine, t, s, mono, anti):
+        signs.append((t.func, mono, anti))
+        assert_lemma(engine, t, s, mono, anti)
 
-    monkeypatch.setattr(Engine, "_congruence", spy)
+    monkeypatch.setattr(Engine, "assert_lemma", spy)
     session = InternalSession()
     log = []
     assert session.check_lemmas_in_search(MonotonicitySpec({f: ({1}, set())}), log)
     for a in assertions:
         session.assert_formula(a)
     assert session.check_sat() == "sat"
-    assert tied and set(tied) == {g}
+    assert {func for func, _, _ in signs} == {f, g}
+    assert {(mono, anti) for func, mono, anti in signs if func == f} == {
+        (frozenset({1}), frozenset())
+    }
+    assert {(mono, anti) for func, mono, anti in signs if func == g} == {
+        (frozenset(), frozenset())
+    }
     assert log[0] == (fx, fy)
     assert {app.func for pair in log for app in pair} == {f}
     model = session.extract_model()
@@ -380,11 +386,11 @@ def _congruence_broken_in_every_model():
 def test_engine_deadline_bounds_congruence_rounds():
     import time
 
-    # the first round's model breaks the one pair, and grounding it leaves
-    # no model, so no second round runs
+    # each round grounds the one pair in the direction its model breaks,
+    # and the two directions leave no model, so no third round runs
     engine = _congruence_broken_in_every_model()
     assert engine.check() == "unsat"
-    assert engine.theory_rounds == 1
+    assert engine.theory_rounds == 2
     late = time.monotonic() - 1
     assert _congruence_broken_in_every_model().check(deadline=late) == "unknown"
 
@@ -400,7 +406,8 @@ def test_congruence_is_the_unsigned_lemma_both_ways(result):
     s = Apply(f, (BoolLit(True), y, Add(v, IntLit(1))))
     base = Not(Cmp(CmpOp.EQ, t, s))
     engines = _check([base]), _check([base])
-    engines[0]._congruence(t, s)
+    engines[0].assert_lemma(t, s, frozenset(), frozenset())
+    engines[0].assert_lemma(s, t, frozenset(), frozenset())
     unsigned = MonotonicitySpec({})
     engines[1].assert_term(monotonicity_lemma(f, t.args, s.args, unsigned))
     engines[1].assert_term(monotonicity_lemma(f, s.args, t.args, unsigned))
@@ -549,6 +556,33 @@ def test_engine_congruence_on_demand_agrees_with_oracle(formula):
     assert verdict == oracle_mono_sat(formula, MonotonicitySpec({}), (0, 2))
     if verdict == "sat":
         assert evaluate(formula, session.extract_model())
+
+
+@st.composite
+def _valued_symbol(draw):
+    """One symbol's (application, point, result) triples: points drawn with
+    repeats from a few Boolean or 0..2 vectors, and disjoint signs."""
+    coordinate = st.sampled_from([st.booleans(), st.integers(0, 2)])
+    kinds = draw(st.lists(coordinate, min_size=1, max_size=4))
+    pool = draw(st.lists(st.tuples(*kinds), min_size=1, max_size=4))
+    points = draw(st.lists(st.sampled_from(pool), max_size=8))
+    result = draw(st.sampled_from([st.booleans(), st.integers(0, 2)]))
+    valued = [(f"t{k}", point, draw(result)) for k, point in enumerate(points)]
+    signs = draw(st.lists(st.sampled_from("ma."), min_size=len(kinds), max_size=len(kinds)))
+    mono = frozenset(i for i, sign in enumerate(signs, start=1) if sign == "m")
+    anti = frozenset(i for i, sign in enumerate(signs, start=1) if sign == "a")
+    return valued, mono, anti
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valued_symbol())
+def test_broken_pairs_is_the_filtered_permutations(symbol):
+    valued, mono, anti = symbol
+    assert broken_pairs(valued, mono, anti) == [
+        (t, s)
+        for (t, p, p_out), (s, q, q_out) in itertools.permutations(valued, 2)
+        if p_out > q_out and dominates(p, q, mono, anti)
+    ]
 
 
 def test_folded_shapes_make_no_sat_variable():
