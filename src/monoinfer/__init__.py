@@ -66,7 +66,7 @@ from .session import (
     SolverVerdict,
     open_session,
 )
-from .smtlib import emit_script, emit_smtlib
+from .smtlib import emit_script
 from .problemfile import load_problem, parse_problem, save_problem, serialize_problem
 from .generate import GeneratorParams, generate_instance
 from .harness import RunRecord, run_batch, run_single

@@ -61,6 +61,7 @@ from .terms import (
     Var,
     is_quantifier_free,
     iter_subterms,
+    lemma_antecedent,
     mk_and,
     mk_implies,
     ordering_atom,
@@ -147,20 +148,11 @@ def _aggregated_body(
     -> t <= s.
     Each antecedent atom is taken from `atoms`, keyed on its comparison, and
     stored there when missing, so lemmas built with one table share it."""
-    func, xs, ys = t.func, t.args, s.args
-    mono = spec.monotone(func)
-    anti = spec.anti_monotone(func)
-    comparisons = [("<=", xs[i - 1], ys[i - 1]) for i in sorted(mono)]
-    comparisons += [("<=", ys[i - 1], xs[i - 1]) for i in sorted(anti)]
-    comparisons += [
-        ("=", xs[i - 1], ys[i - 1])
-        for i in range(1, func.arity + 1)
-        if i not in mono and i not in anti
-    ]
+    mono, anti = spec.monotone(t.func), spec.anti_monotone(t.func)
     if atoms is None:
         atoms = {}
     antecedent: list[Term] = []
-    for key in comparisons:
+    for key in lemma_antecedent(t.args, s.args, mono, anti):
         atom = atoms.get(key)
         if atom is None:
             op, x, y = key

@@ -26,10 +26,11 @@ variables are not SAT decision variables, and the search branches only on
 constants, application results, ladder and atom variables.  A monotonicity
 lemma becomes one clause over its antecedent and consequent literals, whether
 it arrives as a Term (`assert_term`) or as its two applications
-(`assert_lemma`).  Where that clause's last literal, or a bare asserted atom,
-would compare two order-encoded nodes, `Engine._add_le_clause` adds the
-comparison's order-encoding clauses instead, one per value of its right
-node, with no gate.
+(`assert_lemma`, its antecedent from `terms.lemma_antecedent`).  Where that
+clause's last literal, or a bare asserted atom, would compare two
+order-encoded nodes, `Engine._add_le_clause` adds the comparison's
+order-encoding clauses instead, one per value of its right node, with no
+gate.  Grounding recurses; the session refuses a term too deep for it.
 
 The engine grounds and searches; it does not build models.  Nothing is
 declared ahead: a constant gets its SAT variable, ladder or difference-logic
@@ -88,6 +89,7 @@ from .terms import (
     Term,
     Var,
     iter_subterms,
+    lemma_antecedent,
     lit as value_lit,
     substitute,
 )
@@ -571,22 +573,17 @@ class Engine:
         self, t: Apply, s: Apply, mono: frozenset[int], anti: frozenset[int]
     ) -> None:
         """Ground the lemma at two applications of one symbol as the clause
-        `assert_term` makes of its Term: the negated antecedent literals in
-        `encode._aggregated_body`'s order, then f(t) <= f(s).  An argument in
-        neither `mono` nor `anti` is compared by equality, so with both empty
-        the lemma both ways is congruence at (t, s)."""
-        rest = [i for i in range(1, len(t.args) + 1) if i not in mono and i not in anti]
+        `assert_term` makes of its Term: the negated literals of its
+        `terms.lemma_antecedent` comparisons, then f(t) <= f(s).  An argument
+        in neither `mono` nor `anti` is compared by equality, so with both
+        empty the lemma both ways is congruence at (t, s)."""
         negs = []
-        for i in [*sorted(mono), *sorted(anti), *rest]:
-            x, y = t.args[i - 1], s.args[i - 1]
-            if i in anti:
-                x, y = y, x
-            signed = i in mono or i in anti
+        for op, x, y in lemma_antecedent(t.args, s.args, mono, anti):
             if x.sort.is_bool:
                 lx, ly = self.lit_of(x), self.lit_of(y)
-                negs.append(self._and_not(lx, ly) if signed else -self._iff_gate(lx, ly))
+                negs.append(self._and_not(lx, ly) if op == "<=" else -self._iff_gate(lx, ly))
             else:
-                negs.append(-(self._diff_le_lit(x, y) if signed else self._int_eq_lit(x, y)))
+                negs.append(-(self._diff_le_lit(x, y) if op == "<=" else self._int_eq_lit(x, y)))
         if self.true_var in negs:
             return
         if t.sort.is_bool:

@@ -17,12 +17,13 @@ from typing import Iterator, Optional, Sequence
 
 from .model import FunctionTable, Model, Value, ValueVector, evaluate
 from .terms import (
+    Const,
+    FunctionSymbol,
     IntLit,
     MonotonicitySpec,
     Term,
-    constants_in_order,
+    collect_declarations,
     iter_subterms,
-    symbols_in_order,
 )
 from .network import (
     InferenceProblem,
@@ -332,8 +333,9 @@ def oracle_mono_sat(
     for t in iter_subterms(formula):
         if isinstance(t, IntLit) and not lo <= t.value <= hi:
             raise ProblemError(f"integer literal {t.value} outside grid {grid}")
-    consts = constants_in_order(formula)
-    funcs = symbols_in_order(formula)
+    declarations = collect_declarations([formula])
+    consts = [d for d in declarations if isinstance(d, Const)]
+    funcs = [d for d in declarations if isinstance(d, FunctionSymbol)]
     tracker = _Budget(budget)
 
     def values_for(sort) -> list[Value]:

@@ -18,6 +18,8 @@ passes them to its engine, which checks the lemmas in the theory rounds of
 one `check_sat`; every other session declines, and the lazy loop stays
 above it.  The engine stops grounding lemmas and quantifier instances at
 the deadline, and every later check answers unknown (`timeout`).
+`assert_formula` declares what `terms.collect_declarations` lists; a term
+too deep for the engine's walks is refused, and later checks answer unknown.
 """
 
 from __future__ import annotations
@@ -36,12 +38,20 @@ from .sat import SAT, UNKNOWN, UNSAT
 from .smtlib import (
     SmtParseError,
     balanced,
-    collect_declarations,
     declaration_to_sexpr,
     parse_get_value_response,
     term_to_sexpr,
 )
-from .terms import Apply, Const, Exists, Forall, FunctionSymbol, MonotonicitySpec, Term
+from .terms import (
+    Apply,
+    Const,
+    Exists,
+    Forall,
+    FunctionSymbol,
+    MonotonicitySpec,
+    Term,
+    collect_declarations,
+)
 
 ENV_SOLVER_CMD = "MONOINFER_SOLVER_CMD"
 INTERNAL_SOLVER = "internal"
@@ -230,6 +240,8 @@ class InternalSession(SolverSession):
             method(*args)
         except EngineUnsupported as err:
             self._refused = f"unsupported: {err}"
+        except RecursionError:  # the engine's walks recurse
+            self._refused = "unsupported: term nested too deeply"
         except TimeoutError:  # quantifier expansion reached the deadline
             self._refused = TIMEOUT
 
@@ -240,6 +252,9 @@ class InternalSession(SolverSession):
             result = self.engine.check(self._deadline)
         except EngineUnsupported as err:  # e.g. a broken pair mixing sorts
             self._refused = f"unsupported: {err}"
+            return UNKNOWN
+        except RecursionError:
+            self._refused = "unsupported: term nested too deeply"
             return UNKNOWN
         if result == UNKNOWN:
             timed_out = self._deadline is not None and time.monotonic() > self._deadline

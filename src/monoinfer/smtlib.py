@@ -1,13 +1,15 @@
 """SMT-LIB2 serialization: term and model emission, s-expression reading, and
 get-value response parsing.
 
-Emission is a pure function of its input: identical declarations and
-assertions produce byte-identical scripts, which the golden-file tests pin.
+Emission is a pure function of its input: `emit_script` declares what
+`terms.collect_declarations` lists, so identical assertions produce
+byte-identical scripts, which the golden-file tests pin.  The reader and
+`term_to_sexpr` recurse, one frame per nesting level.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .model import FunctionTable, Model, Value, default_output
 from .terms import (
@@ -29,6 +31,7 @@ from .terms import (
     Sub,
     Term,
     Var,
+    collect_declarations,
     iter_subterms,
 )
 
@@ -91,30 +94,6 @@ def declaration_to_sexpr(item: Union[Const, FunctionSymbol]) -> str:
     return f"(declare-fun {item.name} ({args}) {sort_to_sexpr(item.result_sort)})"
 
 
-def collect_declarations(
-    assertions: Iterable[Term],
-) -> list[Union[Const, FunctionSymbol]]:
-    """Constants and function symbols in first-occurrence order (args before
-    the application that uses them, a postorder read that skips repeats)."""
-    seen: dict[Union[Const, FunctionSymbol], None] = {}
-    visited: set[Term] = set()
-
-    def visit(t: Term) -> None:
-        if t in visited:
-            return
-        visited.add(t)
-        for c in t.children():
-            visit(c)
-        if isinstance(t, Const):
-            seen.setdefault(t)
-        elif isinstance(t, Apply):
-            seen.setdefault(t.func)
-
-    for a in assertions:
-        visit(a)
-    return list(seen)
-
-
 def select_logic(assertions: Sequence[Term]) -> str:
     """UF for pure-Boolean content, UFLIA otherwise."""
     for a in assertions:
@@ -124,25 +103,19 @@ def select_logic(assertions: Sequence[Term]) -> str:
     return "UF"
 
 
-def emit_smtlib(
-    declarations: Sequence[Union[Const, FunctionSymbol]],
-    assertions: Sequence[Term],
-) -> str:
+def emit_script(assertions: Sequence[Term]) -> str:
+    """The script that declares the constants and function symbols of
+    `assertions` in `collect_declarations` order, asserts each and checks."""
     lines = [
         f"(set-logic {select_logic(assertions)})",
         "(set-option :produce-models true)",
     ]
-    for decl in declarations:
+    for decl in collect_declarations(assertions):
         lines.append(declaration_to_sexpr(decl))
     for a in assertions:
         lines.append(f"(assert {term_to_sexpr(a)})")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
-
-
-def emit_script(assertions: Sequence[Term]) -> str:
-    """Convenience wrapper: declarations collected from the assertions themselves."""
-    return emit_smtlib(collect_declarations(assertions), assertions)
 
 
 # -- s-expression reading ------------------------------------------------------

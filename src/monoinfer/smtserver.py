@@ -8,8 +8,9 @@ Installed as the `monoinfer-smt` console script; reads commands from
 standard input (set-logic, declare-fun/declare-const, assert, check-sat,
 get-value, get-model, reset, exit) and answers on standard output, so the
 process driver -- or any other SMT-LIB2 client -- can use it like an
-external solver.  Inputs outside the engine's fragment make check-sat
-answer `unknown` rather than erroring out.
+external solver.  Inputs outside the engine's fragment, terms too deep to
+ground included, make check-sat answer `unknown` rather than erroring out;
+a command too deep to read or parse gets an `(error ...)` answer.
 """
 
 from __future__ import annotations
@@ -256,7 +257,11 @@ def serve(instream, outstream) -> int:
         buffer += line
         if not balanced(buffer):
             continue
-        commands, buffer = read_sexprs(buffer), ""
+        try:
+            commands = read_sexprs(buffer)
+        except RecursionError:
+            commands = [SmtParseError("command nested too deeply")]
+        buffer = ""
         for command in commands:
             try:
                 if isinstance(command, SmtParseError):
@@ -264,6 +269,8 @@ def serve(instream, outstream) -> int:
                 response = server.handle(command)
             except CommandError as err:
                 response = f'(error "{err}")'
+            except RecursionError:  # parse_term and evaluate recurse
+                response = '(error "command nested too deeply")'
             except SystemExit:
                 return 0
             if response is not None:

@@ -561,6 +561,20 @@ def subst_at(vector: ArgVector, index: int, value: Term) -> ArgVector:
     return vector[: index - 1] + (value,) + vector[index:]
 
 
+def lemma_antecedent(
+    xs: ArgVector, ys: ArgVector, mono: frozenset[int], anti: frozenset[int]
+) -> list[tuple[str, Term, Term]]:
+    """The comparisons of the monotonicity lemma at argument vectors xs and
+    ys, in the lemma's order: ("<=", x, y) at each monotone position, then
+    ("<=", y, x) at each anti-monotone one, then ("=", x, y) at the rest."""
+    out = [("<=", xs[i - 1], ys[i - 1]) for i in sorted(mono)]
+    out += [("<=", ys[i - 1], xs[i - 1]) for i in sorted(anti)]
+    if len(out) < len(xs):
+        signed = mono | anti
+        out += [("=", x, y) for i, (x, y) in enumerate(zip(xs, ys), 1) if i not in signed]
+    return out
+
+
 # -- structural utilities ------------------------------------------------------
 
 
@@ -573,21 +587,30 @@ def iter_subterms(term: Term) -> Iterator[Term]:
         stack.extend(reversed(t.children()))
 
 
-def symbols_in_order(term: Term) -> list[FunctionSymbol]:
-    """Distinct function symbols applied in `term`, in first-occurrence order."""
-    seen: dict[FunctionSymbol, None] = {}
-    for t in iter_subterms(term):
-        if isinstance(t, Apply):
-            seen.setdefault(t.func)
-    return list(seen)
-
-
-def constants_in_order(term: Term) -> list[Const]:
-    seen: dict[Const, None] = {}
-    for t in iter_subterms(term):
-        if isinstance(t, Const):
-            seen.setdefault(t)
-    return list(seen)
+def collect_declarations(
+    assertions: Iterable[Term],
+) -> list[Union[Const, FunctionSymbol]]:
+    """Constants and function symbols in first-occurrence order: a postorder
+    read that lists an application's arguments before its symbol and skips
+    repeated subterms.  The walk keeps its own stack, an application's symbol
+    pushed below its arguments, so no term depth can overflow it."""
+    out: list[Union[Const, FunctionSymbol]] = []
+    visited: set[Union[Term, FunctionSymbol]] = set()
+    stack: list[Union[Term, FunctionSymbol]] = list(assertions)[::-1]
+    while stack:
+        t = stack.pop()
+        if t in visited:
+            continue
+        visited.add(t)
+        kind = type(t)
+        if kind is Apply:
+            stack.append(t.func)
+            stack.extend(t.args[::-1])
+        elif kind is Const or kind is FunctionSymbol:
+            out.append(t)
+        else:
+            stack.extend(t.children()[::-1])
+    return out
 
 
 def is_quantifier_free(term: Term) -> bool:
@@ -657,16 +680,6 @@ class NameSupply:
                 return Const(name, sort)
 
 
-def _names_in_use(term: Term) -> set[str]:
-    names: set[str] = set()
-    for t in iter_subterms(term):
-        if isinstance(t, Const):
-            names.add(t.name)
-        elif isinstance(t, Apply):
-            names.add(t.func.name)
-    return names
-
-
 def skolemize(term: Term, supply: Optional[NameSupply] = None) -> Term:
     """Replace positively-occurring existentials by fresh constants.
 
@@ -677,7 +690,7 @@ def skolemize(term: Term, supply: Optional[NameSupply] = None) -> Term:
     if not any(isinstance(t, Exists) for t in iter_subterms(term)):
         return term
     if supply is None:
-        supply = NameSupply(avoid=_names_in_use(term))
+        supply = NameSupply(avoid=[d.name for d in collect_declarations([term])])
 
     def walk(t: Term, positive: bool) -> Term:
         match t:

@@ -45,7 +45,7 @@ from monoinfer.network import (
 from monoinfer.oracle import oracle_inference
 from monoinfer.problemfile import load_problem, save_problem
 from monoinfer.session import InternalSession
-from monoinfer.smtlib import collect_declarations, emit_smtlib
+from monoinfer.smtlib import emit_script
 from monoinfer.terms import And, FunctionSymbol, INT, MonotonicitySpec
 
 
@@ -94,7 +94,7 @@ def test_criterion_2_eager_instance_shape(ex1):
         parts = _flat(enc.formula)
         assert len(parts[1:]) == 4
         flat = _flat(parts[0]) + parts[1:]
-        script = emit_smtlib(collect_declarations(flat), flat)
+        script = emit_script(flat)
         golden = (GOLDEN_DIR / "example1_eager.smt2").read_text()
         assert script == golden
 

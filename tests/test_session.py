@@ -23,6 +23,7 @@ from monoinfer.smtserver import CommandError, SmtServer, serve
 from monoinfer.terms import (
     BOOL,
     INT,
+    Add,
     And,
     Apply,
     BoolLit,
@@ -412,6 +413,43 @@ def test_repl_malformed_terms_answer_errors():
     assert all(line.startswith("(error") for line in out[:-1])
     assert all("unknown symbol" in line for line in out[-1 - len(numerals):-1])
     assert out[-1] == "sat"
+
+
+
+def test_repl_answers_deep_input():
+    # a 1,500-deep (not ...) is too deep to read, and a 1,500-operand sum
+    # (valid SMT-LIB 2.6) too deep to ground; both get an answer, and the
+    # half-grounded sum keeps every later check unknown until (reset)
+    deep_not = "(not " * 1500 + "p" + ")" * 1500
+    long_sum = "(+ x" + " 1" * 1500 + ")"
+    out = _run_script(
+        f"""
+(declare-fun p () Bool)
+(declare-fun x () Int)
+(assert {deep_not})
+(assert (<= {long_sum} 2000))
+(check-sat)
+(check-sat)
+(reset)
+(declare-fun x () Int)
+(assert (<= x 5))
+(check-sat)
+(exit)
+"""
+    )
+    assert out[0].startswith("(error") and "nested too deeply" in out[0]
+    assert out[1:] == ["unknown", "unknown", "sat"]
+
+
+def test_internal_session_refuses_a_term_too_deep_to_ground():
+    x = Const("x", INT)
+    total = x
+    for _ in range(5000):
+        total = Add(total, IntLit(1))
+    session = InternalSession()
+    session.assert_formula(Cmp(CmpOp.LE, total, IntLit(6000)))
+    assert session.check_sat() == "unknown"
+    assert session.unknown_reason == "unsupported: term nested too deeply"
 
 
 _FUZZ_ATOMS = ["p", "q", "x", "f", "0", "1", "true", "+", "-", "not", "=>", "=", "<=",

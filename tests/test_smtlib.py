@@ -8,8 +8,6 @@ from monoinfer.encode import encode_eager
 from monoinfer.smtlib import (
     SmtParseError,
     balanced,
-    collect_declarations,
-    emit_smtlib,
     emit_script,
     model_to_sexpr,
     parse_get_value_response,
@@ -97,7 +95,7 @@ def test_emit_ground_fixed_point_constraints(fig1):
 
 
 def test_emit_empty_assertion_set():
-    script = emit_smtlib([], [])
+    script = emit_script([])
     assert script == "(set-logic UF)\n(set-option :produce-models true)\n(check-sat)\n"
 
 
@@ -118,7 +116,7 @@ def test_example1_eager_golden_bytes(ex1):
     enc = encode_eager(ex1.phi, ex1.spec)
     parts = _flat(enc.formula)
     flat = _flat(parts[0]) + parts[1:]
-    script = emit_smtlib(collect_declarations(flat), flat)
+    script = emit_script(flat)
     golden = (GOLDEN_DIR / "example1_eager.smt2").read_text()
     assert script == golden
 
@@ -127,7 +125,7 @@ def test_fig1_eager_golden_bytes(fig1):
     formula, spec = encode_inference(fig1)
     enc = encode_eager(formula, spec)
     assertions = _flat(enc.formula)
-    script = emit_smtlib(collect_declarations(assertions), assertions)
+    script = emit_script(assertions)
     golden = (GOLDEN_DIR / "fig1_eager.smt2").read_text()
     assert script == golden
 

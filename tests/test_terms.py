@@ -30,8 +30,10 @@ from monoinfer.terms import (
     Var,
     bounded_int,
     check_symbol_name,
+    collect_declarations,
     is_quantifier_free,
     iter_subterms,
+    lemma_antecedent,
     mk_and,
     ordering_atom,
     skolemize,
@@ -298,6 +300,37 @@ def test_monotonicity_spec_validation():
     assert spec.monotone(f) == {1} and spec.anti_monotone(f) == {2}
 
 
+
+# -- declarations and lemma antecedents --------------------------------------------
+
+
+def test_collect_declarations_lists_arguments_before_their_symbol():
+    f = FunctionSymbol("f", [INT, INT], INT)
+    p = Const("p", BOOL)
+    a, b = Const("a", INT), Const("b", INT)
+    phi = And([p, Cmp(CmpOp.LE, Apply(f, (a, Apply(f, (b, a)))), b)])
+    assert collect_declarations([phi, Not(p)]) == [p, a, b, f]
+
+
+def test_collect_declarations_on_a_deep_chain():
+    g = FunctionSymbol("g", [INT], BOOL)
+    c = Const("c", INT)
+    term = Apply(g, (c,))
+    for _ in range(5000):
+        term = Not(term)
+    assert collect_declarations([term]) == [c, g]
+
+
+def test_lemma_antecedent_order():
+    xs = tuple(Const(f"x{i}", INT) for i in range(1, 5))
+    ys = tuple(Const(f"y{i}", INT) for i in range(1, 5))
+    assert lemma_antecedent(xs, ys, frozenset({4, 2}), frozenset({3})) == [
+        ("<=", xs[1], ys[1]),
+        ("<=", xs[3], ys[3]),
+        ("<=", ys[2], xs[2]),
+        ("=", xs[0], ys[0]),
+    ]
+
 # -- property tests ------------------------------------------------------------------
 
 _FN_INT = FunctionSymbol("F", [INT, INT], INT)
@@ -408,3 +441,32 @@ def test_applications_match_subterm_scan(term):
             t.args for t in subterms(term) if isinstance(t, Apply) and t.func == fn
         }
         assert applications_of(term, fn) == via_subterms
+
+
+def _recursive_declarations(assertions):
+    """The postorder first-occurrence reference that collect_declarations
+    must match."""
+    seen, visited = {}, set()
+
+    def visit(t):
+        if t in visited:
+            return
+        visited.add(t)
+        for c in t.children():
+            visit(c)
+        if isinstance(t, Const):
+            seen.setdefault(t)
+        elif isinstance(t, Apply):
+            seen.setdefault(t.func)
+
+    for a in assertions:
+        visit(a)
+    return list(seen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_bool_terms(3), min_size=1, max_size=4))
+def test_collect_declarations_matches_a_recursive_postorder(terms):
+    # the last assertion shares every earlier one, subterms included
+    assertions = terms + [Or([Const("b", BOOL), mk_and(terms)])]
+    assert collect_declarations(assertions) == _recursive_declarations(assertions)
