@@ -4,18 +4,24 @@ Planted mode builds a hidden model first -- clamped signed threshold tables,
 which are monotone/anti-monotone in their signed arguments by construction
 and pass through a chosen planted state -- and then emits genuine fixed
 points of that model as (fully observed) observations, so the instance is
-satisfiable by construction.  Essential flags are only placed where the
-hidden table really depends on the regulator, which keeps the guarantee
-intact.  Perturbed mode flips one observed value, which usually (not
-always) makes the instance unsatisfiable.
+satisfiable by construction.  Each table is a constant plus one addend
+list per argument, so a synchronous step only moves each variable's sum by
+the addends of the regulators that changed, then clamps.  Fixed points are
+hunted by trajectory probes; the update is deterministic, so a probe that
+revisits a state is on a cycle without a fixed point and stops there.
+Essentiality has a closed form over the addends.  Essential flags are only
+placed where the hidden table really depends on the regulator, which keeps
+the guarantee intact.  Perturbed mode flips one observed value, which
+usually (not always) makes the instance unsatisfiable.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional
+from itertools import compress
+from operator import ne
+from typing import Callable, Optional
 
 from .network import (
     FixedPointObservation,
@@ -30,6 +36,7 @@ from .terms import BOOL, bounded_int
 PLANTED = "planted"
 PERTURBED = "perturbed"
 FIXED_POINT_PROBES = 64  # trajectory restarts when hunting fixed points
+State = tuple[int, ...]  # values in variable order, so a step hashes no variable
 
 
 @dataclass
@@ -60,48 +67,61 @@ class GeneratorParams:
 
 
 class _ThresholdFunction:
-    """clamp(c0 + sum of signed unit-weight terms + per-value offsets).
+    """clamp(c0 + one addend per argument) over the domain 0..hi.
 
-    Monotone in positively weighted arguments and anti-monotone in
-    negatively weighted ones for any offsets, so sign consistency holds by
-    construction; c0 is chosen afterwards to interpolate the planted row.
+    `addends[p][x]` is argument p's addend at value x: `w * x` for a signed
+    unit weight w of 1 or 2 (negative when anti-monotone), or a random
+    offset per value when unsigned.  The table is monotone in positively
+    weighted arguments and anti-monotone in negatively weighted ones for any
+    offsets, so sign consistency holds by construction; c0 is chosen
+    afterwards to interpolate the planted row.
     """
 
-    def __init__(self, rng: random.Random, arity: int, signs: list[str], lo: int, hi: int):
-        self.lo = lo
+    def __init__(self, rng: random.Random, signs: list[str], hi: int):
         self.hi = hi
-        self.weights: list[int] = []
-        self.offsets: list[Optional[dict[int, int]]] = []
+        self.addends: list[list[int]] = []
         for sign in signs:
-            if sign == Sign.MONOTONE:
-                self.weights.append(rng.randint(1, 2))
-                self.offsets.append(None)
-            elif sign == Sign.ANTI_MONOTONE:
-                self.weights.append(-rng.randint(1, 2))
-                self.offsets.append(None)
+            if sign == Sign.UNKNOWN:
+                self.addends.append([rng.randint(-hi, hi) for _ in range(hi + 1)])
             else:
-                self.weights.append(0)
-                span = hi - lo
-                self.offsets.append(
-                    {v: rng.randint(-span, span) for v in range(lo, hi + 1)}
-                )
+                weight = rng.randint(1, 2) * (1 if sign == Sign.MONOTONE else -1)
+                self.addends.append([weight * x for x in range(hi + 1)])
         self.c0 = 0
 
-    def raw(self, args: tuple[int, ...]) -> int:
-        total = self.c0
-        for value, weight, offset in zip(args, self.weights, self.offsets):
-            if offset is None:
-                total += weight * value
-            else:
-                total += offset[value]
-        return total
+    def interpolate(self, point: State, value: int) -> None:
+        """Set c0 so the table passes exactly through (point, value)."""
+        self.c0 = value - sum(addends[x] for addends, x in zip(self.addends, point))
 
-    def __call__(self, args: tuple[int, ...]) -> int:
-        return max(self.lo, min(self.hi, self.raw(args)))
+    def depends_on(self, position: int) -> bool:
+        """Exact essentiality of the table in one argument.
 
-    def interpolate(self, point: tuple[int, ...], value: int) -> None:
-        """Shift c0 so the function passes exactly through (point, value)."""
-        self.c0 += value - self.raw(point)
+        With u and v the argument's least and greatest addends, the clamped
+        table depends on it iff u < v and some sum r of c0 and one addend of
+        every other argument has -v < r < hi - u.
+        """
+        u, v = min(self.addends[position]), max(self.addends[position])
+        sums = {self.c0}
+        for addends in self.addends[:position] + self.addends[position + 1 :]:
+            sums = {r + a for r in sums for a in set(addends)}
+        return u < v and any(-v < r < self.hi - u for r in sums)
+
+
+def _probe(step: Callable[[State], State], state: State, limit: int) -> Optional[State]:
+    """The fixed point the trajectory from `state` meets within `limit` steps, or None.
+
+    Stops at the first revisited state: the trajectory has entered a cycle
+    of two or more states, which holds no fixed point.
+    """
+    seen = {state}
+    for _ in range(limit + 1):
+        nxt = step(state)
+        if nxt == state:
+            return state
+        if nxt in seen:
+            return None
+        seen.add(nxt)
+        state = nxt
+    return None
 
 
 def generate_instance(seed: int, params: GeneratorParams) -> InferenceProblem:
@@ -111,8 +131,6 @@ def generate_instance(seed: int, params: GeneratorParams) -> InferenceProblem:
     domain = BOOL if params.domain_size == 2 else bounded_int(0, params.domain_size - 1)
     lo, hi = 0, params.domain_size - 1
     variables = [NetworkVariable(f"v{i}", domain) for i in range(params.n_vars)]
-    # variables are referred to by position below: states are tuples in
-    # variable order, so a trajectory step hashes no variable
 
     # influence graph: each variable gets 1..max_arity distinct regulators
     regulators: list[list[int]] = []
@@ -132,29 +150,35 @@ def generate_instance(seed: int, params: GeneratorParams) -> InferenceProblem:
     planted_state = tuple(rng.randint(lo, hi) for _ in variables)
     hidden: list[_ThresholdFunction] = []
     for target, sources in enumerate(regulators):
-        fn = _ThresholdFunction(
-            rng, len(sources), [signs[source, target] for source in sources], lo, hi
-        )
+        fn = _ThresholdFunction(rng, [signs[source, target] for source in sources], hi)
         fn.interpolate(tuple(planted_state[s] for s in sources), planted_state[target])
         hidden.append(fn)
 
-    def step(state: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(
-            fn(tuple(state[s] for s in sources)) for fn, sources in zip(hidden, regulators)
-        )
+    # a step updates the unclamped sums of the state it last saw by the
+    # addend changes of the variables whose value differs, which gives the
+    # same sums as adding afresh; the planted state's sums are its values
+    readers: list[list[tuple[int, list[int]]]] = [[] for _ in variables]
+    for target, (fn, sources) in enumerate(zip(hidden, regulators)):
+        for addends, source in zip(fn.addends, sources):
+            readers[source].append((target, addends))
+    last, sums = planted_state, list(planted_state)
+
+    def step(state: State) -> State:
+        nonlocal last
+        for i in compress(range(len(state)), map(ne, last, state)):
+            for target, addends in readers[i]:
+                sums[target] += addends[state[i]] - addends[last[i]]
+        last = state
+        return tuple(hi if r > hi else lo if r < lo else r for r in sums)
 
     # observations: genuine fixed points found by trajectory probes
     fixed_points = [planted_state]
     for _ in range(FIXED_POINT_PROBES):
         if len(fixed_points) >= params.n_observations:
             break
-        state = tuple(rng.randint(lo, hi) for _ in variables)
-        for _ in range(4 * params.n_vars + 8):
-            nxt = step(state)
-            if nxt == state:
-                break
-            state = nxt
-        if step(state) == state and state not in fixed_points:
+        start = tuple(rng.randint(lo, hi) for _ in variables)
+        state = _probe(step, start, 4 * params.n_vars + 8)
+        if state is not None and state not in fixed_points:
             fixed_points.append(state)
     fixed_points = fixed_points[: params.n_observations]
 
@@ -162,8 +186,9 @@ def generate_instance(seed: int, params: GeneratorParams) -> InferenceProblem:
     regulations = []
     for target, sources in enumerate(regulators):
         for position, source in enumerate(sources):
-            depends = _depends_on(hidden[target], len(sources), position, lo, hi)
-            essential = depends and rng.random() < params.essential_ratio
+            essential = (
+                hidden[target].depends_on(position) and rng.random() < params.essential_ratio
+            )
             regulations.append(
                 Regulation(
                     variables[source], variables[target], signs[source, target], essential
@@ -189,21 +214,3 @@ def generate_instance(seed: int, params: GeneratorParams) -> InferenceProblem:
 
     return InferenceProblem(variables, regulations, observations)
 
-
-def _depends_on(
-    fn: _ThresholdFunction,
-    arity: int,
-    position: int,
-    lo: int,
-    hi: int,
-) -> bool:
-    """Exact essentiality of the hidden table in one argument (grid scan)."""
-    other_domains = [range(lo, hi + 1) for i in range(arity) if i != position]
-    for context in itertools.product(*other_domains):
-        outputs = set()
-        for value in range(lo, hi + 1):
-            args = list(context[:position]) + [value] + list(context[position:])
-            outputs.add(fn(tuple(args)))
-        if len(outputs) > 1:
-            return True
-    return False

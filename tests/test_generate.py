@@ -1,11 +1,19 @@
 import hashlib
+import itertools
+import random
 
 import pytest
 
 from monoinfer.encode import Strategy
-from monoinfer.generate import PERTURBED, GeneratorParams, generate_instance
+from monoinfer.generate import (
+    PERTURBED,
+    GeneratorParams,
+    _probe,
+    _ThresholdFunction,
+    generate_instance,
+)
 from monoinfer.harness import run_single
-from monoinfer.network import ProblemError, verify_solution
+from monoinfer.network import ProblemError, Sign, verify_solution
 from monoinfer.oracle import oracle_inference
 from monoinfer.problemfile import serialize_problem
 
@@ -34,10 +42,79 @@ def test_instance_text_pinned():
             ),
             "4ec0765aebbdd34d8f5bf0d42af7b0d89c05401e44ee83c94963ee4f19f5f8fd",
         ),
+        (
+            9100,
+            GeneratorParams(n_vars=30, max_arity=10, essential_ratio=1.0, n_observations=3),
+            "902dca73ab1bab0a919b752f3e1670be84b24587a4b8f95d4103a0d4df7f3c39",
+        ),
+        (
+            9101,
+            GeneratorParams(
+                n_vars=30, max_arity=10, essential_ratio=1.0, n_observations=3, mode=PERTURBED
+            ),
+            "32081c77b4af43d87f4984ce4a40b32ae218415872ca046158b115e1cefc2c4a",
+        ),
+        (
+            9004,
+            GeneratorParams(n_vars=50, max_arity=12, essential_ratio=0.25, n_observations=2),
+            "2c4be4cbb08e0d1537006b5b3531b71e51f05fee2efe91824540b1d52cca61c1",
+        ),
     ]
     for seed, params, digest in cases:
         text = serialize_problem(generate_instance(seed, params))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, seed
+
+
+def _grid_depends_on(fn, position):
+    # reference: scan every context of the other arguments for two values of
+    # this one that give different clamped outputs
+    def table(args):
+        total = fn.c0 + sum(addends[x] for addends, x in zip(fn.addends, args))
+        return max(0, min(fn.hi, total))
+
+    domain = range(fn.hi + 1)
+    for context in itertools.product(domain, repeat=len(fn.addends) - 1):
+        outputs = {table(context[:position] + (x,) + context[position:]) for x in domain}
+        if len(outputs) > 1:
+            return True
+    return False
+
+
+def test_closed_form_essentiality_matches_grid_scan():
+    rng = random.Random(2026)
+    seen = set()
+    for _ in range(600):
+        hi = rng.randint(1, 4)  # domains 2..5
+        arity = rng.randint(1, 5)
+        signs = [rng.choice(Sign.ALL) for _ in range(arity)]
+        fn = _ThresholdFunction(rng, signs, hi)
+        fn.interpolate(tuple(rng.randint(0, hi) for _ in signs), rng.randint(0, hi))
+        fn.c0 += rng.randint(-3, 3)  # off the planted row, so clamping bites
+        for position in range(arity):
+            expected = _grid_depends_on(fn, position)
+            assert fn.depends_on(position) == expected, (fn.addends, fn.c0, position)
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_probe_stops_on_a_cycle():
+    calls = []
+
+    def flip(state):  # a 2-cycle: (0,) <-> (1,)
+        calls.append(state)
+        return (1 - state[0],)
+
+    assert _probe(flip, (0,), limit=1000) is None
+    assert len(calls) <= 3
+
+
+def test_probe_follows_a_chain_to_its_fixed_point():
+    def count_up(state):  # 0 -> 1 -> ... -> 5, which is fixed
+        return (min(state[0] + 1, 5),)
+
+    assert _probe(count_up, (0,), limit=10) == (5,)
+    assert _probe(count_up, (0,), limit=5) == (5,)  # met at the last step
+    assert _probe(count_up, (0,), limit=4) is None
 
 
 def test_parameter_validation():
