@@ -30,7 +30,10 @@ it arrives as a Term (`assert_term`) or as its two applications
 clause's last literal, or a bare asserted atom, would compare two
 order-encoded nodes, `Engine._add_le_clause` adds the comparison's
 order-encoding clauses instead, one per value of its right node, with no
-gate.  Grounding recurses; the session refuses a term too deep for it.
+gate.  One recursive method, `Engine.ground`, turns a term into its literal
+or linear form, in a fixed order that numbers the SAT variables: an
+application's node before its arguments, the right operand of `>=` and `>`
+before the left.
 
 The engine grounds and searches; it does not build models.  Nothing is
 declared ahead: a constant gets its SAT variable, ladder or difference-logic
@@ -245,35 +248,79 @@ class Engine:
             if k + k2 >= -1:
                 self.sat.add_clause([var, var2])
 
-    # -- linear forms ---------------------------------------------------------------
+    # -- grounding ---------------------------------------------------------------------
 
-    def _linform(self, term: Term) -> tuple[dict[Node, int], int]:
+    def ground(self, term: Term) -> Union[int, tuple[dict[Node, int], int]]:
+        """A Boolean ground term's literal, or an integer ground term's
+        linear form ({node: coefficient}, constant).  Only And, Or and
+        Implies literals are cached on the term, so the cache is read after
+        the other cases, which come in the order the workloads meet them
+        most."""
         match term:
+            case Apply():
+                node = self.app_node.get(term)
+                if node is None:
+                    # the node first, then the arguments, whose unknowns
+                    # value the application's table point and any pair it
+                    # joins; then it joins its symbol's list
+                    node = self.app_node[term] = ("a", term)
+                    if term.sort.is_bool:
+                        self._bool_var(node)
+                    else:
+                        self._register_int_node(node, term.sort.bounds)
+                    for arg in term.args:
+                        self.ground(arg)
+                    self.apps_by_symbol.setdefault(term.func.name, []).append(term)
+                return self.bool_unknowns[node] if term.sort.is_bool else ({node: 1}, 0)
+            case Const():
+                node = ("c", term.name)
+                if term.sort.is_bool:
+                    return self._bool_var(node)
+                self._register_int_node(node, term.sort.bounds)
+                return {node: 1}, 0
             case IntLit(value=v):
                 return {}, v
-            case Const(name=name):
-                self._register_int_node(("c", name), term.sort.bounds)
-                return {("c", name): 1}, 0
-            case Apply():
-                node = self._register_app(term)
-                return {node: 1}, 0
+            case BoolLit(value=v):
+                return self.true_var if v else -self.true_var
+            case Cmp(op=op, lhs=l, rhs=r):
+                if l.sort.is_bool:
+                    iff = self._iff_gate(self.ground(l), self.ground(r))
+                    return iff if op is CmpOp.EQ else -iff
+                if op in _AS_DIFFERENCE:
+                    return self._diff_le_lit(*_AS_DIFFERENCE[op](l, r))
+                both = self._int_eq_lit(l, r)
+                return both if op is CmpOp.EQ else -both
+            case Not(arg=a):
+                return -self.ground(a)
             case Add(lhs=l, rhs=r):
-                cl, kl = self._linform(l)
-                cr, kr = self._linform(r)
+                cl, kl = self.ground(l)
+                cr, kr = self.ground(r)
                 return _merge(cl, cr, 1), kl + kr
             case Sub(lhs=l, rhs=r):
-                cl, kl = self._linform(l)
-                cr, kr = self._linform(r)
+                cl, kl = self.ground(l)
+                cr, kr = self.ground(r)
                 return _merge(cl, cr, -1), kl - kr
             case Neg(arg=a):
-                ca, ka = self._linform(a)
+                ca, ka = self.ground(a)
                 return {n: -c for n, c in ca.items()}, -ka
+            case _ if (cached := self.gate_cache.get(term)) is not None:
+                return cached
+            case And(args=args):
+                lit = self._and([self.ground(a) for a in args])
+            case Or(args=args):
+                lit = -self._and([-self.ground(a) for a in args])
+            case Implies(lhs=l, rhs=r):
+                lit = -self._and_not(self.ground(l), self.ground(r))
+            case Forall() | Exists():
+                raise EngineUnsupported(
+                    "quantifier in a non-positive position; skolemize first"
+                )
             case Var(name=name):
                 raise EngineUnsupported(f"free variable {name} in ground context")
             case _:
-                raise EngineUnsupported(
-                    f"non-linear or non-integer term {type(term).__name__}"
-                )
+                raise EngineUnsupported(f"unsupported term {type(term).__name__}")
+        self.gate_cache[term] = lit
+        return lit
 
     def _is_laddered(self, node: Optional[Node]) -> bool:
         return self.node_bounds.get(node) is not None
@@ -283,8 +330,8 @@ class Engine:
     ) -> tuple[Optional[Node], Optional[Node], int]:
         """lhs - rhs <= offset normalized to x - y <= k over registered
         nodes, None standing for the zero node."""
-        cl, kl = self._linform(lhs)
-        cr, kr = self._linform(rhs)
+        cl, kl = self.ground(lhs)
+        cr, kr = self.ground(rhs)
         coeffs = _merge(cl, cr, -1)
         x = y = None
         for node, c in coeffs.items():
@@ -336,29 +383,9 @@ class Engine:
         if isinstance(last, Cmp) and last.op in _AS_DIFFERENCE and not last.lhs.sort.is_bool:
             self._add_le_clause(negs, *_AS_DIFFERENCE[last.op](last.lhs, last.rhs))
         else:
-            self.sat.add_clause(negs + [self.lit_of(last)])
+            self.sat.add_clause(negs + [self.ground(last)])
 
     # -- uninterpreted applications ----------------------------------------------
-
-    def _register_app(self, app: Apply) -> Node:
-        node = self.app_node.get(app)
-        if node is not None:
-            return node
-        node = ("a", app)
-        self.app_node[app] = node
-        if app.func.result_sort.is_bool:
-            self._bool_var(node)
-        else:
-            self._register_int_node(node, app.func.result_sort.bounds)
-        # ground the arguments now: their unknowns are needed for valuing the
-        # application's table point and for any congruence pair it joins
-        for arg in app.args:
-            if arg.sort.is_bool:
-                self.lit_of(arg)
-            else:
-                self._linform(arg)
-        self.apps_by_symbol.setdefault(app.func.name, []).append(app)
-        return node
 
     def _ground_broken_pairs(self) -> bool:
         """Ground each pair the current model breaks; False if it breaks none.
@@ -451,50 +478,6 @@ class Engine:
             self.gate_cache[key] = self._and([x, -y])
         return self.gate_cache[key]
 
-    def lit_of(self, term: Term) -> int:
-        """Literal equisatisfiably representing a Boolean-sorted ground term."""
-        cached = self.gate_cache.get(term)
-        if cached is not None:
-            return cached
-        match term:
-            case BoolLit(value=v):
-                return self.true_var if v else -self.true_var
-            case Const(name=name):
-                return self._bool_var(("c", name))
-            case Apply():
-                node = self._register_app(term)
-                return self._bool_var(node)
-            case Not(arg=a):
-                return -self.lit_of(a)
-            case Cmp():
-                return self._cmp_lit(term)
-            case And(args=args):
-                lit = self._and([self.lit_of(a) for a in args])
-            case Or(args=args):
-                lit = -self._and([-self.lit_of(a) for a in args])
-            case Implies(lhs=l, rhs=r):
-                lit = -self._and_not(self.lit_of(l), self.lit_of(r))
-            case Forall() | Exists():
-                raise EngineUnsupported(
-                    "quantifier in a non-positive position; skolemize first"
-                )
-            case Var(name=name):
-                raise EngineUnsupported(f"free variable {name} in ground context")
-            case _:
-                raise EngineUnsupported(f"non-Boolean node {type(term).__name__}")
-        self.gate_cache[term] = lit
-        return lit
-
-    def _cmp_lit(self, term: Cmp) -> int:
-        op, l, r = term.op, term.lhs, term.rhs
-        if l.sort.is_bool:
-            iff = self._iff_gate(self.lit_of(l), self.lit_of(r))
-            return iff if op is CmpOp.EQ else -iff
-        if op in _AS_DIFFERENCE:
-            return self._diff_le_lit(*_AS_DIFFERENCE[op](l, r))
-        both = self._int_eq_lit(l, r)
-        return both if op is CmpOp.EQ else -both
-
     def _int_eq_lit(self, l: Term, r: Term) -> int:
         """Literal for l = r, one gate that r = l shares: cached on the term
         pair either way round, so neither bound is built twice, and on the
@@ -553,7 +536,7 @@ class Engine:
             case Implies(lhs=l, rhs=r):
                 self._assert_implies(l.args if isinstance(l, And) else (l,), r)
             case Or(args=args):
-                self.sat.add_clause([self.lit_of(a) for a in args])
+                self.sat.add_clause([self.ground(a) for a in args])
             case _:
                 self._add_clause([], term)
 
@@ -561,11 +544,11 @@ class Engine:
         """One clause for the conjunction `antecedent` implying `consequent`,
         flattening a consequent implication (lemma shape); a false antecedent
         literal satisfies it, and then the consequent is never grounded."""
-        negs = [-self.lit_of(a) for a in antecedent]
+        negs = [-self.ground(a) for a in antecedent]
         if self.true_var in negs:
             return
         if isinstance(consequent, Implies):
-            negs.append(-self.lit_of(consequent.lhs))
+            negs.append(-self.ground(consequent.lhs))
             consequent = consequent.rhs
         self._add_clause(negs, consequent)
 
@@ -580,14 +563,14 @@ class Engine:
         negs = []
         for op, x, y in lemma_antecedent(t.args, s.args, mono, anti):
             if x.sort.is_bool:
-                lx, ly = self.lit_of(x), self.lit_of(y)
+                lx, ly = self.ground(x), self.ground(y)
                 negs.append(self._and_not(lx, ly) if op == "<=" else -self._iff_gate(lx, ly))
             else:
                 negs.append(-(self._diff_le_lit(x, y) if op == "<=" else self._int_eq_lit(x, y)))
         if self.true_var in negs:
             return
         if t.sort.is_bool:
-            self.sat.add_clause(negs + [-self.lit_of(t), self.lit_of(s)])
+            self.sat.add_clause(negs + [-self.ground(t), self.ground(s)])
         else:
             self._add_le_clause(negs, t, s)
 

@@ -16,10 +16,14 @@ grounds it as one clause with no Term.  `check_lemmas_in_search` hands the
 session a specification's signs for the lazy strategy: InternalSession
 passes them to its engine, which checks the lemmas in the theory rounds of
 one `check_sat`; every other session declines, and the lazy loop stays
-above it.  The engine stops grounding lemmas and quantifier instances at
-the deadline, and every later check answers unknown (`timeout`).
-`assert_formula` declares what `terms.collect_declarations` lists; a term
-too deep for the engine's walks is refused, and later checks answer unknown.
+above it.  `assert_formula` declares what `terms.collect_declarations`
+lists.  Both sessions refuse the same way (`SolverSession._guard`): input
+outside the engine's fragment is `unsupported: ...`, a term too deep for a
+recursive walk (the engine's grounding, the process driver's serializer,
+Term equality) is `unsupported: term nested too deeply`, and a step cut
+off by the deadline, or due after it, is `timeout`.  After a refusal
+nothing more is sent or grounded, and every check answers unknown with that
+reason.
 """
 
 from __future__ import annotations
@@ -112,6 +116,11 @@ class SolverSession:
         self.declared: dict[str, Union[Const, FunctionSymbol]] = {}
         self._state = "fresh"  # fresh | sat | unsat | unknown
         self.check_sat_count = 0
+        # why every later check answers unknown: an input the backend
+        # refuses, or the deadline
+        self._refused: Optional[str] = None
+        # why the last check answered unknown, when the backend knows
+        self.unknown_reason: Optional[str] = None
 
     # -- declarations ------------------------------------------------------------
 
@@ -127,12 +136,8 @@ class SolverSession:
     # -- protocol ----------------------------------------------------------------
 
     def assert_formula(self, term: Term) -> None:
-        # The walk only fills `declared`, which the model is tabulated over
-        # and a redeclaration is checked against.
-        for item in collect_declarations([term]):
-            self.declare(item)
         self._state = "fresh"
-        self._assert(term)
+        self._guard(self._assert_declared, term)
 
     def assert_lemma(self, t: Apply, s: Apply, spec: MonotonicitySpec) -> None:
         """Assert the monotonicity lemma at two applications of one
@@ -153,9 +158,8 @@ class SolverSession:
 
     def check_sat(self) -> str:
         self.check_sat_count += 1
-        answer = self._check_sat()
-        self._state = answer
-        return answer
+        self._state = self._guard(self._check_sat) or UNKNOWN
+        return self._state
 
     def extract_model(self) -> Model:
         if self._state != SAT:
@@ -163,11 +167,6 @@ class SolverSession:
                 f"model query in state {self._state!r}; requires a sat answer"
             )
         return self._extract_model()
-
-    @property
-    def unknown_reason(self) -> Optional[str]:
-        """Why the last check answered unknown, when the backend knows."""
-        return None
 
     def set_time_limit(self, milliseconds: int) -> None:
         self._deadline = time.monotonic() + milliseconds / 1000.0
@@ -181,9 +180,35 @@ class SolverSession:
     def __exit__(self, *exc):
         self.dispose()
 
+    def _guard(self, step, *args):
+        """Run one backend step and return its result.  Input the backend
+        cannot take, or the deadline, is a refusal: no step runs after it,
+        and every check answers unknown with its reason."""
+        if self._refused is not None:
+            return None
+        try:
+            if self._deadline is not None and time.monotonic() > self._deadline:
+                raise TimeoutError
+            return step(*args)
+        except EngineUnsupported as err:
+            reason = f"unsupported: {err}"
+        except RecursionError:  # grounding, serializing and Term equality recurse
+            reason = "unsupported: term nested too deeply"
+        except TimeoutError:
+            reason = TIMEOUT
+        self._refused = self.unknown_reason = reason
+        return None
+
     # -- implementation hooks ----------------------------------------------------
 
     _deadline: Optional[float] = None
+
+    def _assert_declared(self, term: Term) -> None:
+        # The walk only fills `declared`, which the model is tabulated over
+        # and a redeclaration is checked against.
+        for item in collect_declarations([term]):
+            self.declare(item)
+        self._assert(term)
 
     def _declare_new(self, item: Union[Const, FunctionSymbol]) -> None:
         pass
@@ -204,23 +229,16 @@ class InternalSession(SolverSession):
     def __init__(self) -> None:
         super().__init__()
         self.engine = Engine()
-        # why every later check answers unknown: an unsupported input, or a
-        # lemma or quantifier instance left ungrounded at the deadline
-        self._refused: Optional[str] = None
-        self._unknown_reason: Optional[str] = None
 
     def _assert(self, term: Term) -> None:
-        self._ground(self.engine.assert_term, term, self._deadline)
+        self.engine.assert_term(term, self._deadline)
 
     def assert_lemma(self, t: Apply, s: Apply, spec: MonotonicitySpec) -> None:
         """Ground the lemma in the engine, with no declaration walk: its
         symbols and constants came with the base formula."""
         self._state = "fresh"
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            self._refused = self._refused or TIMEOUT
-            return
         mono, anti = spec.monotone(t.func), spec.anti_monotone(t.func)
-        self._ground(self.engine.assert_lemma, t, s, mono, anti)
+        self._guard(self.engine.assert_lemma, t, s, mono, anti)
 
     def check_lemmas_in_search(
         self, spec: MonotonicitySpec, log: list[tuple[Apply, Apply]]
@@ -233,37 +251,12 @@ class InternalSession(SolverSession):
         self.engine.lemma_log = log
         return True
 
-    def _ground(self, method, *args) -> None:
-        if self._refused is not None:
-            return
-        try:
-            method(*args)
-        except EngineUnsupported as err:
-            self._refused = f"unsupported: {err}"
-        except RecursionError:  # the engine's walks recurse
-            self._refused = "unsupported: term nested too deeply"
-        except TimeoutError:  # quantifier expansion reached the deadline
-            self._refused = TIMEOUT
-
     def _check_sat(self) -> str:
-        if self._refused is not None:
-            return UNKNOWN
-        try:
-            result = self.engine.check(self._deadline)
-        except EngineUnsupported as err:  # e.g. a broken pair mixing sorts
-            self._refused = f"unsupported: {err}"
-            return UNKNOWN
-        except RecursionError:
-            self._refused = "unsupported: term nested too deeply"
-            return UNKNOWN
+        result = self.engine.check(self._deadline)
         if result == UNKNOWN:
             timed_out = self._deadline is not None and time.monotonic() > self._deadline
-            self._unknown_reason = TIMEOUT if timed_out else "theory budget exhausted"
+            self.unknown_reason = TIMEOUT if timed_out else "theory budget exhausted"
         return result
-
-    @property
-    def unknown_reason(self) -> Optional[str]:
-        return self._refused or self._unknown_reason
 
     def _extract_model(self) -> Model:
         # the last round broke no pair, so every point group has one result
@@ -386,22 +379,12 @@ class ProcessSession(SolverSession):
 
     def _check_sat(self) -> str:
         self._send("(check-sat)")
-        try:
-            answer = self._read_response()
-        except TimeoutError:
-            self._timed_out = True
-            return UNKNOWN
+        answer = self._read_response()
         if answer not in (SAT, UNSAT, UNKNOWN):
             if answer.startswith("(error"):
                 raise SolverProcessError(f"solver error: {answer}")
             raise SolverProcessError(f"malformed check-sat answer: {answer!r}")
         return answer
-
-    _timed_out = False
-
-    @property
-    def unknown_reason(self) -> Optional[str]:
-        return TIMEOUT if self._timed_out else "solver returned unknown"
 
     def _extract_model(self) -> Model:
         """One get-value for every declared constant and asserted application;

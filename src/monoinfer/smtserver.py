@@ -8,9 +8,11 @@ Installed as the `monoinfer-smt` console script; reads commands from
 standard input (set-logic, declare-fun/declare-const, assert, check-sat,
 get-value, get-model, reset, exit) and answers on standard output, so the
 process driver -- or any other SMT-LIB2 client -- can use it like an
-external solver.  Inputs outside the engine's fragment, terms too deep to
-ground included, make check-sat answer `unknown` rather than erroring out;
-a command too deep to read or parse gets an `(error ...)` answer.
+external solver.  The n-ary `+`, `-` and `=>` are read flat: n operands
+nest about log2 n deep, or one level for `=>`.  Inputs outside the
+engine's fragment, terms too deep to ground included, make check-sat answer
+`unknown` rather than erroring out; a command nested too deep to read or
+parse still gets an `(error ...)` answer.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .terms import (
     Forall,
     FunctionSymbol,
     INT,
-    Implies,
     IntLit,
     Neg,
     Not,
@@ -53,6 +54,7 @@ from .terms import (
     TermError,
     Var,
     mk_and,
+    mk_implies,
     mk_or,
 )
 
@@ -83,6 +85,14 @@ _CMP_OPS = {
 _OPERANDS = {op: (2, inf) for op in _CMP_OPS} | {
     "+": (1, inf), "-": (1, inf), "not": (1, 1), "=>": (2, inf)
 }
+
+
+def _balanced_sum(args: list[Term]) -> Term:
+    """The sum of `args` as a balanced tree of Add, about log2 n deep."""
+    if len(args) == 1:
+        return args[0]
+    half = len(args) // 2
+    return Add(_balanced_sum(args[:half]), _balanced_sum(args[half:]))
 
 
 class SmtServer:
@@ -143,17 +153,11 @@ class SmtServer:
         if not least <= len(args) <= most:
             raise CommandError(f"wrong number of operands for {head}: {len(args)}")
         if head == "+":
-            out = args[0]
-            for a in args[1:]:
-                out = Add(out, a)
-            return out
+            return _balanced_sum(args)
         if head == "-":
             if len(args) == 1:
                 return Neg(args[0])
-            out = args[0]
-            for a in args[1:]:
-                out = Sub(out, a)
-            return out
+            return Sub(args[0], _balanced_sum(args[1:]))
         if head == "distinct":
             return mk_and(
                 Cmp(CmpOp.NE, a, b) for i, a in enumerate(args) for b in args[i + 1 :]
@@ -167,10 +171,7 @@ class SmtServer:
         if head == "or":
             return mk_or(args)
         if head == "=>":
-            out = args[-1]
-            for a in reversed(args[:-1]):
-                out = Implies(a, out)
-            return out
+            return mk_implies(args[:-1], args[-1])
         item = self.session.declared.get(head)
         if isinstance(item, FunctionSymbol):
             return Apply(item, args)

@@ -593,7 +593,8 @@ def collect_declarations(
     """Constants and function symbols in first-occurrence order: a postorder
     read that lists an application's arguments before its symbol and skips
     repeated subterms.  The walk keeps its own stack, an application's symbol
-    pushed below its arguments, so no term depth can overflow it."""
+    pushed below its arguments; only `Term.__eq__`, which its visited set
+    calls on two equal terms built apart, recurses."""
     out: list[Union[Const, FunctionSymbol]] = []
     visited: set[Union[Term, FunctionSymbol]] = set()
     stack: list[Union[Term, FunctionSymbol]] = list(assertions)[::-1]

@@ -456,9 +456,9 @@ def test_ladder_comparison_in_a_clause_is_its_order_encoding(ranges):
         cmp = Cmp(op, Sub(x, y), IntLit(k))
         for assertion in (Implies(p, cmp), cmp):
             engine = Engine()
-            engine.lit_of(p)
-            engine._linform(x)
-            engine._linform(y)
+            engine.ground(p)
+            engine.ground(x)
+            engine.ground(y)
             before = engine.sat.num_vars
             engine.assert_term(assertion)
             assert engine.sat.num_vars == before
@@ -468,14 +468,54 @@ def test_ladder_comparison_in_a_clause_is_its_order_encoding(ranges):
                 assert _admits(engine, {p: pv, x: xv, y: yv}) == holds, (op, k, xv, yv, pv)
 
 
+def test_ground_makes_an_application_node_before_its_arguments():
+    # the SAT variable numbering, and with it every search counter, follows
+    # this order
+    f, g = FunctionSymbol("f", [BOOL], BOOL), FunctionSymbol("g", [BOOL], BOOL)
+    p = Const("p", BOOL)
+    g_p = Apply(g, (p,))
+    f_g_p = Apply(f, (g_p,))
+    engine = Engine()
+    engine.ground(f_g_p)
+    var = engine.bool_unknowns
+    assert var[("a", f_g_p)] < var[("a", g_p)] < var[("c", "p")]
+
+
+def test_ground_lists_an_application_after_its_arguments():
+    f = FunctionSymbol("f", [BOOL], BOOL)
+    f_p = Apply(f, (Const("p", BOOL),))
+    f_f_p = Apply(f, (f_p,))
+    engine = Engine()
+    engine.ground(f_f_p)
+    assert engine.apps_by_symbol["f"] == [f_p, f_f_p]
+
+
+def test_ground_registers_the_right_operand_of_ge_first():
+    f = FunctionSymbol("f", [INT], bounded_int(0, 3))
+    a, b = Apply(f, (IntLit(0),)), Apply(f, (IntLit(1),))
+    engine = Engine()
+    engine.ground(Cmp(CmpOp.GE, a, b))
+    ladder_a, ladder_b = engine.order_vars[("a", a)], engine.order_vars[("a", b)]
+    assert max(ladder_b.values()) < min(ladder_a.values())
+
+
+def test_ground_caches_a_conjunction_on_its_term():
+    p, q = Const("p", BOOL), Const("q", BOOL)
+    engine = Engine()
+    lit = engine.ground(And([p, q]))
+    before = engine.sat.num_vars
+    assert engine.ground(And([p, q])) == lit
+    assert engine.sat.num_vars == before
+
+
 def test_integer_equality_is_one_literal_either_way():
     dom = bounded_int(0, 3)
     engine = Engine()
     for x, y in [(Const("x", dom), Const("y", dom)), (Const("u", INT), Const("v", INT))]:
         vars_before = engine.sat.num_vars
-        lit = engine.lit_of(Cmp(CmpOp.EQ, x, y))
+        lit = engine.ground(Cmp(CmpOp.EQ, x, y))
         vars_after = engine.sat.num_vars
-        assert engine.lit_of(Cmp(CmpOp.EQ, y, x)) == lit
+        assert engine.ground(Cmp(CmpOp.EQ, y, x)) == lit
         assert engine.sat.num_vars == vars_after > vars_before
 
 
@@ -587,10 +627,10 @@ def test_broken_pairs_is_the_filtered_permutations(symbol):
 
 def test_folded_shapes_make_no_sat_variable():
     engine = Engine()
-    p = engine.lit_of(_P)
+    p = engine.ground(_P)
     t, f = engine.true_var, -engine.true_var
     # grounding an atom registers the ladders of c and d, even one that folds
-    assert engine.lit_of(Cmp(CmpOp.LE, Sub(_C, _CD), IntLit(2))) == t
+    assert engine.ground(Cmp(CmpOp.LE, Sub(_C, _CD), IntLit(2))) == t
     assert ("c", "c") in engine.order_vars and ("c", "d") in engine.order_vars
     before = engine.sat.num_vars
     TRUE, FALSE = BoolLit(True), BoolLit(False)
@@ -604,7 +644,7 @@ def test_folded_shapes_make_no_sat_variable():
         Cmp(CmpOp.LE, Sub(_C, _CD), IntLit(-3)): f,
     }
     for term, lit in folded.items():
-        assert engine.lit_of(term) == lit, term
+        assert engine.ground(term) == lit, term
     # a false antecedent satisfies a lemma: its consequent is not grounded
     f_c = Apply(_SYMBOLS[0], (_C,))
     engine.assert_term(Implies(And([_P, FALSE]), Cmp(CmpOp.EQ, f_c, IntLit(1))))

@@ -1,4 +1,5 @@
 import io
+import itertools
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ from monoinfer.session import (
     SolverProcessError,
     open_session,
 )
-from monoinfer.smtlib import parse_sexprs
+from monoinfer.smtlib import parse_sexprs, value_to_sexpr
 from monoinfer.smtserver import CommandError, SmtServer, serve
 from monoinfer.terms import (
     BOOL,
@@ -33,6 +34,7 @@ from monoinfer.terms import (
     FunctionSymbol,
     Implies,
     IntLit,
+    Term,
     bounded_int,
     mk_and,
 )
@@ -417,9 +419,8 @@ def test_repl_malformed_terms_answer_errors():
 
 
 def test_repl_answers_deep_input():
-    # a 1,500-deep (not ...) is too deep to read, and a 1,500-operand sum
-    # (valid SMT-LIB 2.6) too deep to ground; both get an answer, and the
-    # half-grounded sum keeps every later check unknown until (reset)
+    # a 1,500-deep (not ...) is too deep to read; a 1,500-operand sum (valid
+    # SMT-LIB 2.6) is read as a balanced tree of additions, which grounds
     deep_not = "(not " * 1500 + "p" + ")" * 1500
     long_sum = "(+ x" + " 1" * 1500 + ")"
     out = _run_script(
@@ -438,18 +439,59 @@ def test_repl_answers_deep_input():
 """
     )
     assert out[0].startswith("(error") and "nested too deeply" in out[0]
-    assert out[1:] == ["unknown", "unknown", "sat"]
+    assert out[1:] == ["sat", "sat", "sat"]
+
+
+def test_repl_reads_nary_operators_by_their_smtlib_meaning():
+    # `-` is left-associative and `=>` right-associative
+    declare = "".join(f"(declare-fun {v} () Int)\n" for v in "xyz")
+    declare += "".join(f"(declare-fun {v} () Bool)\n" for v in "pqr")
+    for (x, y, z), (p, q, r) in itertools.product(
+        itertools.product((0, 2, 7), repeat=3), itertools.product((False, True), repeat=3)
+    ):
+        fixed = [("x", x), ("y", y), ("z", z)]
+        fixed += [(name, str(v).lower()) for name, v in (("p", p), ("q", q), ("r", r))]
+        script = declare + "".join(f"(assert (= {n} {v}))\n" for n, v in fixed)
+        script += "(check-sat)\n(get-value ((+ x y z) (- x y z) (=> p q r)))\n"
+        values = [value_to_sexpr(v) for v in (x + y + z, x - y - z, not p or not q or r)]
+        assert _serve(script) == [
+            "sat", "(((+ x y z) {}) ((- x y z) {}) ((=> p q r) {}))".format(*values)
+        ]
+
+
+def _deep_sum(depth: int) -> Term:
+    """x + 1 + ... + 1 as a left-deep chain of `depth` additions."""
+    total = Const("x", INT)
+    for _ in range(depth):
+        total = Add(total, IntLit(1))
+    return total
 
 
 def test_internal_session_refuses_a_term_too_deep_to_ground():
-    x = Const("x", INT)
-    total = x
-    for _ in range(5000):
-        total = Add(total, IntLit(1))
     session = InternalSession()
-    session.assert_formula(Cmp(CmpOp.LE, total, IntLit(6000)))
+    session.assert_formula(Cmp(CmpOp.LE, _deep_sum(5000), IntLit(6000)))
     assert session.check_sat() == "unknown"
     assert session.unknown_reason == "unsupported: term nested too deeply"
+
+
+def test_internal_session_refuses_two_equal_deep_terms():
+    # comparing the two for equality in the declaration walk recurses
+    session = InternalSession()
+    session.assert_formula(Cmp(CmpOp.LE, _deep_sum(3000), _deep_sum(3000)))
+    assert session.check_sat() == "unknown"
+    assert session.unknown_reason == "unsupported: term nested too deeply"
+
+
+def test_process_session_refuses_a_sum_too_deep_to_send():
+    # the client serializes the sum recursively: it is refused, nothing more
+    # is sent, and every check answers unknown
+    with ProcessSession(REPL_SOLVER_CMD) as session:
+        session.assert_formula(Cmp(CmpOp.LE, _deep_sum(1500), IntLit(2000)))
+        session.assert_formula(BoolLit(False))
+        for _ in range(2):
+            assert session.check_sat() == "unknown"
+            assert session.unknown_reason == "unsupported: term nested too deeply"
+        assert session.check_sat_count == 2
 
 
 _FUZZ_ATOMS = ["p", "q", "x", "f", "0", "1", "true", "+", "-", "not", "=>", "=", "<=",
