@@ -6,9 +6,12 @@ atoms are normalized to difference constraints (x - y <= k), and a CDCL SAT
 core is run in a lazy theory loop against the difference-constraint checker
 and one rule: each round grounds the monotonicity lemma of every ordered
 pair of one symbol's applications whose points a candidate model orders
-while their results decrease (`model.broken_pairs`).  A symbol's signs are
-those a session handed in (`lemma_signs`, the lazy strategy in-process),
-else none, and then the lemma is Ackermann congruence.  An application of
+while their results decrease (`model.broken_pairs`).  A round values each
+point from the application's grounded argument forms (`Engine.app_args`,
+kept when the application is first grounded) against the SAT model, with no
+walk over argument terms.  A symbol's signs are those a session handed in
+(`lemma_signs`, the lazy strategy in-process), else none, and then the
+lemma is Ackermann congruence.  An application of
 an unsigned symbol caught again in a later round is tied to every
 application of its symbol.  Universal quantifiers are
 expanded finitely when every binder sort is Boolean or a bounded integer
@@ -26,11 +29,11 @@ variables are not SAT decision variables, and the search branches only on
 constants, application results, ladder and atom variables.  A monotonicity
 lemma becomes one clause over its antecedent and consequent literals, whether
 it arrives as a Term (`assert_term`) or as its two applications
-(`assert_lemma`, its antecedent from `terms.lemma_antecedent`).  Where that
-clause's last literal, or a bare asserted atom, would compare two
-order-encoded nodes, `Engine._add_le_clause` adds the comparison's
-order-encoding clauses instead, one per value of its right node, with no
-gate.  One recursive method, `Engine.ground`, turns a term into its literal
+(`assert_lemma`, its antecedent from `terms.lemma_antecedent` over the
+same argument forms).  Where that clause's last literal, or a bare asserted
+atom, would compare two order-encoded nodes, `Engine._add_le_clause` adds
+the comparison's order-encoding clauses instead, one per value of its right
+node, with no gate.  One recursive method, `Engine.ground`, turns a term into its literal
 or linear form, in a fixed order that numbers the SAT variables: an
 application's node before its arguments, the right operand of `>=` and `>`
 before the left.
@@ -98,6 +101,9 @@ from .terms import (
 )
 
 Node = Union[tuple[str, str], tuple[str, Apply]]
+# a grounded term: a Boolean term's literal, or an integer term's linear
+# form ({node: coefficient}, constant)
+Form = Union[int, tuple[dict[Node, int], int]]
 
 
 class EngineUnsupported(Exception):
@@ -136,6 +142,7 @@ class Engine:
         self.gate_cache: dict[Union[Term, tuple], int] = {}
         self.apps_by_symbol: dict[str, list[Apply]] = {}
         self.app_node: dict[Apply, Node] = {}
+        self.app_args: dict[Apply, tuple[Form, ...]] = {}  # its arguments' forms
         self._caught: set[Apply] = set()  # applications in a broken pair
         # per constrained symbol, its monotone and anti-monotone index sets;
         # its broken pairs are logged, in grounding order
@@ -250,7 +257,7 @@ class Engine:
 
     # -- grounding ---------------------------------------------------------------------
 
-    def ground(self, term: Term) -> Union[int, tuple[dict[Node, int], int]]:
+    def ground(self, term: Term) -> Form:
         """A Boolean ground term's literal, or an integer ground term's
         linear form ({node: coefficient}, constant).  Only And, Or and
         Implies literals are cached on the term, so the cache is read after
@@ -260,16 +267,15 @@ class Engine:
             case Apply():
                 node = self.app_node.get(term)
                 if node is None:
-                    # the node first, then the arguments, whose unknowns
-                    # value the application's table point and any pair it
+                    # the node first, then the arguments, whose forms value
+                    # the application's table point and ground any lemma it
                     # joins; then it joins its symbol's list
                     node = self.app_node[term] = ("a", term)
                     if term.sort.is_bool:
                         self._bool_var(node)
                     else:
                         self._register_int_node(node, term.sort.bounds)
-                    for arg in term.args:
-                        self.ground(arg)
+                    self.app_args[term] = tuple([self.ground(arg) for arg in term.args])
                     self.apps_by_symbol.setdefault(term.func.name, []).append(term)
                 return self.bool_unknowns[node] if term.sort.is_bool else ({node: 1}, 0)
             case Const():
@@ -287,7 +293,9 @@ class Engine:
                     iff = self._iff_gate(self.ground(l), self.ground(r))
                     return iff if op is CmpOp.EQ else -iff
                 if op in _AS_DIFFERENCE:
-                    return self._diff_le_lit(*_AS_DIFFERENCE[op](l, r))
+                    lhs, rhs, offset = _AS_DIFFERENCE[op](l, r)
+                    left, right = self.ground(lhs), self.ground(rhs)
+                    return self._le_lit(*self._difference(left, right, offset))
                 both = self._int_eq_lit(l, r)
                 return both if op is CmpOp.EQ else -both
             case Not(arg=a):
@@ -326,12 +334,11 @@ class Engine:
         return self.node_bounds.get(node) is not None
 
     def _difference(
-        self, lhs: Term, rhs: Term, offset: int
+        self, left: Form, right: Form, offset: int
     ) -> tuple[Optional[Node], Optional[Node], int]:
-        """lhs - rhs <= offset normalized to x - y <= k over registered
-        nodes, None standing for the zero node."""
-        cl, kl = self.ground(lhs)
-        cr, kr = self.ground(rhs)
+        """left - right <= offset, over two grounded linear forms, normalized
+        to x - y <= k over registered nodes, None standing for the zero node."""
+        (cl, kl), (cr, kr) = left, right
         coeffs = _merge(cl, cr, -1)
         x = y = None
         for node, c in coeffs.items():
@@ -361,16 +368,12 @@ class Engine:
             )
         return self._atom_lit(x, y, k)
 
-    def _diff_le_lit(self, lhs: Term, rhs: Term, offset: int = 0) -> int:
-        """Literal asserting lhs - rhs <= offset."""
-        return self._le_lit(*self._difference(lhs, rhs, offset))
-
     def _add_le_clause(self, negs: list[int], lhs: Term, rhs: Term, offset: int = 0) -> None:
         """Add the clause negs or (lhs - rhs <= offset).  Between two
         order-encoded nodes that is one clause per step of `_ladder_steps`,
         with no gate and no SAT variable; otherwise one clause over its
         literal."""
-        x, y, k = self._difference(lhs, rhs, offset)
+        x, y, k = self._difference(self.ground(lhs), self.ground(rhs), offset)
         if self._is_laddered(x) and self._is_laddered(y):
             for step in self._ladder_steps(x, y, k):
                 self.sat.add_clause(negs + step)
@@ -405,11 +408,12 @@ class Engine:
         broken = False
         caught: dict[Apply, None] = {}
         unsigned = (frozenset(), frozenset())
+        read = self._form_value
         for name, apps in self.apps_by_symbol.items():
             by_point = self.app_points[name] = {}
             valued = []
             for app in apps:
-                point = tuple(evaluate_with(a, self.value) for a in app.args)
+                point = tuple(map(read, self.app_args[app]))
                 by_point.setdefault(point, []).append(app)
                 valued.append((app, point, self.value(app)))
             signs = self.lemma_signs.get(name, unsigned)
@@ -480,17 +484,22 @@ class Engine:
 
     def _int_eq_lit(self, l: Term, r: Term) -> int:
         """Literal for l = r, one gate that r = l shares: cached on the term
-        pair either way round, so neither bound is built twice, and on the
-        unordered literal pair of its bounds."""
+        pair either way round, so neither bound is built twice."""
         both = self.gate_cache.get(("inteq", l, r))
         if both is None:
-            a1 = self._diff_le_lit(l, r, 0)
-            a2 = self._diff_le_lit(r, l, 0)
-            key = ("inteq", a1, a2) if a1 <= a2 else ("inteq", a2, a1)
-            both = self.gate_cache.get(key)
-            if both is None:
-                both = self.gate_cache[key] = self._and([a1, a2])
+            both = self._int_eq_of(self.ground(l), self.ground(r))
             self.gate_cache[("inteq", l, r)] = self.gate_cache[("inteq", r, l)] = both
+        return both
+
+    def _int_eq_of(self, left: Form, right: Form) -> int:
+        """Literal for the equality of two linear forms: the conjunction of
+        its two bounds, cached on their unordered literal pair."""
+        a1 = self._le_lit(*self._difference(left, right, 0))
+        a2 = self._le_lit(*self._difference(right, left, 0))
+        key = ("inteq", a1, a2) if a1 <= a2 else ("inteq", a2, a1)
+        both = self.gate_cache.get(key)
+        if both is None:
+            both = self.gate_cache[key] = self._and([a1, a2])
         return both
 
     # -- assertion ---------------------------------------------------------------------
@@ -557,16 +566,32 @@ class Engine:
     ) -> None:
         """Ground the lemma at two applications of one symbol as the clause
         `assert_term` makes of its Term: the negated literals of its
-        `terms.lemma_antecedent` comparisons, then f(t) <= f(s).  An argument
-        in neither `mono` nor `anti` is compared by equality, so with both
-        empty the lemma both ways is congruence at (t, s)."""
+        `terms.lemma_antecedent` comparisons, then f(t) <= f(s).  The
+        comparisons are read off the two applications' argument forms
+        (`app_args`), so no argument term is walked again.  Where an
+        application is one no assertion grounded, the arguments are
+        grounded comparison by comparison, in the order `assert_term` grounds
+        the Term, and the application is registered only if the consequent
+        is grounded.  An argument in neither `mono` nor `anti` is compared
+        by equality, so with both empty the lemma both ways is congruence
+        at (t, s)."""
+        forms = self.app_args.get(t), self.app_args.get(s)
+        if None in forms:
+            ground = self.ground
+            comparisons = (
+                (op, ground(x), ground(y))
+                for op, x, y in lemma_antecedent(t.args, s.args, mono, anti)
+            )
+        else:
+            comparisons = lemma_antecedent(*forms, mono, anti)
         negs = []
-        for op, x, y in lemma_antecedent(t.args, s.args, mono, anti):
-            if x.sort.is_bool:
-                lx, ly = self.ground(x), self.ground(y)
-                negs.append(self._and_not(lx, ly) if op == "<=" else -self._iff_gate(lx, ly))
+        for op, x, y in comparisons:
+            if isinstance(x, int):  # Boolean literals
+                negs.append(self._and_not(x, y) if op == "<=" else -self._iff_gate(x, y))
+            elif op == "<=":
+                negs.append(-self._le_lit(*self._difference(x, y, 0)))
             else:
-                negs.append(-(self._diff_le_lit(x, y) if op == "<=" else self._int_eq_lit(x, y)))
+                negs.append(-self._int_eq_of(x, y))
         if self.true_var in negs:
             return
         if t.sort.is_bool:
@@ -649,15 +674,22 @@ class Engine:
     # -- valuation -------------------------------------------------------------------
 
     def value(self, term: Const | Apply) -> Value:
-        """Evaluator leaf over the current SAT model and order ladders.  Every
-        application it meets is grounded; a constant that no assertion
-        grounded is unconstrained and takes its sort's least value."""
+        """Evaluator leaf over the current answer: a Boolean node's SAT
+        variable, an integer node's `_node_value`.  Every application it
+        meets is grounded; a constant that no assertion grounded is
+        unconstrained and takes its sort's least value."""
         node = ("c", term.name) if isinstance(term, Const) else self.app_node[term]
         if node not in self.node_bounds and node not in self.bool_unknowns:
             return default_output(term.sort, ())
         if term.sort.is_bool:
-            return self.sat.model[self.bool_unknowns[node]] > 0
-        bounds = self.node_bounds.get(node)
+            return self._form_value(self.bool_unknowns[node])
+        return self._node_value(node)
+
+    def _node_value(self, node: Node) -> int:
+        """A registered integer node's value in the current answer: the
+        highest true step of its order ladder, else its difference-logic
+        value."""
+        bounds = self.node_bounds[node]
         if bounds is None:
             return self._int_values.get(node, 0)
         lo, hi = bounds
@@ -667,6 +699,19 @@ class Engine:
             if model[ladder[j]] > 0:
                 return j
         return lo
+
+    def _form_value(self, form: Form) -> Value:
+        """A grounded term's value in the current answer, which is what
+        `evaluate_with(term, self.value)` gives: a literal's truth in the
+        SAT model (its gates are defined both ways), or a linear form summed
+        over its nodes' values."""
+        if isinstance(form, int):
+            model = self.sat.model
+            return model[form] > 0 if form > 0 else model[-form] < 0
+        coeffs, k = form
+        for node, c in coeffs.items():
+            k += c * self._node_value(node)
+        return k
 
 
 def _check_expansion_budget(total: int) -> None:

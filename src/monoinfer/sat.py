@@ -80,11 +80,14 @@ class SatSolver:
         return self.num_vars
 
     def add_clause(self, lits: Iterable[int]) -> bool:
-        """Add a clause; returns False if the formula became trivially unsat."""
+        """Add a clause; returns False if the formula became trivially unsat.
+        One pass at level 0 drops false and repeated literals; a true literal
+        or a complementary pair leaves nothing to store."""
         if not self.ok:
             return False
         if self.trail_lim:
             self._backtrack(0)
+        assign = self.assign
         seen: set[int] = set()
         clause: list[int] = []
         for lit in lits:
@@ -92,10 +95,10 @@ class SatSolver:
                 return True  # tautology
             if lit in seen:
                 continue
-            value = self._value(lit)
-            if value == 1:
+            value = assign[lit] if lit > 0 else -assign[-lit]
+            if value > 0:
                 return True  # satisfied at level 0
-            if value == -1:
+            if value:
                 continue  # false at level 0
             seen.add(lit)
             clause.append(lit)
@@ -121,10 +124,6 @@ class SatSolver:
         self.watches.setdefault(clause[1], []).append(idx)
 
     # -- assignment / propagation --------------------------------------------------
-
-    def _value(self, lit: int) -> int:
-        v = self.assign[lit if lit > 0 else -lit]
-        return v if lit > 0 else -v
 
     def _enqueue(self, lit: int, reason: Optional[int], level: int) -> None:
         var = abs(lit)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
 Value = Union[int, bool]
 
@@ -561,12 +561,17 @@ def subst_at(vector: ArgVector, index: int, value: Term) -> ArgVector:
     return vector[: index - 1] + (value,) + vector[index:]
 
 
+_Arg = TypeVar("_Arg")
+
+
 def lemma_antecedent(
-    xs: ArgVector, ys: ArgVector, mono: frozenset[int], anti: frozenset[int]
-) -> list[tuple[str, Term, Term]]:
+    xs: Sequence[_Arg], ys: Sequence[_Arg], mono: frozenset[int], anti: frozenset[int]
+) -> list[tuple[str, _Arg, _Arg]]:
     """The comparisons of the monotonicity lemma at argument vectors xs and
     ys, in the lemma's order: ("<=", x, y) at each monotone position, then
-    ("<=", y, x) at each anti-monotone one, then ("=", x, y) at the rest."""
+    ("<=", y, x) at each anti-monotone one, then ("=", x, y) at the rest.
+    It only reorders and pairs its inputs, so the vectors may hold argument
+    Terms or their grounded forms."""
     out = [("<=", xs[i - 1], ys[i - 1]) for i in sorted(mono)]
     out += [("<=", ys[i - 1], xs[i - 1]) for i in sorted(anti)]
     if len(out) < len(xs):

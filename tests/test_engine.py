@@ -12,7 +12,7 @@ from conftest import sessions
 from monoinfer import engine as engine_module
 from monoinfer.difflogic import ZERO, DiffConstraint, solve_difference_constraints
 from monoinfer.engine import Engine, EngineUnsupported
-from monoinfer.model import broken_pairs, dominates, evaluate
+from monoinfer.model import broken_pairs, dominates, evaluate, evaluate_with
 from monoinfer.oracle import oracle_mono_sat
 from monoinfer.sat import SatSolver
 from monoinfer.session import InternalSession
@@ -44,12 +44,16 @@ from monoinfer.terms import (
     substitute,
 )
 from monoinfer.encode import (
+    Strategy,
+    encode,
     encode_eager,
     encode_quant_aggregated,
     encode_quant_individual,
     monotonicity_lemma,
+    solve,
     solve_lazy,
 )
+from monoinfer.generate import GeneratorParams, generate_instance
 from monoinfer.network import encode_inference
 
 
@@ -423,6 +427,132 @@ def test_congruence_is_the_unsigned_lemma_both_ways(result):
         for equal in [a, Cmp(CmpOp.EQ, x, y), Cmp(CmpOp.EQ, u, Add(v, IntLit(1)))]:
             e.assert_term(equal)
         assert e.check() == "unsat"
+
+
+def test_a_lemma_whose_antecedent_folds_to_false_registers_nothing():
+    # literal arguments out of order at the monotone position; the other
+    # position is a constant an assertion already grounded
+    p = Const("p", BOOL)
+    f = FunctionSymbol("f", [BOOL, BOOL], BOOL)
+    g = FunctionSymbol("g", [INT], bounded_int(0, 3))
+    engine = _check([p])
+    before = engine.sat.num_vars
+    engine.assert_lemma(
+        Apply(f, (BoolLit(True), p)), Apply(f, (BoolLit(False), p)), frozenset({1}), frozenset()
+    )
+    engine.assert_lemma(Apply(g, (IntLit(3),)), Apply(g, (IntLit(1),)), frozenset({1}), frozenset())
+    assert not engine.apps_by_symbol
+    assert engine.sat.num_vars == before
+
+
+def _ungrounded_lemma_cases():
+    dom = bounded_int(0, 2)
+    x, y, z = Const("x", dom), Const("y", dom), Const("z", INT)
+    a, b = Const("a", BOOL), Const("b", BOOL)
+    f = FunctionSymbol("f", [dom, BOOL], dom)
+    h = FunctionSymbol("h", [BOOL, INT], BOOL)
+    k = FunctionSymbol("k", [BOOL, BOOL], BOOL)
+    fx, fy = Apply(f, (x, a)), Apply(f, (y, Not(b)))
+    hx, hy = Apply(h, (a, Add(z, IntLit(1)))), Apply(h, (b, IntLit(4)))
+    # four constants first met in the lemma, so its grounding order numbers them
+    p1, p2, p3, p4 = (Const(f"p{i}", BOOL) for i in range(1, 5))
+    kx, ky = Apply(k, (p1, And((p2, a)))), Apply(k, (p3, And((p4, b))))
+    spec = MonotonicitySpec({f: ({1}, {2}), h: (set(), set()), k: ({1}, set())})
+    base = [Cmp(CmpOp.LE, x, y), Implies(a, b)]
+    return [
+        # (pair, assertions before the lemma, assertions after it)
+        ((fx, fy), base, [Cmp(CmpOp.GT, fx, fy)]),
+        ((fx, fy), base, [Cmp(CmpOp.LT, fx, fy)]),
+        ((fx, fy), [], [Cmp(CmpOp.GT, fx, fy), a, Not(b)]),
+        ((hx, hy), [Cmp(CmpOp.EQ, z, IntLit(3))], [hx, Not(hy), Cmp(CmpOp.EQ, a, b)]),
+        ((hx, hy), [Not(Cmp(CmpOp.EQ, z, IntLit(3)))], [hx, Not(hy), Cmp(CmpOp.EQ, a, b)]),
+        ((kx, ky), [a, b], [kx, Not(ky), Not(p1), p2, p4]),
+    ], spec
+
+
+def test_a_lemma_on_ungrounded_applications_decides_as_its_term():
+    # and grounds as its Term: the same SAT variables and clauses, in order
+    cases, spec = _ungrounded_lemma_cases()
+    verdicts = set()
+    for (t, s), before, after in cases:
+        engines = _check(before), _check(before)
+        assert t not in engines[0].app_args and s not in engines[0].app_args
+        mono, anti = spec.monotone(t.func), spec.anti_monotone(t.func)
+        engines[0].assert_lemma(t, s, mono, anti)
+        engines[1].assert_term(monotonicity_lemma(t.func, t.args, s.args, spec))
+        assert engines[0].apps_by_symbol == engines[1].apps_by_symbol == {t.func.name: [t, s]}
+        assert engines[0].sat.num_vars == engines[1].sat.num_vars
+        assert engines[0].sat.clauses == engines[1].sat.clauses
+        for engine in engines:
+            for a in after:
+                engine.assert_term(a)
+        verdict = engines[0].check()
+        assert engines[1].check() == verdict, (t, s, after)
+        verdicts.add(verdict)
+    assert verdicts == {"sat", "unsat"}
+
+
+def _check_points_in_every_round(monkeypatch):
+    """Before each round's pair pass, every registered application's point
+    read from its argument forms equals its arguments evaluated through
+    `Engine.value`, value and type; returns the list of rounds checked."""
+    rounds = []
+    ground = Engine._ground_broken_pairs
+
+    def spy(engine):
+        for apps in engine.apps_by_symbol.values():
+            for app in apps:
+                forms = tuple(map(engine._form_value, engine.app_args[app]))
+                terms = tuple(evaluate_with(a, engine.value) for a in app.args)
+                assert [(type(v), v) for v in forms] == [(type(v), v) for v in terms], app
+        rounds.append(engine)
+        return ground(engine)
+
+    monkeypatch.setattr(Engine, "_ground_broken_pairs", spy)
+    return rounds
+
+
+@pytest.mark.parametrize(
+    "strategy, params",
+    [
+        (Strategy.INST_LAZY, GeneratorParams(n_vars=10, max_arity=4, essential_ratio=1.0)),
+        (Strategy.QUANT_AGGREGATED, GeneratorParams(n_vars=6, max_arity=2, domain_size=3)),
+    ],
+    ids=lambda v: getattr(v, "value", ""),
+)
+def test_argument_forms_value_every_point_as_the_evaluator(monkeypatch, strategy, params):
+    # in-engine lazy over Boolean arguments, congruence rounds over
+    # order-encoded integer ones
+    rounds = _check_points_in_every_round(monkeypatch)
+    formula, spec = encode_inference(generate_instance(2, params))
+    session = InternalSession()
+    assert solve(encode(formula, spec, strategy), spec, session).is_sat
+    assert len(rounds) >= 3
+
+
+def test_argument_forms_of_compound_arguments_value_as_the_evaluator(monkeypatch):
+    # gates over Boolean arguments, linear forms over difference-logic nodes;
+    # the first model puts f's two applications at one point and g's too
+    rounds = _check_points_in_every_round(monkeypatch)
+    p, q = Const("p", BOOL), Const("q", BOOL)
+    x, y = Const("x", INT), Const("y", INT)
+    f = FunctionSymbol("f", [BOOL], BOOL)
+    g = FunctionSymbol("g", [INT], INT)
+    g_sum, g_diff = Apply(g, (Add(x, IntLit(1)),)), Apply(g, (Sub(y, x),))
+    assertions = [
+        p,
+        Not(Cmp(CmpOp.EQ, Apply(f, (And((p, q)),)), Apply(f, (Not(p),)))),
+        Cmp(CmpOp.LE, x, IntLit(0)),
+        Cmp(CmpOp.GE, y, IntLit(10)),  # so y - x and x + 1 never meet
+        Cmp(CmpOp.LT, g_sum, g_diff),
+        Not(Cmp(CmpOp.EQ, g_diff, Apply(g, (IntLit(10),)))),
+    ]
+    session = _session(assertions)
+    assert session.check_sat() == "sat"
+    assert len(rounds) >= 2
+    assert {app.func for app in session.engine._caught} == {f, g}
+    model = session.extract_model()
+    assert all(evaluate(a, model) for a in assertions)
 
 
 def _admits(engine, values):

@@ -275,6 +275,62 @@ def test_unsat_inference_instance_has_a_rup_refutation(monkeypatch, strategy):
         assert solver.conflicts > 0
 
 
+def _inputs(s: SatSolver) -> list[list[int]]:
+    return [clause for clause, learned in zip(s.clauses, s.is_learned) if not learned]
+
+
+def test_add_clause_drops_repeats_and_stores_no_tautology():
+    s = SatSolver()
+    for _ in range(5000):
+        s.new_var()
+    a, b, c = 1, 2, 3
+    assert s.add_clause([a, b, a, -c, b])
+    assert _inputs(s) == [[a, b, -c]]
+    for tautology in ([a, c, -a], [-b, c, b]):
+        assert s.add_clause(tautology)
+    long = list(range(1, 5001))
+    for tautology in (long + [-5000], long + [-1], [-1] + long[1:] + [1]):
+        assert s.add_clause(tautology)
+    assert _inputs(s) == [[a, b, -c]]
+    # a long clause drops its repeats too
+    assert s.add_clause(long + long[::-1])
+    assert _inputs(s) == [[a, b, -c], long]
+    assert s.watches[1] == s.watches[2] == [0, 1] and -c not in s.watches
+    assert s.ok and not s.trail
+
+
+def test_add_clause_folds_level_zero_literals():
+    s = SatSolver()
+    a, b, c, d = (s.new_var() for _ in range(4))
+    assert s.add_clause([-a, b])
+    assert s.add_clause([a])  # a unit propagates at level 0
+    assert s.trail == [a, b] and s.level[b] == 0 and s.reason[b] == 0
+    assert s.add_clause([c, b, d])  # satisfied: not stored
+    assert s.add_clause([c, -a, d, -b])  # false literals dropped
+    # propagation may swap a clause's watches
+    assert [sorted(clause) for clause in _inputs(s)] == [[-a, b], [c, d]]
+    assert not s.add_clause([-a, -b])  # every literal false
+    assert not s.ok
+    assert not s.add_clause([c])
+    assert len(_inputs(s)) == 2
+
+
+def test_add_clause_mid_search_backtracks_to_level_zero():
+    s = SatSolver()
+    a, b, c = (s.new_var() for _ in range(3))
+    assert s.add_clause([a])
+    assert s.add_clause([-b, c])
+    _decide(s, b)
+    assert s._propagate() is None
+    assert s.trail == [a, b, c] and s.trail_lim == [1]
+    # -b would be false under the decision; at level 0 it is open
+    assert s.add_clause([-b, -c, a]) and s.add_clause([-b, -c])
+    assert s.trail == [a] and not s.trail_lim
+    assert s.assign[b] == s.assign[c] == 0
+    assert [sorted(clause) for clause in _inputs(s)] == [[-b, c], [-c, -b]]
+    assert s.solve() == SAT and s.model[b] < 0
+
+
 def test_non_decision_variables_keep_the_solver_sound_and_complete():
     # a third of the variables are non-decision, so open ones are left for
     # the fallback; a few of them are in no clause, so only it assigns them
