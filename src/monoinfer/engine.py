@@ -13,12 +13,19 @@ walk over argument terms.  A symbol's signs are those a session handed in
 (`lemma_signs`, the lazy strategy in-process), else none, and then the
 lemma is Ackermann congruence.  An application of
 an unsigned symbol caught again in a later round is tied to every
-application of its symbol.  Universal quantifiers are
+application of its symbol: congruence is symmetric, so a tie builds one
+antecedent and adds both ways, and each ordered pair is grounded once.
+Universal quantifiers are
 expanded finitely when every binder sort is Boolean or a bounded integer
 interval, within an instantiation budget that counts the full product of
 the binder domains.  Where the body is an implication, each
-antecedent conjunct over binders and literals alone is tabulated once, and an
-assignment that falsifies one is skipped before its instance is built.
+antecedent conjunct over binders and literals alone is tabulated once, and
+assignment prefixes are extended up to each binder where such a conjunct
+ends, so a prefix that falsifies one is dropped before any assignment
+extending it is formed.  An instance takes
+its applications from one table per engine (`Engine.instance_apps`, keyed
+on symbol and argument values), so an application that several instances
+or axioms share is built once (hash-consing).
 Expansion, and a conjunction between its conjuncts, stop at the deadline
 they are given.  Every conjunction gate (And, and Or and Implies as negated
 conjunctions, integer equality, order ladder comparisons inside a formula)
@@ -30,7 +37,8 @@ constants, application results, ladder and atom variables.  A monotonicity
 lemma becomes one clause over its antecedent and consequent literals, whether
 it arrives as a Term (`assert_term`) or as its two applications
 (`assert_lemma`, its antecedent from `terms.lemma_antecedent` over the
-same argument forms).  Where that clause's last literal, or a bare asserted
+same argument forms, stopping at the first comparison that folds to
+false).  Where that clause's last literal, or a bare asserted
 atom, would compare two order-encoded nodes, `Engine._add_le_clause` adds
 the comparison's order-encoding clauses instead, one per value of its right
 node, with no gate.  One recursive method, `Engine.ground`, turns a term into its literal
@@ -44,8 +52,9 @@ node where grounding first meets it.  After a sat answer, `Engine.value`
 values any application or constant, and `Engine.app_points` groups each
 symbol's applications by their point in that answer, which is all a session
 needs to tabulate a Model.  A constant that no assertion grounded (declared
-but unused, or only in the consequent of a lemma whose antecedent folds to
-false) is unconstrained and takes its sort's least value.
+but unused, or met only in a lemma dropped for a false antecedent
+literal: in its consequent or, under `assert_lemma`, in a comparison after
+that literal) is unconstrained and takes its sort's least value.
 
 Fragment limits (anything outside raises EngineUnsupported rather than
 risking a wrong verdict):
@@ -70,7 +79,7 @@ from __future__ import annotations
 import itertools
 import time
 from operator import itemgetter
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import sat
 from .difflogic import ZERO, DiffConstraint, solve_difference_constraints
@@ -144,6 +153,8 @@ class Engine:
         self.app_node: dict[Apply, Node] = {}
         self.app_args: dict[Apply, tuple[Form, ...]] = {}  # its arguments' forms
         self._caught: set[Apply] = set()  # applications in a broken pair
+        # the ordered pairs (t, s) whose congruence t <= s the rounds grounded
+        self._congruent: set[tuple[Apply, Apply]] = set()
         # per constrained symbol, its monotone and anti-monotone index sets;
         # its broken pairs are logged, in grounding order
         self.lemma_signs: dict[str, tuple[frozenset[int], frozenset[int]]] = {}
@@ -153,6 +164,8 @@ class Engine:
         self.node_bounds: dict[Node, Optional[tuple[int, int]]] = {}
         self.order_vars: dict[Node, dict[int, int]] = {}  # node -> {j: var for x >= j}
         self.quant_instances = 0
+        # (symbol, argument values) -> the one instance application there
+        self.instance_apps: dict[tuple, Apply] = {}
         self._int_values: dict[Node, int] = {}
 
     # -- variable/atom allocation -------------------------------------------------
@@ -397,14 +410,17 @@ class Engine:
         (then logged) or with every argument unsigned, are grounded one way
         by `assert_lemma`.  Each round is a full SAT re-descent, so an
         application of an unsigned symbol caught again (one over unknown
-        arguments can meet a new point every round) is grounded against
-        every application of its symbol, both ways, at once.
+        arguments can meet a new point every round) is tied to every
+        application of its symbol (`_tie`, both ways on one antecedent) at
+        once.
 
-        The rounds end without a record of grounded pairs: a broken pair has
-        its points ordered, so no antecedent literal is false at level 0,
-        and its results out of order, so it was never grounded; a grounded
-        pair holds in every later model.  Each round grounds a new pair, and
-        pairs are finite; a repeated pair only repeats its clauses."""
+        The rounds end: a broken pair has its points ordered, so no
+        antecedent literal is false at level 0, and its results out of
+        order, so it was never grounded; a grounded pair holds in every
+        later model.  Each round grounds a new pair, and pairs are finite.
+        A tie would repeat the way a broken pair was grounded, or a tie
+        made from its other application's side, so the unsigned ways
+        grounded are kept in `_congruent` and each is grounded once."""
         broken = False
         caught: dict[Apply, None] = {}
         unsigned = (frozenset(), frozenset())
@@ -422,14 +438,14 @@ class Engine:
                 broken = True
                 if signs is unsigned:
                     caught[t] = caught[s] = None
+                    self._congruent.add((t, s))
                 else:
                     self.lemma_log.append((t, s))
         for app in caught:
             if app in self._caught:
                 for other in self.apps_by_symbol[app.func.name]:
                     if other is not app:
-                        self.assert_lemma(app, other, *unsigned)
-                        self.assert_lemma(other, app, *unsigned)
+                        self._tie(app, other)
         self._caught.update(caught)
         return broken
 
@@ -565,16 +581,26 @@ class Engine:
         self, t: Apply, s: Apply, mono: frozenset[int], anti: frozenset[int]
     ) -> None:
         """Ground the lemma at two applications of one symbol as the clause
-        `assert_term` makes of its Term: the negated literals of its
-        `terms.lemma_antecedent` comparisons, then f(t) <= f(s).  The
-        comparisons are read off the two applications' argument forms
-        (`app_args`), so no argument term is walked again.  Where an
-        application is one no assertion grounded, the arguments are
-        grounded comparison by comparison, in the order `assert_term` grounds
-        the Term, and the application is registered only if the consequent
-        is grounded.  An argument in neither `mono` nor `anti` is compared
+        `assert_term` makes of its Term: its antecedent (`_lemma_negs`), then
+        f(t) <= f(s).  An argument in neither `mono` nor `anti` is compared
         by equality, so with both empty the lemma both ways is congruence
-        at (t, s)."""
+        at (t, s), which `_tie` grounds on one antecedent."""
+        negs = self._lemma_negs(t, s, mono, anti)
+        if negs is not None:
+            self._lemma_clause(negs, t, s)
+
+    def _lemma_negs(
+        self, t: Apply, s: Apply, mono: frozenset[int], anti: frozenset[int]
+    ) -> Optional[list[int]]:
+        """The negated literals of the lemma's `terms.lemma_antecedent`
+        comparisons at (t, s), or None at the first comparison that folds
+        to false (two unequal constants, say), whose clause holds a true
+        literal.  The comparisons are read off the two applications'
+        argument forms (`app_args`), so no argument term is walked again.
+        Where an application is one no assertion grounded, the arguments
+        are grounded comparison by comparison, in the order `assert_term`
+        grounds the Term, and the application is registered only if the
+        consequent is grounded."""
         forms = self.app_args.get(t), self.app_args.get(s)
         if None in forms:
             ground = self.ground
@@ -584,16 +610,36 @@ class Engine:
             )
         else:
             comparisons = lemma_antecedent(*forms, mono, anti)
+        true = self.true_var
         negs = []
         for op, x, y in comparisons:
             if isinstance(x, int):  # Boolean literals
-                negs.append(self._and_not(x, y) if op == "<=" else -self._iff_gate(x, y))
+                neg = self._and_not(x, y) if op == "<=" else -self._iff_gate(x, y)
             elif op == "<=":
-                negs.append(-self._le_lit(*self._difference(x, y, 0)))
+                neg = -self._le_lit(*self._difference(x, y, 0))
             else:
-                negs.append(-self._int_eq_of(x, y))
-        if self.true_var in negs:
+                neg = -self._int_eq_of(x, y)
+            if neg == true:
+                return None
+            negs.append(neg)
+        return negs
+
+    def _tie(self, t: Apply, s: Apply) -> None:
+        """Congruence at (t, s) both ways, t <= s then s <= t, leaving out a
+        way `_congruent` holds, on the one antecedent they share: each
+        argument equality is symmetric, so its literal is the same either
+        way round."""
+        ways = [way for way in ((t, s), (s, t)) if way not in self._congruent]
+        if not ways:
             return
+        self._congruent.update(ways)
+        negs = self._lemma_negs(t, s, frozenset(), frozenset())
+        if negs is not None:
+            for a, b in ways:
+                self._lemma_clause(negs, a, b)
+
+    def _lemma_clause(self, negs: list[int], t: Apply, s: Apply) -> None:
+        """The lemma's clause on its antecedent `negs`: f(t) <= f(s)."""
         if t.sort.is_bool:
             self.sat.add_clause(negs + [-self.ground(t), self.ground(s)])
         else:
@@ -602,15 +648,18 @@ class Engine:
     def _expand_forall(self, term: Forall, deadline: Optional[float]) -> None:
         """Ground every instance of `term` in product order; the budget counts
         the full product.  An implication body's antecedent conjuncts over
-        binders and literals alone are tabulated once, and an assignment that
-        falsifies one is skipped unbuilt, since its clause holds a true
-        literal; a survivor grounds only the other conjuncts and the
-        consequent, which makes the clause its whole instance makes."""
+        binders and literals alone (guards) are tabulated once.  Assignment
+        prefixes are extended up to each position where a guard ends, and a
+        prefix that falsifies such a guard is dropped unextended, since every
+        instance it leads to holds a true literal in its clause.  A survivor
+        grounds only the other conjuncts and the consequent, which makes the
+        clause its whole instance makes, built by `_instance_of`."""
         self.quant_instances += self._forall_instance_count(term)
         _check_expansion_budget(self.quant_instances)
         bound, body = term.bound, term.body
-        domains = [[value_lit(val) for val in v.sort.values()] for v in bound]
-        guards: list[tuple[itemgetter, set]] = []  # (sub-tuple key, satisfying keys)
+        domains = [v.sort.values() for v in bound]
+        # per binder position, the guards ending there: (sub-tuple key, satisfying keys)
+        guards: list[list[tuple[itemgetter, set]]] = [[] for _ in bound]
         rest: list[Term] = []
         if isinstance(body, Implies):
             for conjunct in body.lhs.args if isinstance(body.lhs, And) else (body.lhs,):
@@ -625,21 +674,75 @@ class Engine:
                 table = {
                     sub_key(sub)
                     for sub in itertools.product(*(domains[i] for i in positions))
-                    if evaluate_with(substitute(conjunct, dict(zip(binders, sub))), self.value)
+                    if evaluate_with(
+                        substitute(conjunct, dict(zip(binders, map(value_lit, sub)))),
+                        self.value,
+                    )
                 }
-                guards.append((itemgetter(*positions), table))
-        for combo in itertools.product(*domains):
-            if any(key(combo) not in table for key, table in guards):
-                continue
+                guards[positions[-1]].append((itemgetter(*positions), table))
+        # extend the prefixes up to each position where a guard ends (and the
+        # last), then keep those its guards admit
+        combos: list[tuple] = [()]
+        start = 0
+        for end, ending in enumerate(guards):
+            if ending or end == len(bound) - 1:
+                tails = list(itertools.product(*domains[start:end + 1]))
+                combos = [combo + tail for combo in combos for tail in tails]
+                start = end + 1
+                for key, table in ending:
+                    combos = [combo for combo in combos if key(combo) in table]
+        if isinstance(body, Implies):
+            antecedent = [self._instance_of(c, bound) for c in rest]
+            consequent = self._instance_of(body.rhs, bound)
+        else:
+            whole = self._instance_of(body, bound)
+        for combo in combos:
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeoutError("quantifier expansion passed the deadline")
-            mapping = dict(zip(bound, combo))
             if isinstance(body, Implies):
-                self._assert_implies(
-                    [substitute(c, mapping) for c in rest], substitute(body.rhs, mapping)
-                )
+                self._assert_implies([c(combo) for c in antecedent], consequent(combo))
             else:
-                self.assert_term(substitute(body, mapping), deadline)
+                self.assert_term(whole(combo), deadline)
+
+    def _instance_of(self, term: Term, bound: tuple[Var, ...]) -> Callable[[tuple], Term]:
+        """A function from an assignment of `bound` (its values, in binder
+        order) to `term` with each binder replaced by its value's literal,
+        as `terms.substitute` gives it.  Each application over a binder comes
+        from `instance_apps`, keyed on its symbol and its arguments' values
+        (an argument that is no binder or literal keys as its own instance),
+        so one that several instances or axioms share is built once.  A Cmp
+        or an Implies is rebuilt around its operands' instances, a term with
+        no binder is kept, and anything else goes to `substitute`."""
+        if not any(t in bound for t in iter_subterms(term) if isinstance(t, Var)):
+            return lambda combo: term
+        match term:
+            case Var():
+                i = bound.index(term)
+                return lambda combo: value_lit(combo[i])
+            case Apply(func=f, args=args):
+                table = self.instance_apps
+                # per argument: its binder's position, or its instance function
+                parts = [bound.index(a) if a in bound else self._instance_of(a, bound) for a in args]
+
+                def build(combo):
+                    key = (f, tuple([
+                        combo[p] if isinstance(p, int) else _key_value(p(combo)) for p in parts
+                    ]))
+                    app = table.get(key)
+                    if app is None:
+                        app = table[key] = Apply(f, [
+                            v if isinstance(v, Term) else value_lit(v) for v in key[1]
+                        ])
+                    return app
+                return build
+            case Cmp(op=op, lhs=l, rhs=r):
+                lhs, rhs = self._instance_of(l, bound), self._instance_of(r, bound)
+                return lambda combo: Cmp(op, lhs(combo), rhs(combo))
+            case Implies(lhs=l, rhs=r):
+                lhs, rhs = self._instance_of(l, bound), self._instance_of(r, bound)
+                return lambda combo: Implies(lhs(combo), rhs(combo))
+            case _:
+                return lambda combo: substitute(term, dict(zip(bound, map(value_lit, combo))))
 
     # -- solving -----------------------------------------------------------------------
 
@@ -732,6 +835,12 @@ def _binder_positions(term: Term, bound: tuple[Var, ...]) -> list[int]:
         if isinstance(t, Var) and t not in bound:
             return []
     return [i for i, v in enumerate(bound) if v in subterms]
+
+
+def _key_value(term: Term) -> Union[Value, Term]:
+    """An instance argument's part of its application's key: a literal's
+    value, else the argument itself."""
+    return term.value if isinstance(term, (IntLit, BoolLit)) else term
 
 
 def _merge(a: dict[Node, int], b: dict[Node, int], sign: int) -> dict[Node, int]:

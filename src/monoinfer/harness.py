@@ -55,6 +55,7 @@ class RunRecord:
     detail: str = ""
     theory_rounds: Optional[int] = None  # in-process engine only
     lazy_lemmas: Optional[int] = None  # lemmas lazy asserted; lazy only
+    quant_instances: Optional[int] = None  # in-process engine only
 
     def __post_init__(self):
         if (self.verdict is None) == (self.failure is None):
@@ -73,6 +74,7 @@ class RunRecord:
             "verified": "" if self.verified is None else str(self.verified).lower(),
             "theory_rounds": "" if self.theory_rounds is None else self.theory_rounds,
             "lazy_lemmas": "" if self.lazy_lemmas is None else self.lazy_lemmas,
+            "quant_instances": "" if self.quant_instances is None else self.quant_instances,
         }
 
 
@@ -141,6 +143,7 @@ def run_single(
         )
         if isinstance(session, InternalSession):
             record.theory_rounds = session.engine.theory_rounds
+            record.quant_instances = session.engine.quant_instances
         if strategy is Strategy.INST_LAZY:
             record.lazy_lemmas = len(stats.asserted_lemmas)
         if verdict.is_sat and verify:

@@ -399,34 +399,74 @@ def test_engine_deadline_bounds_congruence_rounds():
     assert _congruence_broken_in_every_model().check(deadline=late) == "unknown"
 
 
+def _stored_inputs(engine):
+    return [clause for clause, learned in zip(engine.sat.clauses, engine.sat.is_learned)
+            if not learned]
+
+
 @pytest.mark.parametrize("result", [BOOL, bounded_int(0, 3), INT], ids=str)
 def test_congruence_is_the_unsigned_lemma_both_ways(result):
     # Boolean, order-encoded and difference-logic arguments, some folding to
-    # constants or offsets
+    # constants or offsets; a tie grounds both ways on one antecedent
     dom = bounded_int(0, 3)
     f = FunctionSymbol("f", [BOOL, dom, INT], result)
     a, x, y, u, v = Const("a", BOOL), Const("x", dom), Const("y", dom), Const("u", INT), Const("v", INT)
     t = Apply(f, (a, x, u))
     s = Apply(f, (BoolLit(True), y, Add(v, IntLit(1))))
     base = Not(Cmp(CmpOp.EQ, t, s))
-    engines = _check([base]), _check([base])
+    engines = _check([base]), _check([base]), _check([base])
     engines[0].assert_lemma(t, s, frozenset(), frozenset())
     engines[0].assert_lemma(s, t, frozenset(), frozenset())
     unsigned = MonotonicitySpec({})
     engines[1].assert_term(monotonicity_lemma(f, t.args, s.args, unsigned))
     engines[1].assert_term(monotonicity_lemma(f, s.args, t.args, unsigned))
-    assert engines[0].sat.num_vars == engines[1].sat.num_vars
+    engines[2]._tie(t, s)
+    assert engines[0].sat.num_vars == engines[1].sat.num_vars == engines[2].sat.num_vars
     # the same input clauses, in the same order
-    inputs = [
-        [clause for clause, learned in zip(e.sat.clauses, e.sat.is_learned) if not learned]
-        for e in engines
-    ]
-    assert inputs[0] == inputs[1]
+    assert _stored_inputs(engines[0]) == _stored_inputs(engines[1]) == _stored_inputs(engines[2])
+    # tied once, the pair grounds nothing again either way round
+    assert engines[2]._congruent == {(t, s), (s, t)}
+    engines[2]._tie(s, t)
+    assert _stored_inputs(engines[2]) == _stored_inputs(engines[0])
     for e in engines:
         assert e.check() == "sat"
         for equal in [a, Cmp(CmpOp.EQ, x, y), Cmp(CmpOp.EQ, u, Add(v, IntLit(1)))]:
             e.assert_term(equal)
         assert e.check() == "unsat"
+
+
+@pytest.mark.parametrize("result", [BOOL, bounded_int(0, 3), INT], ids=str)
+def test_a_tie_at_two_constant_points_adds_nothing(result):
+    dom = bounded_int(0, 3)
+    f = FunctionSymbol("f", [dom, BOOL, INT], result)
+    u, v = Const("u", INT), Const("v", INT)
+    t = Apply(f, (IntLit(1), BoolLit(True), IntLit(5)))
+    s = Apply(f, (IntLit(1), BoolLit(False), IntLit(5)))
+    # equal first arguments, then two unequal constants: the open third
+    # arguments after them would need two new atoms and a gate
+    t_open = Apply(f, (IntLit(1), BoolLit(True), u))
+    s_open = Apply(f, (IntLit(1), BoolLit(False), Add(v, IntLit(1))))
+    engine = _check([Not(Cmp(CmpOp.EQ, t, s)), Not(Cmp(CmpOp.EQ, t_open, s_open))])
+    before = engine.sat.num_vars, list(engine.sat.clauses)
+    engine._tie(t, s)
+    engine._tie(t_open, s_open)
+    engine.assert_lemma(t_open, s_open, frozenset(), frozenset())
+    assert (engine.sat.num_vars, engine.sat.clauses) == before
+
+
+def test_quantified_runs_carry_no_duplicate_input_clause():
+    # congruence rounds on a small multivalued instance break pairs one way
+    # and then tie their applications; each ordered pair is grounded once
+    problem = generate_instance(
+        1, GeneratorParams(n_vars=6, max_arity=2, domain_size=3, n_observations=3)
+    )
+    formula, spec = encode_inference(problem)
+    for encoder in (encode_quant_individual, encode_quant_aggregated):
+        session = _session([encoder(formula, spec).formula])
+        assert session.check_sat() == "sat"
+        assert session.engine.theory_rounds > 2 and session.engine._caught
+        inputs = [tuple(sorted(clause)) for clause in _stored_inputs(session.engine)]
+        assert len(set(inputs)) == len(inputs)
 
 
 def test_a_lemma_whose_antecedent_folds_to_false_registers_nothing():
@@ -924,6 +964,89 @@ def test_guard_conjunct_over_a_constant_stays_in_the_instance(c_value):
     assert guarded.quant_instances == 9
     verdicts = guarded.check(), by_term.check()
     assert verdicts == (("sat", "sat") if c_value == 0 else ("unsat", "unsat"))
+
+
+def _expansion_cases():
+    f = FunctionSymbol("f", [_D3, _D3], _D3)
+    g = FunctionSymbol("g", [_D3], _D3)
+    h = FunctionSymbol("h", [_D3, BOOL], BOOL)
+    x, y, z = Var("x", _D3), Var("y", _D3), Var("z", _D3)
+    c = Const("c", _D3)
+    gx, gy = Apply(g, (x,)), Apply(g, (y,))
+    return {
+        # (assertions before, axioms)
+        "nested-applications": (
+            [Cmp(CmpOp.GT, Apply(f, (Apply(g, (c,)), c)), Apply(f, (c, c)))],
+            [Forall([x, y], Implies(ordering_atom(x, y),
+                                    ordering_atom(Apply(f, (gx, y)), Apply(f, (gy, x)))))],
+        ),
+        "const-beside-binders": (
+            [Cmp(CmpOp.EQ, c, IntLit(1))],
+            [Forall([x, y], Implies(ordering_atom(x, y),
+                                    ordering_atom(Apply(f, (x, c)), Apply(f, (c, y)))))],
+        ),
+        "not-an-implication": (
+            [Not(Apply(h, (c, BoolLit(True))))],
+            [
+                Forall([x], Cmp(CmpOp.LE, Apply(f, (x, IntLit(2))), Add(gx, IntLit(1)))),
+                Forall([x], Or([Apply(h, (x, BoolLit(False))), Cmp(CmpOp.GE, gx, x)])),
+            ],
+        ),
+        "overlapping-guards": (
+            [Cmp(CmpOp.LT, Apply(f, (c, IntLit(0))), Apply(f, (IntLit(0), c)))],
+            [Forall([x, y, z], Implies(
+                And([ordering_atom(x, y), ordering_atom(y, z), Cmp(CmpOp.NE, x, z)]),
+                ordering_atom(Apply(f, (x, z)), Apply(f, (z, y))),
+            ))],
+        ),
+        "two-axioms-one-symbol": (
+            [Cmp(CmpOp.GT, Apply(f, (c, IntLit(1))), Apply(f, (IntLit(2), c)))],
+            [
+                Forall([x, y], Implies(ordering_atom(x, y),
+                                       ordering_atom(Apply(f, (x, IntLit(1))), Apply(f, (y, IntLit(1)))))),
+                Forall([x, y], Implies(ordering_atom(y, x),
+                                       ordering_atom(Apply(f, (IntLit(1), x)), Apply(f, (y, x))))),
+            ],
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_expansion_cases()))
+def test_expansion_instances_ground_what_their_terms_ground(case):
+    before, axioms = _expansion_cases()[case]
+    guarded, by_term = _check(before), _check(before)
+    for axiom in axioms:
+        guarded.assert_term(axiom)
+        _term_expansion(by_term, axiom)
+    assert guarded.sat.num_vars == by_term.sat.num_vars
+    assert guarded.sat.clauses == by_term.sat.clauses
+    assert guarded.sat.trail == by_term.sat.trail
+    assert guarded.check() == by_term.check()
+
+
+def test_two_axioms_share_their_instance_applications(monkeypatch):
+    _, axioms = _expansion_cases()["two-axioms-one-symbol"]
+    met: list[dict] = []  # per axiom, each instance application it met -> object ids
+    assert_implies = Engine._assert_implies
+
+    def spy(engine, antecedent, consequent):
+        for app in (consequent.lhs, consequent.rhs):
+            met[-1].setdefault(app, set()).add(id(app))
+        assert_implies(engine, antecedent, consequent)
+
+    monkeypatch.setattr(Engine, "_assert_implies", spy)
+    engine = Engine()
+    for axiom in axioms:
+        met.append({})
+        engine.assert_term(axiom)
+    # the axioms meet at f(0, 1) and f(1, 1), and each point is one object
+    f = axioms[0].body.rhs.lhs.func
+    both = {Apply(f, (lit(0), lit(1))), Apply(f, (lit(1), lit(1)))}
+    assert set(met[0]) & set(met[1]) == both
+    for app in met[0]:
+        assert len(met[0][app] | met[1].get(app, set())) == 1
+    assert all(len(ids) == 1 for ids in met[1].values())
+    assert engine.instance_apps[f, (1, 1)] == Apply(f, (lit(1), lit(1)))
 
 
 def test_expansion_stops_at_the_deadline():

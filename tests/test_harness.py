@@ -127,19 +127,29 @@ def test_run_single_records_theory_rounds_and_lazy_lemmas(tmp_path):
     eager, _ = run_single(problem, Strategy.INST_EAGER, instance_name="eager")
     assert eager.verdict == "sat"
     assert eager.lazy_lemmas is None and eager.theory_rounds >= 1
+    # the instantiated strategies expand no quantifier
+    assert lazy.quant_instances == eager.quant_instances == 0
+    quantified, _ = run_single(problem, Strategy.QUANT_AGGREGATED, instance_name="quantified")
+    assert quantified.verdict == "sat" and quantified.quant_instances > 0
+    assert quantified.lazy_lemmas is None
     # an external solver's search is not visible: one lemma round per check
     external, _ = run_single(problem, Strategy.INST_LAZY, solver_cmd=REPL_SOLVER_CMD)
     assert external.verdict == "sat" and external.theory_rounds is None
+    assert external.quant_instances is None
     assert 0 < external.lazy_lemmas <= external.lemma_count
     assert external.check_sat_count > 1
     path = tmp_path / "records.csv"
-    write_records_csv([lazy, eager, external], str(path))
+    write_records_csv([lazy, eager, quantified, external], str(path))
     with open(path) as handle:
         rows = list(csv.DictReader(handle))
-    assert [(row["theory_rounds"], row["lazy_lemmas"]) for row in rows] == [
-        (str(lazy.theory_rounds), str(lazy.lazy_lemmas)),
-        (str(eager.theory_rounds), ""),
-        ("", str(external.lazy_lemmas)),
+    assert list(rows[0])[-3:] == ["theory_rounds", "lazy_lemmas", "quant_instances"]
+    assert [
+        (row["theory_rounds"], row["lazy_lemmas"], row["quant_instances"]) for row in rows
+    ] == [
+        (str(lazy.theory_rounds), str(lazy.lazy_lemmas), "0"),
+        (str(eager.theory_rounds), "", "0"),
+        (str(quantified.theory_rounds), "", str(quantified.quant_instances)),
+        ("", str(external.lazy_lemmas), ""),
     ]
 
 
@@ -238,6 +248,7 @@ def test_cli_solve_json_output():
     assert payload["verdict"] == "sat"
     assert payload["strategy"] == "instantiated-lazy"
     assert payload["theory_rounds"] >= 1 and payload["lazy_lemmas"] >= 0
+    assert payload["quant_instances"] == 0
 
 
 def test_cli_solve_unsat_exit_code(tmp_path, fig1):
