@@ -15,6 +15,16 @@ lemma is Ackermann congruence.  An application of
 an unsigned symbol caught again in a later round is tied to every
 application of its symbol: congruence is symmetric, so a tie builds one
 antecedent and adds both ways, and each ordered pair is grounded once.
+A signed symbol whose argument forms and result are all Boolean literals
+is checked inside the search instead (`_SearchLemmas`, the SAT solver's
+theory hook): at each propagation fixpoint its touched applications are
+compared, and a broken pair's lemma is grounded at the trail where it
+breaks, as an implication or a conflict, so the search never re-descends
+from level 0 for it and the full-model pass finds none of its pairs.
+Unsigned (congruence), order-encoded and difference-logic symbols keep
+the rounds at full models: the same check over them, conflict-only, took
+the multivalued benchmark's median lazy operation from 68 to 89 ms and
+slowed its eager and quantified ones too.
 Universal quantifiers are
 expanded finitely when every binder sort is Boolean or a bounded integer
 interval, within an instantiation budget that counts the full product of
@@ -135,6 +145,10 @@ _AS_DIFFERENCE = {
 }
 
 
+# comparisons that hold between a term and itself
+_REFLEXIVE = (CmpOp.LE, CmpOp.GE, CmpOp.EQ)
+
+
 class Engine:
     """One incremental solving context (assertions are cumulative)."""
 
@@ -210,11 +224,14 @@ class Engine:
     def _ladder_steps(self, x: Node, y: Node, k: int) -> list[list[int]]:
         """x - y <= k over order-encoded nodes as one disjunction per value v
         of y:  (y >= v+1) or not (x >= v+k+1),  i.e. (y <= v) -> (x <= v+k)
-        (Tamura et al., "Compiling finite linear CSP into SAT", 2009)."""
+        (Tamura et al., "Compiling finite linear CSP into SAT", 2009).  A
+        step with v + k + 1 above x's upper bound holds trivially and is
+        left out."""
         ylo, yhi = self.node_bounds[y]  # type: ignore[misc]
+        xhi = self.node_bounds[x][1]  # type: ignore[index]
         return [
             [self._ge_lit(y, v + 1), -self._ge_lit(x, v + k + 1)]
-            for v in range(ylo, yhi + 1)
+            for v in range(ylo, min(yhi, xhi - k - 1) + 1)
         ]
 
     def _ladder_le_lit(self, x: Node, y: Node, k: int) -> int:
@@ -694,13 +711,23 @@ class Engine:
         if isinstance(body, Implies):
             antecedent = [self._instance_of(c, bound) for c in rest]
             consequent = self._instance_of(body.rhs, bound)
+            # a reflexive consequent at one grounded application, such as
+            # f(p) <= f(p), holds and grounds nothing new: with no other
+            # conjunct its instance adds nothing
+            reflexive = not rest and (
+                isinstance(body.rhs, Implies)
+                or isinstance(body.rhs, Cmp) and body.rhs.op in _REFLEXIVE
+            )
         else:
             whole = self._instance_of(body, bound)
         for combo in combos:
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeoutError("quantifier expansion passed the deadline")
             if isinstance(body, Implies):
-                self._assert_implies([c(combo) for c in antecedent], consequent(combo))
+                instance = consequent(combo)
+                if reflexive and instance.lhs is instance.rhs and instance.lhs in self.app_node:
+                    continue
+                self._assert_implies([c(combo) for c in antecedent], instance)
             else:
                 self.assert_term(whole(combo), deadline)
 
@@ -749,9 +776,12 @@ class Engine:
     def check(self, deadline: Optional[float] = None) -> str:
         """SAT search, difference-logic check and the pass over application
         pairs, in rounds until a model breaks no pair; `theory_rounds`
-        counts every round."""
+        counts every round.  The lemmas of the symbols `_SearchLemmas`
+        takes are checked inside each search, so the pass finds none of
+        theirs."""
+        theory = _SearchLemmas.of(self)
         for _ in range(MAX_THEORY_ROUNDS):
-            result = self.sat.solve(deadline)
+            result = self.sat.solve(deadline, theory)
             if result != sat.SAT:
                 return result
             constraints = []
@@ -815,6 +845,163 @@ class Engine:
         for node, c in coeffs.items():
             k += c * self._node_value(node)
         return k
+
+
+class _SearchLemmas:
+    """The theory hook that checks the monotonicity lemmas of the symbols in
+    `lemma_signs` whose argument forms and result are all Boolean literals,
+    at each propagation fixpoint of the SAT search.
+
+    Each application's point is a bit mask, bit i set when argument i is
+    true, cached with its validity stamp: the variable of the highest level
+    among those it read, so the point holds while that variable is
+    assigned.  An application whose argument or result literal was assigned
+    since the last call is touched: its point is refreshed, then compared
+    with every other complete point of its symbol.  The lemma at (t, s) is
+    grounded (`Engine.assert_lemma`) where t's point dominates s's and
+    either f(t) is true while f(s) is not, or f(s) is false while f(t) is
+    not: its clause then implies a literal or is falsified, and the pass
+    stops at the first falsified clause.  Each pair is grounded once and
+    logged to `lemma_log`."""
+
+    def __init__(self, engine: Engine, names: list[str]) -> None:
+        self.engine = engine
+        self.sat = engine.sat
+        self.apps: list[Apply] = []
+        self.symbol: list[int] = []  # per application, its symbol's index
+        self.args: list[tuple[tuple[int, int, int], ...]] = []  # (var, sign, bit)
+        self.result: list[int] = []  # the result's variable
+        self.point: list[Optional[int]] = []
+        self.stamp: list[int] = []
+        self.members: list[list[int]] = []  # per symbol, its applications
+        # per symbol: the bits of its monotone, anti-monotone and other
+        # arguments, and its signs for `assert_lemma`
+        self.masks: list[tuple[int, int, int]] = []
+        self.signs: list[tuple[frozenset[int], frozenset[int]]] = []
+        self.touching: dict[int, list[int]] = {}  # literal -> applications
+        self.pending: dict[int, None] = {}
+        self.grounded: set[tuple[int, int]] = set()
+        for name in names:
+            mono, anti = engine.lemma_signs[name]
+            members = []
+            for app in engine.apps_by_symbol[name]:
+                i = len(self.apps)
+                self.apps.append(app)
+                self.symbol.append(len(self.members))
+                args = tuple(
+                    (abs(lit), 1 if lit > 0 else -1, 1 << k)
+                    for k, lit in enumerate(engine.app_args[app])
+                )
+                self.args.append(args)
+                self.result.append(engine.bool_unknowns[engine.app_node[app]])
+                self.point.append(None)
+                self.stamp.append(engine.true_var)
+                for var in {var for var, _, _ in args} | {self.result[i]}:
+                    self.touching.setdefault(var, []).append(i)
+                    self.touching.setdefault(-var, []).append(i)
+                members.append(i)
+            arity = engine.apps_by_symbol[name][0].func.arity
+            bits = [sum(1 << (k - 1) for k in ks) for ks in (mono, anti)]
+            self.masks.append((*bits, ((1 << arity) - 1) & ~(bits[0] | bits[1])))
+            self.signs.append((mono, anti))
+            self.members.append(members)
+
+    @classmethod
+    def of(cls, engine: Engine) -> Optional[Callable[[list[int]], None]]:
+        """The hook over the engine's qualifying symbols, or None."""
+        names = [
+            name
+            for name in engine.lemma_signs
+            if len(apps := engine.apps_by_symbol.get(name, ())) > 1
+            and apps[0].sort.is_bool
+            and all(isinstance(form, int) for app in apps for form in engine.app_args[app])
+        ]
+        return cls(engine, names) if names else None
+
+    def __call__(self, fresh: list[int]) -> None:
+        touching, pending = self.touching, self.pending
+        for lit in fresh:
+            apps = touching.get(lit)
+            if apps:
+                for i in apps:
+                    pending[i] = None
+        for i in pending:
+            self._refresh(i)
+        for i in list(pending):
+            if not self._compare(i):
+                return  # stopped at a conflict; i stays touched
+            del pending[i]
+
+    def _refresh(self, i: int) -> None:
+        assign, level = self.sat.assign, self.sat.level
+        point = 0
+        top = self.engine.true_var
+        top_level = 0
+        for var, sign, bit in self.args[i]:
+            value = assign[var]
+            if not value:
+                self.point[i] = None
+                return
+            if value == sign:
+                point |= bit
+            if level[var] > top_level:
+                top, top_level = var, level[var]
+        self.point[i] = point
+        self.stamp[i] = top
+
+    def _compare(self, i: int) -> bool:
+        """Ground the lemma of each pair of i and another application of its
+        symbol that the trail breaks or that would imply; False when a
+        grounded clause is falsified, or its grounding backtracked."""
+        p = self.point[i]
+        if p is None:
+            return True
+        assign, point, stamp, result = self.sat.assign, self.point, self.stamp, self.result
+        sym = self.symbol[i]
+        mono, anti, equal = self.masks[sym]
+        out = assign[result[i]]
+        for j in self.members[sym]:
+            q = point[j]
+            if j == i or q is None or not assign[stamp[j]]:
+                continue
+            other = assign[result[j]]
+            # the one way round the results can break: (i, j) when f(i) is
+            # true or f(j) false, else (j, i)
+            if out > 0 or (not out and other < 0):
+                if other > 0 or p & ~q & mono or q & ~p & anti or (p ^ q) & equal:
+                    continue
+                pair = (i, j)
+            elif other >= 0 and (out or other > 0):
+                if q & ~p & mono or p & ~q & anti or (p ^ q) & equal:
+                    continue
+                pair = (j, i)
+            else:
+                continue
+            if pair in self.grounded:
+                continue
+            if not self._ground(pair):
+                return False
+            out = assign[result[i]]
+        return True
+
+    def _ground(self, pair: tuple[int, int]) -> bool:
+        """Ground one pair's lemma; False when its clause is falsified or
+        the grounding backtracked.  The applications whose literals it
+        implied are refreshed, so a point whose stamp is assigned is never
+        stale within a call: a variable it read may have been unassigned
+        and is now implied again."""
+        sat = self.sat
+        self.grounded.add(pair)
+        t, s = self.apps[pair[0]], self.apps[pair[1]]
+        self.engine.lemma_log.append((t, s))
+        mark, head = len(sat.trail), sat.theory_head
+        self.engine.assert_lemma(t, s, *self.signs[self.symbol[pair[0]]])
+        if sat.conflict is not None or sat.theory_head < head or not sat.ok:
+            return False
+        for lit in sat.trail[mark:]:
+            for k in self.touching.get(lit, ()):
+                self._refresh(k)
+        return True
 
 
 def _check_expansion_budget(total: int) -> None:

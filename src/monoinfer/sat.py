@@ -21,13 +21,27 @@ other literals of its reason, which may lie below the current decision
 level.  A conflict is analysed at its own level c, the highest level in the
 conflicting clause, and the solver then undoes only level c: the literals
 of lower levels stay assigned, in trail order, and propagate again.
+
+`solve()` takes one theory hook, run at each propagation fixpoint before
+the next decision with the trail literals assigned since its last run.
+The hook may add clauses, and `add_clause` takes one at any decision level
+under the same invariants: it drops literals false at level 0 and watches
+its two best literals (true or open first, then false ones by highest
+level).  A falsified clause becomes the conflict `_analyze` takes at its
+own level.  A unit clause implies its open literal at the highest level of
+its false literals, with the clause as reason; a lone true literal above
+that level is re-implied there, as `_analyze` does for a missed lower
+implication.  So nothing backtracks to level 0, and the clause enters
+through `add_clause` like any other.  Between solve() calls the trail
+still holds the last answer, and a clause added then is taken at level 0,
+where the next search starts.
 """
 
 from __future__ import annotations
 
 import time
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -46,6 +60,12 @@ class SatSolver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
+        # the trail position up to which the theory hook has seen literals;
+        # a backtrack clamps it, as it clamps qhead
+        self.theory_head = 0
+        self._in_search = False
+        # a clause the theory hook added that the trail falsifies
+        self.conflict: Optional[int] = None
         self.activity: list[float] = [0.0]
         self.phase: list[bool] = [False]
         self.decide: list[bool] = [False]
@@ -81,13 +101,15 @@ class SatSolver:
 
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause; returns False if the formula became trivially unsat.
-        One pass at level 0 drops false and repeated literals; a true literal
-        or a complementary pair leaves nothing to store."""
+        One pass drops repeated literals and those false at level 0; a
+        literal true at level 0 or a complementary pair leaves nothing to
+        store.  Outside a search the trail is first taken back to level 0;
+        inside one the clause is taken where the trail stands (`_place`)."""
         if not self.ok:
             return False
-        if self.trail_lim:
+        if self.trail_lim and not self._in_search:
             self._backtrack(0)
-        assign = self.assign
+        assign, level = self.assign, self.level
         seen: set[int] = set()
         clause: list[int] = []
         for lit in lits:
@@ -95,10 +117,11 @@ class SatSolver:
                 return True  # tautology
             if lit in seen:
                 continue
-            value = assign[lit] if lit > 0 else -assign[-lit]
-            if value > 0:
-                return True  # satisfied at level 0
-            if value:
+            var = lit if lit > 0 else -lit
+            value = assign[var]
+            if value and not level[var]:
+                if (value > 0) == (lit > 0):
+                    return True  # satisfied at level 0
                 continue  # false at level 0
             seen.add(lit)
             clause.append(lit)
@@ -106,7 +129,13 @@ class SatSolver:
             self.ok = False
             return False
         if len(clause) == 1:
-            self._enqueue(clause[0], None, 0)
+            lit = clause[0]
+            var = lit if lit > 0 else -lit
+            if assign[var]:  # assigned above level 0: undo it, then imply it
+                self._backtrack(level[var] - 1)
+            self._enqueue(lit, None, 0)
+            if self._in_search:
+                return True  # the search propagates it
             if self._propagate() is not None:
                 self.ok = False
                 return False
@@ -115,8 +144,44 @@ class SatSolver:
         self.clauses.append(clause)
         self.is_learned.append(False)
         self.cla_activity.append(0.0)
+        if self.trail_lim:
+            self._place(idx)
         self._watch(idx)
         return True
+
+    def _place(self, idx: int) -> None:
+        """Order a clause added above level 0 so its first two literals are
+        its best watches: true or open ones first, then false ones by
+        highest level.  A falsified clause becomes `conflict`.  A unit
+        clause implies its open literal at the level of its second watch,
+        the highest level among its false literals; a lone true literal
+        above that level is undone and implied there."""
+        clause = self.clauses[idx]
+        assign, level = self.assign, self.level
+        above = len(self.trail_lim) + 1  # the rank of a true or open literal
+
+        def rank(k: int) -> int:
+            lit = clause[k]
+            var = lit if lit > 0 else -lit
+            value = assign[var]
+            return level[var] if value and (value > 0) != (lit > 0) else above
+
+        for i in (0, 1):
+            best = max(range(i, len(clause)), key=rank)
+            clause[i], clause[best] = clause[best], clause[i]
+        if rank(1) == above:
+            return  # two true or open watches
+        if rank(0) < above:
+            if self.conflict is None:
+                self.conflict = idx
+            return
+        implied = rank(1)
+        var = abs(clause[0])
+        if self.assign[var]:  # true
+            if level[var] <= implied:
+                return
+            self._backtrack(level[var] - 1)
+        self._enqueue(clause[0], idx, implied)
 
     def _watch(self, idx: int) -> None:
         clause = self.clauses[idx]
@@ -333,6 +398,7 @@ class SatSolver:
                 kept += 1
         del trail[kept:]
         self.qhead = min(self.qhead, start)
+        self.theory_head = min(self.theory_head, start)
 
     def _record_learned(self, learned: list[int], level: int) -> None:
         """Add a learned clause and assert its first literal at `level`, the
@@ -384,16 +450,46 @@ class SatSolver:
 
     # -- main loop ---------------------------------------------------------------
 
-    def solve(self, deadline: Optional[float] = None) -> str:
+    def solve(
+        self,
+        deadline: Optional[float] = None,
+        theory: Optional[Callable[[list[int]], None]] = None,
+    ) -> str:
         """Solve the accumulated clause set: "sat", "unsat", or "unknown" on
-        deadline expiry.  On sat, the assignment is kept in `self.model`."""
+        deadline expiry.  On sat, the assignment is kept in `self.model`.
+        `theory`, if given, runs at each propagation fixpoint with the trail
+        literals it has not seen, and may add clauses (see the module
+        docstring); it returns once a clause it adds is falsified
+        (`conflict`), since a later clause could take back the trail that
+        clause is false on.  The search decides only once the hook adds
+        none that implies or conflicts."""
         if not self.ok:
             return UNSAT
         self._backtrack(0)
+        self.theory_head = 0
+        self._in_search = True
+        try:
+            return self._search(deadline, theory)
+        finally:
+            self._in_search = False
+            self.conflict = None
+
+    def _search(
+        self, deadline: Optional[float], theory: Optional[Callable[[list[int]], None]]
+    ) -> str:
         restart_limit = 100
         since_restart = 0
         while True:
             conflict = self._propagate()
+            if conflict is None and theory is not None and self.theory_head < len(self.trail):
+                fresh = self.trail[self.theory_head:]
+                self.theory_head = len(self.trail)
+                theory(fresh)
+                if not self.ok:
+                    return UNSAT
+                conflict, self.conflict = self.conflict, None
+                if conflict is None and self.qhead < len(self.trail):
+                    continue
             if conflict is not None:
                 self.conflicts += 1
                 since_restart += 1

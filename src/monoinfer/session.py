@@ -243,7 +243,8 @@ class InternalSession(SolverSession):
     def check_lemmas_in_search(
         self, spec: MonotonicitySpec, log: list[tuple[Apply, Apply]]
     ) -> bool:
-        """The engine checks the lemmas in its theory rounds."""
+        """The engine checks the lemmas inside its search (Boolean symbols)
+        or in its theory rounds."""
         self.engine.lemma_signs = {
             func.name: (spec.monotone(func), spec.anti_monotone(func))
             for func in spec.constrained_symbols()

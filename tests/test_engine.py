@@ -13,7 +13,7 @@ from monoinfer import engine as engine_module
 from monoinfer.difflogic import ZERO, DiffConstraint, solve_difference_constraints
 from monoinfer.engine import Engine, EngineUnsupported
 from monoinfer.model import broken_pairs, dominates, evaluate, evaluate_with
-from monoinfer.oracle import oracle_mono_sat
+from monoinfer.oracle import oracle_inference, oracle_mono_sat
 from monoinfer.sat import SatSolver
 from monoinfer.session import InternalSession
 from monoinfer.terms import (
@@ -44,17 +44,19 @@ from monoinfer.terms import (
     substitute,
 )
 from monoinfer.encode import (
+    LazyRunStats,
     Strategy,
     encode,
     encode_eager,
     encode_quant_aggregated,
     encode_quant_individual,
+    lemma_pairs,
     monotonicity_lemma,
     solve,
     solve_lazy,
 )
 from monoinfer.generate import GeneratorParams, generate_instance
-from monoinfer.network import encode_inference
+from monoinfer.network import decode_solution, encode_inference, verify_solution
 
 
 # -- SAT core -------------------------------------------------------------------
@@ -535,9 +537,12 @@ def test_a_lemma_on_ungrounded_applications_decides_as_its_term():
 def _check_points_in_every_round(monkeypatch):
     """Before each round's pair pass, every registered application's point
     read from its argument forms equals its arguments evaluated through
-    `Engine.value`, value and type; returns the list of rounds checked."""
-    rounds = []
+    `Engine.value`, value and type; and inside the search, each complete
+    point the lemma hook refreshes equals its arguments evaluated over the
+    trail.  Returns the rounds and the in-search points checked."""
+    rounds, refreshed = [], []
     ground = Engine._ground_broken_pairs
+    refresh = engine_module._SearchLemmas._refresh
 
     def spy(engine):
         for apps in engine.apps_by_symbol.values():
@@ -548,8 +553,26 @@ def _check_points_in_every_round(monkeypatch):
         rounds.append(engine)
         return ground(engine)
 
+    def refresh_spy(hook, i):
+        refresh(hook, i)
+        point, engine = hook.point[i], hook.engine
+        if point is None:
+            return
+        app = hook.apps[i]
+
+        def on_trail(term):
+            node = ("c", term.name) if isinstance(term, Const) else engine.app_node[term]
+            value = engine.sat.assign[engine.bool_unknowns[node]]
+            assert value, term
+            return value > 0
+
+        terms = [evaluate_with(a, on_trail) for a in app.args]
+        assert [bool(point >> k & 1) for k in range(len(terms))] == terms, app
+        refreshed.append(app)
+
     monkeypatch.setattr(Engine, "_ground_broken_pairs", spy)
-    return rounds
+    monkeypatch.setattr(engine_module._SearchLemmas, "_refresh", refresh_spy)
+    return rounds, refreshed
 
 
 @pytest.mark.parametrize(
@@ -561,19 +584,23 @@ def _check_points_in_every_round(monkeypatch):
     ids=lambda v: getattr(v, "value", ""),
 )
 def test_argument_forms_value_every_point_as_the_evaluator(monkeypatch, strategy, params):
-    # in-engine lazy over Boolean arguments, congruence rounds over
-    # order-encoded integer ones
-    rounds = _check_points_in_every_round(monkeypatch)
+    # in-engine lazy over Boolean arguments, whose points the lemma hook
+    # reads at every propagation fixpoint of one search; congruence rounds
+    # over order-encoded integer ones
+    rounds, refreshed = _check_points_in_every_round(monkeypatch)
     formula, spec = encode_inference(generate_instance(2, params))
     session = InternalSession()
     assert solve(encode(formula, spec, strategy), spec, session).is_sat
-    assert len(rounds) >= 3
+    if strategy is Strategy.INST_LAZY:
+        assert len(rounds) == 1 and len(refreshed) >= 100
+    else:
+        assert len(rounds) >= 3 and not refreshed
 
 
 def test_argument_forms_of_compound_arguments_value_as_the_evaluator(monkeypatch):
     # gates over Boolean arguments, linear forms over difference-logic nodes;
     # the first model puts f's two applications at one point and g's too
-    rounds = _check_points_in_every_round(monkeypatch)
+    rounds, _ = _check_points_in_every_round(monkeypatch)
     p, q = Const("p", BOOL), Const("q", BOOL)
     x, y = Const("x", INT), Const("y", INT)
     f = FunctionSymbol("f", [BOOL], BOOL)
@@ -593,6 +620,77 @@ def test_argument_forms_of_compound_arguments_value_as_the_evaluator(monkeypatch
     assert {app.func for app in session.engine._caught} == {f, g}
     model = session.extract_model()
     assert all(evaluate(a, model) for a in assertions)
+
+
+@pytest.mark.parametrize("mode", ["planted", "perturbed"])
+def test_lemmas_checked_in_search_are_lemma_pairs_of_one_check(monkeypatch, mode):
+    # small lemma-dense Boolean networks (every regulation essential): the
+    # lemma hook takes every signed symbol, so each asserted pair is grounded
+    # inside the one search and the full-model pass finds none of them
+    params = GeneratorParams(
+        n_vars=10, max_arity=5, n_observations=4, mode=mode, essential_ratio=1.0
+    )
+    pass_pairs = []
+    ground = Engine._ground_broken_pairs
+
+    def spy(engine):
+        before = len(engine.lemma_log)
+        broken = ground(engine)
+        pass_pairs.extend(engine.lemma_log[before:])
+        return broken
+
+    monkeypatch.setattr(Engine, "_ground_broken_pairs", spy)
+    verdicts, grounded = [], 0
+    for seed in range(8):
+        problem = generate_instance(seed, params)
+        formula, spec = encode_inference(problem)
+        session, stats = InternalSession(), LazyRunStats()
+        verdict = solve_lazy(formula, spec, session, stats)
+        assert session.check_sat_count == stats.check_sat_calls == 1
+        pairs = set(lemma_pairs(formula, spec))
+        hook = engine_module._SearchLemmas.of(session.engine)
+        assert {app.func for app in hook.apps} == {t.func for t, _ in pairs}
+        asserted = stats.asserted_lemmas
+        assert set(asserted) <= pairs
+        assert len(set(asserted)) == len(asserted)
+        grounded += len(asserted)
+        eager = solve(encode(formula, spec, Strategy.INST_EAGER), spec, InternalSession())
+        assert verdict.kind == eager.kind == oracle_inference(problem).verdict, seed
+        if verdict.is_sat:
+            assert verify_solution(problem, decode_solution(verdict.model, problem))
+        verdicts.append(verdict.kind)
+    assert not pass_pairs
+    assert grounded and "sat" in verdicts
+    assert mode == "planted" or "unsat" in verdicts
+
+
+@pytest.mark.parametrize("known", ["f(a) true", "f(b) false"])
+def test_a_lemma_in_search_implies_the_open_result(known):
+    # f is monotone and one result is known at level 0.  b is numbered
+    # first, so the one decision puts b false, and b or not a makes a false:
+    # the two points are equal, and the lemma implies the open result at
+    # level 1, which is never decided and breaks nothing
+    f = FunctionSymbol("f", [BOOL], BOOL)
+    a, b = Const("a", BOOL), Const("b", BOOL)
+    fa, fb = Apply(f, (a,)), Apply(f, (b,))
+    session = InternalSession()
+    log = []
+    assert session.check_lemmas_in_search(MonotonicitySpec({f: ({1}, set())}), log)
+    # the last fact holds at level 0 and only registers the other application
+    if known == "f(a) true":
+        facts = (Or((b, Not(a))), fa, Or((fa, fb)))
+    else:
+        facts = (Or((b, Not(a))), Not(fb), Or((Not(fb), Not(fa))))
+    for fact in facts:
+        session.assert_formula(fact)
+    assert session.check_sat() == "sat"
+    assert log == [(fa, fb)]
+    engine = session.engine
+    implied = fb if known == "f(a) true" else fa
+    var = engine.bool_unknowns[engine.app_node[implied]]
+    assert engine.sat.level[var] == 1 and engine.sat.reason[var] is not None
+    assert engine.sat.conflicts == 0 and engine.sat.decisions == 1
+    assert evaluate(implied, session.extract_model()) == (known == "f(a) true")
 
 
 def _admits(engine, values):

@@ -88,7 +88,8 @@ class RupChecker:
 
 class ProofSolver(SatSolver):
     """Records the solver's inputs, learned clauses and answers in order,
-    and counts the two chronological-backtracking paths."""
+    and counts the two chronological-backtracking paths and the inputs a
+    theory hook adds above level 0."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -96,10 +97,12 @@ class ProofSolver(SatSolver):
         self.conflicts_below_decision_level = 0
         self.units_above_level_zero = 0
         self.dropped_clauses = 0
+        self.inputs_above_level_zero = 0
 
     def add_clause(self, lits):
         lits = list(lits)
         self.steps.append(("input", lits))
+        self.inputs_above_level_zero += self._in_search and bool(self.trail_lim)
         return super().add_clause(lits)
 
     def _analyze(self, conflict):
@@ -119,8 +122,8 @@ class ProofSolver(SatSolver):
         super()._reduce_learned()
         self.dropped_clauses += before - len(self.clauses)
 
-    def solve(self, deadline=None):
-        answer = super().solve(deadline)
+    def solve(self, deadline=None, theory=None):
+        answer = super().solve(deadline, theory)
         self.steps.append((answer, list(self.model) if answer == SAT else []))
         return answer
 
@@ -275,6 +278,29 @@ def test_unsat_inference_instance_has_a_rup_refutation(monkeypatch, strategy):
         assert solver.conflicts > 0
 
 
+def test_boolean_lazy_unsat_instance_has_a_rup_refutation(monkeypatch):
+    # perturbed seed 10 is unsat; the engine grounds its lemmas inside the
+    # search, and those clauses enter the proof as inputs where they arrive
+    params = GeneratorParams(
+        n_vars=10, max_arity=5, n_observations=5, mode="perturbed", essential_ratio=1.0
+    )
+    formula, spec = encode_inference(generate_instance(10, params))
+    solvers = []
+
+    def recording_solver():
+        solvers.append(ProofSolver())
+        return solvers[-1]
+
+    monkeypatch.setattr(engine_module, "SatSolver", recording_solver)
+    session = InternalSession()
+    verdict = solve(encode(formula, spec, Strategy.INST_LAZY), spec, session)
+    assert verdict.is_unsat and session.check_sat_count == 1
+    [solver] = solvers
+    assert check_proof(solver) == [UNSAT]  # unsat within the first search
+    assert solver.inputs_above_level_zero > 0 and solver.conflicts > 0
+    assert session.engine.lemma_log
+
+
 def _inputs(s: SatSolver) -> list[list[int]]:
     return [clause for clause, learned in zip(s.clauses, s.is_learned) if not learned]
 
@@ -316,6 +342,8 @@ def test_add_clause_folds_level_zero_literals():
 
 
 def test_add_clause_mid_search_backtracks_to_level_zero():
+    # a trail left above level 0 outside solve(); inside a search, where a
+    # theory hook adds clauses, nothing backtracks to level 0 (below)
     s = SatSolver()
     a, b, c = (s.new_var() for _ in range(3))
     assert s.add_clause([a])
@@ -329,6 +357,163 @@ def test_add_clause_mid_search_backtracks_to_level_zero():
     assert s.assign[b] == s.assign[c] == 0
     assert [sorted(clause) for clause in _inputs(s)] == [[-b, c], [-c, -b]]
     assert s.solve() == SAT and s.model[b] < 0
+
+
+def _in_search(n_vars: int, decisions: list[int]) -> SatSolver:
+    """A solver inside a search (as a theory hook sees it) over `n_vars`
+    open variables, with `decisions` made one level each."""
+    s = SatSolver()
+    for _ in range(n_vars):
+        s.new_var()
+    s._in_search = True
+    for lit in decisions:
+        _decide(s, lit)
+    assert s._propagate() is None
+    return s
+
+
+def test_add_clause_in_search_analyses_a_falsified_clause_at_its_own_level():
+    a, b, c, e = 1, 2, 3, 4
+    s = _in_search(4, [])
+    s.add_clause([-b, e])
+    for lit in (a, b, c):
+        _decide(s, lit)
+        assert s._propagate() is None
+    assert s.level[e] == 2 and s.trail_lim == [0, 1, 3]
+    # falsified at levels 1, 2 and 2, below the decision level 3: it is the
+    # conflict, watched by its two level-2 literals
+    assert s.add_clause([-a, -e, -b])
+    assert s.conflict == 1 and s.trail_lim == [0, 1, 3]
+    clause = s.clauses[1]
+    assert sorted(clause[:2]) == [-e, -b]
+    assert all(1 in s.watches[q] for q in clause[:2])
+    # the first UIP of level 2 is b: [-b, -a] is learned, level 3 goes and
+    # -b is asserted at level 1
+    assert s._analyze(s.conflict)
+    assert s.clauses[-1] == [-b, -a] and s.is_learned[-1]
+    assert s.trail_lim == [0] and s.assign[c] == 0
+    assert s.assign[b] < 0 and s.level[b] == 1
+
+
+def test_add_clause_in_search_implies_a_unit_at_its_highest_false_level():
+    a, b, c, d, e = 1, 2, 3, 4, 5
+    s = _in_search(5, [a, b, c])
+    assert s.add_clause([-b, d, -a])
+    assert s.conflict is None
+    assert s.clauses[0][:2] == [d, -b] and s.trail[-1] == d
+    assert s.level[d] == 2 and s.reason[d] == 0 and s.trail_lim == [0, 1, 2]
+    # two open literals watch: nothing is implied
+    assert s.add_clause([-a, -c, e, -b, d])
+    assert s.clauses[1][:2] == [e, d] and s.assign[e] == 0
+
+
+def test_add_clause_in_search_reimplies_a_true_literal_above_its_false_watch():
+    a, b, d = 1, 2, 3
+    s = _in_search(3, [a, b, d])
+    assert s.add_clause([d, -a])
+    # d was a decision at level 3: level 3 is undone and d implied at 1
+    assert s.trail_lim == [0, 1] and s.trail == [a, b, d]
+    assert s.level[d] == 1 and s.reason[d] == 0 and s.clauses[0] == [d, -a]
+    # a true literal at or below the false one's level stays where it is
+    assert s.add_clause([-b, a])
+    assert s.level[a] == 1 and s.reason[a] is None and s.trail_lim == [0, 1]
+
+
+def test_add_clause_in_search_takes_a_single_literal_at_level_zero():
+    a, b, c, d = 1, 2, 3, 4
+    s = _in_search(4, [a, b])
+    assert s.add_clause([c])  # open: implied at level 0, nothing undone
+    assert s.trail == [a, b, c] and s.level[c] == 0 and s.trail_lim == [0, 1]
+    assert s.add_clause([-b])  # false at level 2: level 2 goes
+    assert s.trail == [a, c, -b] and s.level[b] == 0 and s.trail_lim == [0]
+    assert s.add_clause([a, -c])  # true at level 1, -c false at level 0
+    assert s.trail == [c, -b, a] and s.level[a] == 0 and not s.trail_lim
+    assert not s.clauses and s.ok
+    assert s._propagate() is None
+    assert not s.add_clause([-a])  # false at level 0: unsat
+    assert not s.ok
+
+
+def test_a_theory_hook_adds_clauses_inside_the_search():
+    # "at most one of each group" is known only to the hook, which adds the
+    # clause [-x, -y] when it sees two of one group true; the CNF asks for a
+    # true variable in each half of the groups
+    def run(groups, clauses):
+        solver = ProofSolver()
+        for _ in range(6):
+            solver.new_var()
+        for clause in clauses:
+            solver.add_clause(clause)
+        seen = []
+
+        def hook(fresh):
+            seen.extend(fresh)
+            for group in groups:
+                true = [v for v in group if solver.assign[v] > 0]
+                if len(true) > 1:
+                    solver.add_clause([-true[0], -true[1]])
+                    if solver.conflict is not None:
+                        return
+
+        answer = solver.solve(theory=hook)
+        # the hook saw every variable that was ever assigned
+        assert {abs(lit) for lit in seen} >= {abs(lit) for lit in solver.trail}
+        return solver, answer
+
+    solver, answer = run([(1, 2, 3), (4, 5, 6)], [[1, 2, 3], [4, 5, 6], [2, 5]])
+    assert answer == SAT
+    for group in ((1, 2, 3), (4, 5, 6)):
+        assert sum(solver.model[v] > 0 for v in group) == 1
+    assert check_proof(solver) == [SAT]
+    solver, answer = run([(1, 2, 3, 4, 5, 6)], [[1, 2, 3], [4, 5, 6]])
+    assert answer == UNSAT and solver.conflicts > 0
+    assert check_proof(solver) == [UNSAT]
+
+
+def test_clauses_a_hook_holds_back_keep_random_3cnf_answers():
+    # half of each random 3-CNF is known only to the hook, which adds a
+    # clause once the trail makes it unit or falsifies it, wherever the
+    # search stands; answers match the solver given every clause up front
+    rng = random.Random(2015)
+    answers = {SAT: 0, UNSAT: 0}
+    above = 0
+    for _ in range(60):
+        n_vars = rng.randint(15, 40)
+        clauses = [
+            [rng.choice((1, -1)) * v for v in rng.sample(range(1, n_vars + 1), 3)]
+            for _ in range(round(4.2 * n_vars))
+        ]
+        reference = SatSolver()
+        solver = ProofSolver()
+        for _ in range(n_vars):
+            reference.new_var()
+            solver.new_var()
+        held = []
+        for clause in clauses:
+            reference.add_clause(clause)
+            if rng.random() < 0.5:
+                held.append(clause)
+            else:
+                solver.add_clause(clause)
+
+        def hook(fresh):
+            for clause in list(held):
+                values = [solver.assign[abs(q)] * (1 if q > 0 else -1) for q in clause]
+                if 1 in values or values.count(0) > 1:
+                    continue
+                held.remove(clause)
+                solver.add_clause(clause)
+                if solver.conflict is not None or not solver.ok:
+                    return
+
+        answer = solver.solve(theory=hook)
+        assert answer == reference.solve()
+        assert check_proof(solver) == [answer]
+        if answer == SAT:
+            assert all(any((solver.model[abs(q)] > 0) == (q > 0) for q in c) for c in clauses)
+        answers[answer] += 1
+        above += solver.inputs_above_level_zero
+    assert min(answers.values()) > 5 and above > 100
 
 
 def test_non_decision_variables_keep_the_solver_sound_and_complete():
