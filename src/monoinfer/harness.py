@@ -102,9 +102,11 @@ def run_single(
 ) -> tuple[RunRecord, Optional[list[UpdateFunctionTable]]]:
     """Encode + solve one instance under one strategy.
 
-    Timing covers encoding and solving; solver failures and timeouts are
-    captured in the record rather than raised.  With verify=True a sat model
-    is decoded and independently checked, and the result noted.
+    Timing covers encoding and solving, and so does `time_limit_ms`: the
+    session gets the budget that encoding left.  Solver failures and
+    timeouts are captured in the record rather than raised.  With
+    verify=True a sat model is decoded and independently checked, and the
+    result noted.
     """
     start = time.perf_counter()
     tables: Optional[list[UpdateFunctionTable]] = None
@@ -124,7 +126,8 @@ def run_single(
             script = emit_script(assertions)
             Path(emit_path).write_text(script, encoding="utf-8")
         session = open_session(solver_cmd)
-        session.set_time_limit(time_limit_ms)
+        spent_ms = (time.perf_counter() - start) * 1000.0
+        session.set_time_limit(max(0.0, time_limit_ms - spent_ms))
         stats = LazyRunStats()
         verdict = solve(encoded, spec, session, stats)
         if verdict.kind == UNKNOWN:

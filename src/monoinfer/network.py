@@ -5,13 +5,16 @@ monotonicity specification: an uninterpreted update function per variable
 (`problem.signature`), whose arguments are the variable's incoming
 regulations (`problem.inputs`, in the variable-list order of their sources),
 essentiality constraints (some context where varying one regulator changes
-the output), fixed-point constraints (one per observation, skolemized), and
-bounds on every bounded integer application and skolem constant, paired
-with `problem.spec`.  Also decodes solver models back into complete update
-tables, flat row-major output lists filled from each symbol's monotone
-completion, and verifies them independently: sign and essentiality on the
-steps between adjacent rows, read as strided slices of those lists, fixed
-points by enumerating the unobserved variables.
+the output), fixed-point constraints (one per observation), and bounds on
+every bounded integer application and skolem constant, paired with
+`problem.spec`.  Each constraint has one builder, told what stands for its
+binders: a `Var` under an `Exists` for the public constraint forms, a fresh
+Skolem constant for `encode_inference`, which so builds the skolemized
+formula and notes its bounds in one pass.  Also decodes solver models back
+into complete update tables, flat row-major output lists filled from each
+symbol's monotone completion, and verifies them independently: sign and
+essentiality on the steps between adjacent rows, read as strided slices of
+those lists, fixed points by enumerating the unobserved variables.
 """
 
 from __future__ import annotations
@@ -20,14 +23,15 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .encode import monotonize_model
 from .model import Model, Value, ValueVector
 from .terms import (
+    FALSE,
+    TRUE,
     And,
     Apply,
-    BoolLit,
     Cmp,
     CmpOp,
     Const,
@@ -44,7 +48,6 @@ from .terms import (
     lit as value_lit,
     mk_and,
     ne,
-    skolemize,
 )
 
 
@@ -257,96 +260,117 @@ class UpdateFunctionTable:
         return f"UpdateFunctionTable({self.symbol.name}, {self.outputs!r})"
 
 
+# what stands for a constraint's binder: told its name and sort, it returns
+# the term the body uses in its place
+Bind = Callable[[str, Sort], Term]
+# told each operand of each comparison as a body is built, in preorder
+Note = Callable[[Term], None]
+
+
+def _var_binder(bound: list[Var]) -> Bind:
+    """A binder that stands a `Var` for each binder and lists it in `bound`."""
+
+    def bind(name: str, sort: Sort) -> Term:
+        bound.append(Var(name, sort))
+        return bound[-1]
+
+    return bind
+
+
 def essentiality_constraint(
     problem: InferenceProblem,
     target: NetworkVariable,
     position: int,
     simplify: bool = True,
+    bind: Optional[Bind] = None,
+    note: Optional[Note] = None,
 ) -> Term:
     """Existence of a context in which varying the regulator at argument
-    `position` (1-based) changes the target's output.  With simplification,
-    a Boolean source is directly instantiated with true/false instead of two
-    extra binders."""
+    `position` (1-based) changes the target's output: binders x, y for the
+    regulator, then z<i> for each other argument i in order.  With
+    simplification, a Boolean source is directly instantiated with
+    true/false instead of two extra binders.  Without `bind`, each binder is
+    a `Var` under one `Exists`; with it, the body alone, holding what `bind`
+    returned.  `note`, if given, is told each comparison operand as it is
+    built."""
     inputs = problem.inputs[target]
     source = inputs[position - 1].source
     if not inputs[position - 1].essential:
         raise ProblemError(
             f"regulation {source.name} -> {target.name} is not declared essential"
         )
-    func = problem.signature[target]
+    bound: list[Var] = []
+    bind = bind or _var_binder(bound)
+    if simplify and source.is_boolean:
+        hi, lo = TRUE, FALSE
+    else:
+        hi = bind("x", source.domain)
+        lo = bind("y", source.domain)
     context = {
-        i: Var(f"z{i}", r.source.domain)
+        i: bind(f"z{i}", r.source.domain)
         for i, r in enumerate(inputs, start=1)
         if i != position
     }
-    if simplify and source.is_boolean:
-        hi: Term = BoolLit(True)
-        lo: Term = BoolLit(False)
-        binders: list[Var] = []
-    else:
-        x = Var("x", source.domain)
-        y = Var("y", source.domain)
-        hi, lo = x, y
-        binders = [x, y]
-    binders += context.values()
-    args_hi = tuple(
-        hi if i == position else context[i] for i in range(1, len(inputs) + 1)
-    )
-    args_lo = tuple(
-        lo if i == position else context[i] for i in range(1, len(inputs) + 1)
-    )
-    body = ne(Apply(func, args_hi), Apply(func, args_lo))
-    if not binders:
-        return body
-    return Exists(binders, body)
+    func = problem.signature[target]
+    positions = range(1, len(inputs) + 1)
+    app_hi = Apply(func, [context.get(i, hi) for i in positions])
+    app_lo = Apply(func, [context.get(i, lo) for i in positions])
+    if note is not None:
+        note(app_hi)
+        note(app_lo)
+    body = ne(app_hi, app_lo)
+    return Exists(bound, body) if bound else body
 
 
 def fixed_point_constraint(
     problem: InferenceProblem,
     observation: FixedPointObservation,
     simplify: bool = True,
+    bind: Optional[Bind] = None,
+    note: Optional[Note] = None,
 ) -> Term:
-    """Existence of a fixed point matching the partial observation.
+    """Existence of a fixed point matching the partial observation, with a
+    binder x_<v> for each variable v it leaves open, in variable order;
+    `bind` and `note` as for `essentiality_constraint`.
 
     With simplification, observed values are propagated into all function
     applications so fully observed fixed points come out ground; without it,
     the raw schema quantifies over all variables and keeps the value
     equations as separate conjuncts.
     """
+    bound: list[Var] = []
+    bind = bind or _var_binder(bound)
+    observed = [observation.value_of(var) for var in problem.variables]
     state: dict[NetworkVariable, Term] = {}
-    binders: list[Var] = []
-    for var in problem.variables:
-        observed = observation.value_of(var)
-        if simplify and observed is not None:
-            state[var] = value_lit(observed)
+    for var, value in zip(problem.variables, observed):
+        if simplify and value is not None:
+            state[var] = value_lit(value)
         else:
-            v = Var(f"x_{var.name}", var.domain)
-            state[var] = v
-            binders.append(v)
+            state[var] = bind(f"x_{var.name}", var.domain)
     conjuncts: list[Term] = []
-    for var in problem.variables:
-        regulators = problem.regulators_of(var)
-        app = Apply(problem.signature[var], tuple(state[r] for r in regulators))
-        observed = observation.value_of(var)
-        if simplify and observed is not None:
-            conjuncts.append(Cmp(CmpOp.EQ, app, value_lit(observed)))
+    for var, value in zip(problem.variables, observed):
+        app = Apply(problem.signature[var], [state[r.source] for r in problem.inputs[var]])
+        if simplify and value is not None:
+            operands = (app, value_lit(value))
         else:
-            conjuncts.append(Cmp(CmpOp.EQ, state[var], app))
+            operands = (state[var], app)
+        if note is not None:
+            note(operands[0])
+            note(operands[1])
+        conjuncts.append(Cmp(CmpOp.EQ, *operands))
     if not simplify:
-        for var in problem.variables:
-            observed = observation.value_of(var)
-            if observed is not None:
-                conjuncts.append(Cmp(CmpOp.EQ, state[var], value_lit(observed)))
+        for var, value in zip(problem.variables, observed):
+            if value is not None:
+                conjuncts.append(Cmp(CmpOp.EQ, state[var], value_lit(value)))
     body = mk_and(conjuncts)
-    if not binders:
-        return body
-    return Exists(binders, body)
+    return Exists(bound, body) if bound else body
 
 
 def bounds_constraints(formula: Term) -> list[Term]:
     """lo <= t <= hi for every bounded-integer application term and bounded
-    skolem constant in the (already skolemized) formula, in first-occurrence
-    order."""
+    skolem constant in the (already skolemized) formula, in preorder
+    first-occurrence order.  The reference walk for the bounds that
+    `encode_inference` notes as it builds its constraints."""
     out: list[Term] = []
     seen: set[Term] = set()
     for t in iter_subterms(formula):
@@ -354,33 +378,59 @@ def bounds_constraints(formula: Term) -> list[Term]:
             continue
         if isinstance(t, (Apply, Const)) and t.sort.is_int and t.sort.bounds:
             seen.add(t)
-            lo, hi = t.sort.bounds
-            out.append(Cmp(CmpOp.LE, IntLit(lo), t))
-            out.append(Cmp(CmpOp.LE, t, IntLit(hi)))
+            out.extend(_bounds_of(t))
     return out
+
+
+def _bounds_of(term: Term) -> tuple[Term, Term]:
+    lo, hi = term.sort.bounds
+    return Cmp(CmpOp.LE, IntLit(lo), term), Cmp(CmpOp.LE, term, IntLit(hi))
 
 
 def encode_inference(
     problem: InferenceProblem, simplify: bool = True
 ) -> tuple[Term, MonotonicitySpec]:
-    """The full encoding: skolemized essentiality and fixed-point constraints
-    plus bounds, paired with the monotonicity specification."""
+    """The full encoding, paired with the monotonicity specification: the
+    essentiality and fixed-point constraints, skolemized, then the bounds of
+    every bounded-integer application and Skolem constant.  Built in one
+    pass, equal to `skolemize` over the constraints' conjunction followed
+    by `bounds_constraints`: binders draw fresh constants of one
+    `NameSupply` constraint by constraint, in binder order, and comparison
+    operands are noted as they are built, in preorder first occurrence."""
+    supply = NameSupply()
+
+    def bind(_name: str, sort: Sort) -> Term:
+        return supply.fresh(sort)
+
+    bounded: dict[Term, None] = {}  # insertion-ordered, first occurrence kept
+
+    def note_bounded(operand: Term) -> None:
+        if operand.sort.bounds is not None:
+            bounded[operand] = None
+        if type(operand) is Apply:
+            for arg in operand.args:
+                if arg.sort.bounds is not None:
+                    bounded[arg] = None
+
+    # only a bounded-integer variable's update results and Skolem constants
+    # carry bounds, so an all-Boolean problem notes nothing
+    any_bounded = any(v.domain.bounds is not None for v in problem.variables)
+    note = note_bounded if any_bounded else None
     constraints: list[Term] = []
     for target in problem.variables:
         for position, reg in enumerate(problem.inputs[target], start=1):
             if reg.essential:
                 constraints.append(
-                    essentiality_constraint(problem, target, position, simplify)
+                    essentiality_constraint(problem, target, position, simplify, bind, note)
                 )
     for obs in problem.observations:
-        constraints.append(fixed_point_constraint(problem, obs, simplify))
-    supply = NameSupply()
-    core = skolemize(mk_and(constraints), supply) if constraints else BoolLit(True)
-    bounds = bounds_constraints(core)
-    if bounds:
-        parts = list(core.args) if isinstance(core, And) else [core]
-        core = mk_and(parts + bounds)
-    return core, problem.spec
+        constraints.append(fixed_point_constraint(problem, obs, simplify, bind, note))
+    # a lone conjunction lends its conjuncts to the top level, as the
+    # skolemized formula would
+    if len(constraints) == 1 and isinstance(constraints[0], And):
+        constraints = list(constraints[0].args)
+    bounds = [atom for term in bounded for atom in _bounds_of(term)]
+    return mk_and(constraints + bounds), problem.spec
 
 
 # -- decoding and verification ----------------------------------------------------

@@ -168,7 +168,7 @@ class SolverSession:
             )
         return self._extract_model()
 
-    def set_time_limit(self, milliseconds: int) -> None:
+    def set_time_limit(self, milliseconds: float) -> None:
         self._deadline = time.monotonic() + milliseconds / 1000.0
 
     def dispose(self) -> None:

@@ -3,6 +3,7 @@ import json
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from monoinfer.harness import (
     write_cumulative_csv,
     write_records_csv,
 )
-from monoinfer.network import FixedPointObservation, InferenceProblem
+from monoinfer.network import FixedPointObservation, InferenceProblem, encode_inference
 from monoinfer.problemfile import load_problem, save_problem
 
 
@@ -68,6 +69,19 @@ def test_run_single_timeout_recorded(fig1):
         fig1, Strategy.QUANT_AGGREGATED, time_limit_ms=1, instance_name="fig1"
     )
     assert record.failure == "timeout"
+    assert record.verdict is None
+
+
+def test_run_single_timeout_counts_the_encoding(fig1, monkeypatch):
+    # the budget bounds the whole run: encoding that overruns it leaves the
+    # solver nothing, though solving alone would answer sat within it
+    def slow_encoder(problem, simplify=True):
+        time.sleep(0.3)
+        return encode_inference(problem, simplify)
+
+    monkeypatch.setattr(harness_module, "encode_inference", slow_encoder)
+    record, _ = run_single(fig1, Strategy.INST_LAZY, time_limit_ms=200)
+    assert record.failure == "timeout", record
     assert record.verdict is None
 
 

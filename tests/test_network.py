@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import free_vars, subterms
-from monoinfer import network
+from monoinfer import network, terms
 from monoinfer.encode import Strategy, encode, encode_eager, solve
-from monoinfer.generate import GeneratorParams, generate_instance
+from monoinfer.generate import PERTURBED, PLANTED, GeneratorParams, generate_instance
 from monoinfer.model import FunctionTable, Model
 from monoinfer.network import (
     FixedPointObservation,
@@ -41,8 +41,11 @@ from monoinfer.terms import (
     IntLit,
     Var,
     bounded_int,
+    NameSupply,
     is_quantifier_free,
     iter_subterms,
+    mk_and,
+    skolemize,
 )
 
 
@@ -343,6 +346,86 @@ def test_encode_inference_fig1_structure(fig1):
     ne_groups = [g for g in groups if isinstance(g, Cmp) and g.op is CmpOp.NE]
     and_groups = [g for g in groups if isinstance(g, And)]
     assert len(ne_groups) == 6 and len(and_groups) == 3
+
+
+def _reference_encoding(problem, simplify):
+    """`encode_inference`'s formula the long way: the quantified constraints,
+    `skolemize` over their conjunction, then `bounds_constraints`."""
+    constraints = [
+        essentiality_constraint(problem, target, position, simplify)
+        for target in problem.variables
+        for position, reg in enumerate(problem.inputs[target], start=1)
+        if reg.essential
+    ]
+    constraints += [
+        fixed_point_constraint(problem, obs, simplify) for obs in problem.observations
+    ]
+    core = skolemize(mk_and(constraints), NameSupply())
+    parts = list(core.args) if isinstance(core, And) else [core]
+    return mk_and(parts + bounds_constraints(core))
+
+
+def _partially_observed(problem, seed):
+    """`problem` with each observation also drawn partial: every assignment
+    kept with probability 1/2, and at least one."""
+    rng = random.Random(seed)
+    observations = []
+    for obs in problem.observations:
+        kept = [pair for pair in obs.assignments if rng.random() < 0.5]
+        kept = tuple(kept) or obs.assignments[:1]
+        observations.append(FixedPointObservation(kept, obs.name))
+    return InferenceProblem(problem.variables, problem.regulations, observations)
+
+
+def _identity_problems(fig1):
+    yield fig1
+    for seed, domain_size in itertools.product(range(3), (2, 3, 4)):
+        for mode in (PLANTED, PERTURBED):
+            params = GeneratorParams(
+                n_vars=6,
+                max_arity=3,
+                domain_size=domain_size,
+                essential_ratio=0.6,
+                n_observations=2,
+                mode=mode,
+            )
+            problem = generate_instance(seed, params)
+            yield problem
+            yield _partially_observed(problem, f"{seed}/{domain_size}/{mode}")
+    # one partial observation and no essential regulation: the lone
+    # constraint's conjuncts lead the formula, followed by the bounds
+    yield _partially_observed(
+        InferenceProblem(fig1.variables, [], fig1.observations[:1]), "lone"
+    )
+
+
+def test_encode_inference_equals_skolemized_reference(fig1, monkeypatch):
+    problems = list(_identity_problems(fig1))
+    expected = {
+        (i, simplify): _reference_encoding(problem, simplify)
+        for i, problem in enumerate(problems)
+        for simplify in (True, False)
+    }
+
+    def spy(*args, **kwargs):
+        raise AssertionError("encode_inference walked its formula")
+
+    lone = expected[(len(problems) - 1, True)]
+    assert any(isinstance(t, Const) and t.sort.bounds for t in iter_subterms(lone))
+    # the encoder builds the skolemized formula and its bounds in one pass
+    walks = [
+        (network, "skolemize"),
+        (terms, "skolemize"),
+        (network, "bounds_constraints"),
+        (network, "iter_subterms"),
+        (terms, "iter_subterms"),
+    ]
+    for module, name in walks:
+        monkeypatch.setattr(module, name, spy, raising=False)
+    for (i, simplify), reference in expected.items():
+        formula, spec = encode_inference(problems[i], simplify)
+        assert formula == reference and repr(formula) == repr(reference)
+        assert spec == problems[i].spec
 
 
 def test_encode_inference_empty_constraints():

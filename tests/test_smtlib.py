@@ -2,6 +2,7 @@ import pytest
 
 from conftest import GOLDEN_DIR
 
+from monoinfer import cli
 from monoinfer.model import FunctionTable, Model, evaluate
 from monoinfer.network import encode_inference
 from monoinfer.encode import encode_eager
@@ -128,6 +129,49 @@ def test_fig1_eager_golden_bytes(fig1):
     script = emit_script(assertions)
     golden = (GOLDEN_DIR / "fig1_eager.smt2").read_text()
     assert script == golden
+
+
+# Boolean and integer variables, essential integer-sourced regulations and
+# partially observed fixed points: the eager script declares fixed-point
+# Skolem constants, which fig1, observed in full, never reaches
+PARTIAL_PROBLEM = """\
+monoinfer-problem 1
+
+variables
+  a int 0..2
+  b bool
+  c int 0..2
+  d bool
+end
+
+regulations
+  a -> a sign=unknown essential
+  c -> a sign=mono essential
+  a -> b sign=mono essential
+  d -> b sign=anti
+  b -> c sign=mono essential
+  a -> c sign=anti
+  b -> d sign=unknown essential
+end
+
+observations
+  F1 { a=1 d=true }
+  F2 { b=false c=2 }
+end
+"""
+
+
+@pytest.mark.parametrize(
+    "flags, golden",
+    [([], "partial_eager.smt2"), (["--no-simplify"], "partial_eager_no_simplify.smt2")],
+)
+def test_partial_eager_golden_bytes(tmp_path, flags, golden):
+    problem = tmp_path / "partial.problem"
+    problem.write_text(PARTIAL_PROBLEM)
+    out = tmp_path / "out.smt2"
+    argv = ["solve", "--problem", str(problem), "--encoding", "instantiated-eager"]
+    assert cli.main(argv + ["--emit-smt2", str(out)] + flags) == cli.EXIT_SAT
+    assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
 
 # -- s-expression reading ------------------------------------------------------------
