@@ -4,8 +4,8 @@ The problems/fig1.problem instance has three integer-valued genes over
 {0..3}, six signed and essential regulations, and three observed fixed
 points.  We translate it into a quantifier-free formula over uninterpreted
 update functions plus a monotonicity specification, solve it, decode the
-model into complete update tables, and re-verify those tables directly
-against the problem semantics.
+model into update tables, and re-verify those tables directly against the
+problem semantics.
 """
 
 from pathlib import Path
@@ -40,9 +40,11 @@ result = verify_solution(problem, tables)
 print("independent verification:", "pass" if result.ok else result.violation)
 print()
 
+# a table holds the model's rows; every other grid point takes the largest
+# output among the rows it dominates under the regulation signs
 for table in tables:
-    size = len(table.outputs)
-    print(f"{table.symbol.name} ({size} rows):")
+    size = len(table.rows)
+    print(f"{table.symbol.name} ({size} rows, grid {table.grid_size} points):")
     shown = 0
     for point, out in table.rows.items():
         print(f"  {table.symbol.name}{point} = {out}")

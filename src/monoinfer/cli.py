@@ -162,7 +162,7 @@ def _cmd_solve(args) -> int:
             print(f"  verified: {record.verified}")
         if tables and args.verify:
             for table in tables:
-                print(f"  {table.symbol.name}: {len(table.outputs)} rows")
+                print(f"  {table.symbol.name}: {len(table.rows)} rows, grid {table.grid_size} points")
     if record.verdict == "sat":
         # never report success for a decoded solution that failed verification
         return EXIT_UNKNOWN if record.verified is False else EXIT_SAT

@@ -105,8 +105,8 @@ def run_single(
     Timing covers encoding and solving, and so does `time_limit_ms`: the
     session gets the budget that encoding left.  Solver failures and
     timeouts are captured in the record rather than raised.  With
-    verify=True a sat model is decoded and independently checked, and the
-    result noted.
+    verify=True a sat model is decoded and independently checked, within
+    what is left of `time_limit_ms`, and the result noted.
     """
     start = time.perf_counter()
     tables: Optional[list[UpdateFunctionTable]] = None
@@ -150,9 +150,11 @@ def run_single(
         if strategy is Strategy.INST_LAZY:
             record.lazy_lemmas = len(stats.asserted_lemmas)
         if verdict.is_sat and verify:
+            spent_ms = (time.perf_counter() - start) * 1000.0
+            deadline = time.monotonic() + max(0.0, time_limit_ms - spent_ms) / 1000.0
             try:
                 tables = decode_solution(verdict.model, problem)
-                result = verify_solution(problem, tables)
+                result = verify_solution(problem, tables, deadline)
                 record.verified = bool(result.ok)
                 if not result.ok:
                     record.detail = f"verification failed: {result.violation}"
@@ -160,6 +162,8 @@ def run_single(
                 # e.g. unbounded domains: tables are only defined over
                 # finite grids, so the verdict stands unverified
                 record.detail = f"verification unavailable: {err}"
+            except TimeoutError:
+                record.detail = "verification unavailable: timeout"
     except Exception as err:  # harness must never crash on one instance
         wall_ms = (time.perf_counter() - start) * 1000.0
         where = traceback.extract_tb(err.__traceback__)[-1]

@@ -11,22 +11,22 @@ every bounded integer application and skolem constant, paired with
 binders: a `Var` under an `Exists` for the public constraint forms, a fresh
 Skolem constant for `encode_inference`, which so builds the skolemized
 formula and notes its bounds in one pass.  Also decodes solver models back
-into complete update tables, flat row-major output lists filled from each
-symbol's monotone completion, and verifies them independently: sign and
-essentiality on the steps between adjacent rows, read as strided slices of
-those lists, fixed points by enumerating the unobserved variables.
+into update tables, each the rows of its symbol's monotone completion with
+no grid listed, and verifies them independently over those rows: signs on
+pairs of rows, essentiality and fixed points by lookups.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
+import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Mapping, Optional, Sequence
 
 from .encode import monotonize_model
-from .model import Model, Value, ValueVector
+from .model import Model, Value, ValueVector, default_output, dominates
 from .terms import (
     FALSE,
     TRUE,
@@ -201,63 +201,84 @@ class InferenceProblem:
 
 
 class UpdateFunctionTable:
-    """Complete update table over the finite product grid of the regulators.
+    """An update function as the rows a model gives it, completed monotonically.
 
-    `outputs` holds one output per grid point, in row-major order (the order
-    of `itertools.product` over the argument sorts' values): the point whose
-    i-th coordinate is the k-th value of its sort contributes k * strides[i]
-    to its index.  `rows`, point to output, is built from it on each read.
+    `rows` maps grid points to outputs, in ascending point order.  `lookup`
+    is a row's own output at its point, elsewhere the largest output among
+    the rows the point dominates under the monotone and anti-monotone
+    positions (`mono`, `anti`, 1-based), else `default`: the completion
+    `monotonize_model` defines.  The grid is never listed.  Outputs and the
+    default are clamped into the result domain; a row off the grid moves to
+    the least grid point that dominates it, with the completion's value
+    there, or is dropped when none does.  The default is the least output,
+    so the completion of rows no pair of which breaks the signs is monotone.
     """
 
-    def __init__(self, symbol: FunctionSymbol, rows: Mapping[ValueVector, Value]):
-        """The table of `rows`, which must give every grid point, in any order."""
-        grid = list(itertools.product(*(s.values() for s in symbol.arg_sorts)))
-        missing = next((point for point in grid if point not in rows), None)
-        if missing is not None and len(rows) == len(grid):
-            raise ProblemError(f"{symbol.name}: table has no row {missing}")
-        self._hold(symbol, [rows.get(point) for point in grid], len(rows))
-
-    @classmethod
-    def from_outputs(cls, symbol: FunctionSymbol, outputs: list[Value]) -> UpdateFunctionTable:
-        """The table whose outputs, in row-major grid order, are `outputs`."""
-        table = cls.__new__(cls)
-        table._hold(symbol, outputs, len(outputs))
-        return table
-
-    def _hold(self, symbol: FunctionSymbol, outputs: list[Value], count: int) -> None:
+    def __init__(
+        self,
+        symbol: FunctionSymbol,
+        rows: Mapping[ValueVector, Value],
+        mono: frozenset[int] = frozenset(),
+        anti: frozenset[int] = frozenset(),
+    ):
         self.symbol = symbol
-        self.outputs = outputs
-        self.axes = [s.values() for s in symbol.arg_sorts]
-        sizes = [len(values) for values in self.axes]
-        self.strides = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
-        size = math.prod(sizes)
-        if count != size:
-            raise ProblemError(f"{symbol.name}: table has {count} rows, expected {size}")
-        out_sort = symbol.result_sort
-        if not out_sort.admits(outputs):
-            k = next(k for k, out in enumerate(outputs) if not out_sort.admits([out]))
-            raise ProblemError(
-                f"{symbol.name}{self.point(k)}: output {outputs[k]!r} outside the target domain"
-            )
+        self.mono, self.anti = mono, anti = frozenset(mono), frozenset(anti)
+        lo, hi = _extremes(symbol.result_sort)
+        # a Boolean coordinate is always on the grid
+        int_axes = [(i, *_extremes(s)) for i, s in enumerate(symbol.arg_sorts) if s.is_int]
+        kept: dict[ValueVector, Value] = {}
+        off_grid = []
+        for point, out in rows.items():
+            if int_axes and not all(a <= point[i] <= b for i, a, b in int_axes):
+                off_grid.append(point)
+            else:
+                kept[point] = min(max(out, lo), hi)
+        for point in off_grid:
+            # coordinates raised or lowered onto their axes as the signs allow
+            up = list(point)
+            for i, a, b in int_axes:
+                if i + 1 in mono:
+                    up[i] = max(up[i], a)
+                elif i + 1 in anti:
+                    up[i] = min(up[i], b)
+            up = tuple(up)
+            if up not in kept and all(a <= up[i] <= b for i, a, b in int_axes):
+                value = max(o for p, o in rows.items() if dominates(p, up, mono, anti))
+                kept[up] = min(max(value, lo), hi)
+        self.default = min(max(default_output(symbol.result_sort, rows.values()), lo), hi)
+        self.rows = dict(sorted(kept.items()))
+        # largest output first: the first dominated row gives the completion
+        self._by_output = sorted(self.rows.items(), key=itemgetter(1), reverse=True)
 
     @property
-    def rows(self) -> dict[ValueVector, Value]:
-        return dict(zip(itertools.product(*self.axes), self.outputs))
-
-    def point(self, k: int) -> ValueVector:
-        """The grid point at index k of `outputs`."""
-        return tuple(values[k // s % len(values)] for values, s in zip(self.axes, self.strides))
+    def grid_size(self) -> int:
+        """How many points the regulator grid has, without listing them."""
+        return math.prod(s.size() for s in self.symbol.arg_sorts)
 
     def lookup(self, args: ValueVector) -> Value:
-        index = zip(self.axes, args, self.strides)
-        return self.outputs[sum(values.index(a) * stride for values, a, stride in index)]
+        out = self.rows.get(args)
+        if out is not None:
+            return out
+        mono, anti = self.mono, self.anti
+        for point, out in self._by_output:
+            if dominates(point, args, mono, anti):
+                return out
+        return self.default
 
     def __eq__(self, other):
-        same = isinstance(other, UpdateFunctionTable) and other.symbol == self.symbol
-        return same and other.outputs == self.outputs
+        return isinstance(other, UpdateFunctionTable) and vars(other) == vars(self)
 
     def __repr__(self):
-        return f"UpdateFunctionTable({self.symbol.name}, {self.outputs!r})"
+        return f"UpdateFunctionTable({self.symbol.name}, {self.rows!r}, default={self.default!r})"
+
+
+def _extremes(sort: Sort) -> tuple[Value, Value]:
+    """The least and greatest values of a bounded sort."""
+    if sort.is_bool:
+        return False, True
+    if sort.bounds is None:
+        raise ProblemError("tables need bounded domains")
+    return sort.bounds
 
 
 # what stands for a constraint's binder: told its name and sort, it returns
@@ -439,29 +460,15 @@ def encode_inference(
 def decode_solution(
     model: Model, problem: InferenceProblem
 ) -> list[UpdateFunctionTable]:
-    """Materialize the model over each finite regulator grid.
-
-    Each symbol's monotone completion (`monotonize_model`) is filled into a
-    flat row-major output list up-cube by up-cube
-    (`MonotoneTable.grid_outputs`), so no grid point scans the rows."""
-    if not problem.all_bounded():
-        raise ProblemError("cannot decode tables over unbounded domains")
-    completed = monotonize_model(model, problem.spec)
-    tables = []
-    for func in problem.signature.values():
-        size = math.prod(s.size() for s in func.arg_sorts)
-        if size > MAX_EXTENSION_STATES:
-            raise ProblemError(
-                f"{func.name}: grid of {size} points exceeds budget {MAX_EXTENSION_STATES}"
-            )
-        outputs = completed.functions[func.name].grid_outputs([s.values() for s in func.arg_sorts])
-        if not func.result_sort.admits(outputs):
-            # model values may exceed an integer domain only where the
-            # formula never constrained the point; clamp into the domain
-            lo, hi = func.result_sort.bounds
-            outputs = [max(min(out, hi), lo) for out in outputs]
-        tables.append(UpdateFunctionTable.from_outputs(func, outputs))
-    return tables
+    """Each update symbol's table: the rows, default and signs of its
+    monotone completion (`monotonize_model`), with no grid listed.  Raises
+    ProblemError over unbounded domains."""
+    completed = monotonize_model(model, problem.spec).functions
+    return [
+        UpdateFunctionTable(func, table.rows, table.mono, table.anti)
+        for func in problem.signature.values()
+        for table in [completed[func.name]]
+    ]
 
 
 @dataclass
@@ -479,133 +486,159 @@ class VerificationResult:
         return self.ok
 
 
-# the largest grid decode tabulates for one symbol, and the largest number of
-# unobserved-variable assignments verify enumerates for one observation
+# the largest number of unobserved-variable assignments verify enumerates for
+# one observation
 MAX_EXTENSION_STATES = 1 << 20
 
 
 def verify_solution(
-    problem: InferenceProblem, tables: Sequence[UpdateFunctionTable]
+    problem: InferenceProblem,
+    tables: Sequence[UpdateFunctionTable],
+    deadline: Optional[float] = None,
 ) -> VerificationResult:
-    """Check complete tables directly against the problem semantics:
-    (1) every signed regulation is monotone/anti-monotone over the full grid,
+    """Check tables directly against the problem semantics, each read as
+    its rows completed by `UpdateFunctionTable.lookup`, with no grid listed:
+    (1) every signed regulation is monotone/anti-monotone,
     (2) every essential regulation changes the output in some context,
-    both read off the steps between adjacent rows (order is transitive, and
-    a context's outputs differ only if some adjacent step changes them):
-    along argument i those are the outputs at index k and k + strides[i],
-    compared slice against slice,
+    both per variable, per regulation, sign first,
     (3) every observation extends to a fixed point of the table dynamics.
-    Returns the first violation found; a sign violation is the first broken
-    step in row-major order."""
+    Returns the first violation found.  A table must complete under the
+    problem's signs or cover its grid.  The fixed-point extension search
+    raises TimeoutError past `deadline`, a `time.monotonic()` value."""
     if not problem.all_bounded():
-        return VerificationResult(
-            False, Violation("structure", "unbounded domains cannot be verified")
-        )
+        return _failure("structure", "unbounded domains cannot be verified")
     by_name = {t.symbol.name: t for t in tables}
-    for var in problem.variables:
-        if problem.signature[var].name not in by_name:
-            return VerificationResult(
-                False, Violation("structure", f"missing table for {var.name}")
-            )
-    for var in problem.variables:
-        table = by_name[problem.signature[var].name]
-        for position, reg in enumerate(problem.inputs[var], start=1):
-            if reg.sign != Sign.UNKNOWN:
+    # variables are told apart by name, whose hash is cached; signature and
+    # inputs list them in variable order
+    index = {v.name: k for k, v in enumerate(problem.variables)}
+    # each variable's table and its regulators' variable-list positions
+    updates: list[tuple[UpdateFunctionTable, list[int]]] = []
+    signature, inputs_of = problem.signature.values(), problem.inputs.values()
+    for var, func, inputs in zip(problem.variables, signature, inputs_of):
+        table = by_name.get(func.name)
+        if table is None:
+            return _failure("structure", f"missing table for {var.name}")
+        updates.append((table, [index[reg.source.name] for reg in inputs]))
+        mono, anti = problem.spec.monotone(func), problem.spec.anti_monotone(func)
+        # a compact table is the completion of its rows under its own signs;
+        # only a full grid reads the same under any
+        if (table.mono, table.anti) != (mono, anti) and len(table.rows) < table.grid_size:
+            return _failure("structure", f"{func.name} completes its rows under other signs")
+        # the completion of rows no pair of which breaks the signs keeps
+        # every sign; only when a pair breaks is each regulation searched
+        signs_kept = not (mono or anti) or not _broken_row_pair(table, mono, anti)
+        for position, reg in enumerate(inputs, start=1):
+            if reg.sign != Sign.UNKNOWN and not signs_kept:
                 bad = _sign_violation(table, position, reg.sign)
                 if bad is not None:
-                    return VerificationResult(
-                        False,
-                        Violation(
-                            "monotonicity",
-                            f"{table.symbol.name} argument {position} "
-                            f"({reg.source.name} -> {var.name}, {reg.sign}): "
-                            f"rows {bad[0]} -> {bad[1]!r} and "
-                            f"{bad[2]} -> {bad[3]!r}",
-                        ),
+                    return _failure(
+                        "monotonicity",
+                        f"{func.name} argument {position} "
+                        f"({reg.source.name} -> {var.name}, {reg.sign}): "
+                        f"{bad[0]} -> {bad[1]!r} precedes {bad[2]} -> {bad[3]!r}",
                     )
-            if reg.essential and not _is_essential(table, position):
-                return VerificationResult(
-                    False,
-                    Violation(
-                        "essentiality",
-                        f"{table.symbol.name} ignores argument {position} "
-                        f"({reg.source.name} -> {var.name})",
-                    ),
+            if reg.essential and not _is_essential(table, position, reg.sign):
+                return _failure(
+                    "essentiality",
+                    f"{func.name} ignores argument {position} ({reg.source.name} -> {var.name})",
                 )
     for obs in problem.observations:
-        if not _extends_to_fixed_point(problem, by_name, obs):
+        if not _extends_to_fixed_point(problem, updates, obs, deadline):
             label = obs.name or str(dict((v.name, val) for v, val in obs.assignments))
-            return VerificationResult(
-                False,
-                Violation("fixed-point", f"observation {label} has no fixed-point extension"),
-            )
+            return _failure("fixed-point", f"observation {label} has no fixed-point extension")
     return VerificationResult(True)
 
 
-Step = tuple[ValueVector, Value, ValueVector, Value]
+def _failure(kind: str, detail: str) -> VerificationResult:
+    return VerificationResult(False, Violation(kind, detail))
 
 
-def _step_slices(
-    table: UpdateFunctionTable, position: int
-) -> Iterator[tuple[list[Value], list[Value]]]:
-    """Slices (lower, upper) of the outputs such that lower[j] and upper[j]
-    sit at two points that differ only at `position`, the upper one holding
-    the next larger value there: index k and k + stride.  Together the
-    pairs cover every such step of the grid once."""
-    outputs = table.outputs
-    stride = table.strides[position - 1]
-    span = stride * len(table.axes[position - 1])
-    # a block of `span` outputs holds span - stride steps: slice each step
-    # offset across the blocks, or each block, whichever makes fewer slices
-    if span - stride <= len(outputs) // span:
-        for start in range(span - stride):
-            yield outputs[start::span], outputs[start + stride :: span]
-    else:
-        for start in range(0, len(outputs), span):
-            yield outputs[start : start + span - stride], outputs[start + stride : start + span]
+def _broken_row_pair(
+    table: UpdateFunctionTable, mono: frozenset[int], anti: frozenset[int]
+) -> bool:
+    """Whether some row precedes another, in the order of the monotone and
+    anti-monotone positions `mono` and `anti`, with a larger output."""
+    larger_first = table._by_output
+    for q, q_out in larger_first:
+        for p, p_out in larger_first:
+            if p_out <= q_out:
+                break
+            if dominates(p, q, mono, anti):
+                return True
+    return False
 
 
 def _sign_violation(
     table: UpdateFunctionTable, position: int, sign: str
-) -> Optional[Step]:
-    """The first step, in row-major order of its lower point, that breaks
-    the sign of the regulation at `position`."""
-    broken = operator.gt if sign == Sign.MONOTONE else operator.lt
-    if not any(any(map(broken, lo, hi)) for lo, hi in _step_slices(table, position)):
-        return None
-    outputs, stride = table.outputs, table.strides[position - 1]
-    size = len(table.axes[position - 1])
-    steps = (k for k in range(len(outputs) - stride) if k // stride % size < size - 1)
-    k = next(k for k in steps if broken(outputs[k], outputs[k + stride]))
-    return table.point(k), outputs[k], table.point(k + stride), outputs[k + stride]
+) -> Optional[tuple[ValueVector, Value, ValueVector, Value]]:
+    """(p, out, q, out) for a row q, the first in row order, and the point p
+    next to it along `position` that precedes it under `sign`, where p has
+    the larger output.  Only such steps need trying: the completion keeps
+    the sign on a step whose upper point is not a row."""
+    i = position - 1
+    sort = table.symbol.arg_sorts[i]
+    lo, hi = _extremes(sort)
+    step = -1 if sign == Sign.MONOTONE else 1
+    for q, q_out in table.rows.items():
+        v = q[i] + step
+        if lo <= v <= hi:
+            p = q[:i] + (bool(v) if sort.is_bool else v,) + q[i + 1 :]
+            p_out = table.lookup(p)
+            if p_out > q_out:
+                return p, p_out, q, q_out
+    return None
 
 
-def _is_essential(table: UpdateFunctionTable, position: int) -> bool:
-    return any(lo != hi for lo, hi in _step_slices(table, position))
+def _is_essential(table: UpdateFunctionTable, position: int, sign: str) -> bool:
+    """Whether the completion changes along `position` somewhere: it does
+    exactly when it differs from some row's output at a point that differs
+    from the row only at `position`.  Once the regulation's sign holds, a
+    signed position need only try its least value, then its greatest; an
+    unsigned one the values the rows hold there and one they do not, at
+    which the completion is the default."""
+    i = position - 1
+    sort = table.symbol.arg_sorts[i]
+    lo, hi = _extremes(sort)
+    if sign == Sign.MONOTONE:
+        values = [lo, hi]
+    elif sign == Sign.ANTI_MONOTONE:
+        values = [hi, lo]
+    else:
+        held = {p[i] for p in table.rows}
+        values = [*held, *itertools.islice((v for v in range(lo, hi + 1) if v not in held), 1)]
+    return any(
+        table.lookup(p[:i] + (v,) + p[i + 1 :]) != out
+        for v in values
+        for p, out in table.rows.items()
+        if p[i] != v
+    )
 
 
 def _extends_to_fixed_point(
     problem: InferenceProblem,
-    tables: dict[str, UpdateFunctionTable],
+    updates: Sequence[tuple[UpdateFunctionTable, list[int]]],
     observation: FixedPointObservation,
+    deadline: Optional[float],
 ) -> bool:
-    free = [v for v in problem.variables if observation.value_of(v) is None]
-    count = math.prod(v.domain.size() for v in free)
+    """Whether a state extending `observation`, a list in variable order, is
+    a fixed point of `updates`: each variable's table and regulators' positions."""
+    observed = {v.name: value for v, value in observation.assignments}
+    state = [observed.get(v.name) for v in problem.variables]
+    free = [k for k, value in enumerate(state) if value is None]
+    count = math.prod(problem.variables[k].domain.size() for k in free)
     if count > MAX_EXTENSION_STATES:
         raise ProblemError(
             f"fixed-point extension space {count} exceeds budget {MAX_EXTENSION_STATES}"
         )
-    base = {v: observation.value_of(v) for v in problem.variables}
-    updates = [
-        (var, tables[problem.signature[var].name], problem.regulators_of(var))
-        for var in problem.variables
-    ]
-    for combo in itertools.product(*(v.values() for v in free)):
-        state = dict(base)
-        state.update(zip(free, combo))
+    for combo in itertools.product(*(problem.variables[k].values() for k in free)):
+        for k, value in zip(free, combo):
+            state[k] = value
         if all(
-            table.lookup(tuple(state[r] for r in regulators)) == state[var]
-            for var, table, regulators in updates
+            table.lookup(tuple([state[j] for j in regulators])) == state[k]
+            for k, (table, regulators) in enumerate(updates)
         ):
             return True
+        # polled after a failed try, so a fully observed state is always checked
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("fixed-point extension search passed the deadline")
     return False

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
 Value = Union[int, bool]
 
@@ -74,15 +74,6 @@ class Sort:
             raise TermError("unbounded Integer sort has no finite value list")
         lo, hi = self.bounds
         return list(range(lo, hi + 1))
-
-    def admits(self, values: Collection[Value]) -> bool:
-        """Whether each of `values` is a Boolean, or an integer within the
-        bounds, tested without listing the sort's values."""
-        if self.is_bool:
-            return set(values) <= {False, True}
-        if not values or self.bounds is None:
-            return True
-        return self.bounds[0] <= min(values) and max(values) <= self.bounds[1]
 
     def size(self) -> int:
         """How many values a bounded sort has, without listing them."""

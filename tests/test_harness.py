@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -22,8 +23,18 @@ from monoinfer.harness import (
     write_cumulative_csv,
     write_records_csv,
 )
-from monoinfer.network import FixedPointObservation, InferenceProblem, encode_inference
+from monoinfer.network import (
+    MAX_EXTENSION_STATES,
+    FixedPointObservation,
+    InferenceProblem,
+    NetworkVariable,
+    Regulation,
+    Sign,
+    encode_inference,
+    verify_solution,
+)
 from monoinfer.problemfile import load_problem, save_problem
+from monoinfer.terms import BOOL
 
 
 def test_record_invariant():
@@ -62,6 +73,38 @@ def test_run_single_contradiction_unsat(fig1):
     )
     record, _ = run_single(problem, Strategy.INST_EAGER)
     assert record.verdict == "unsat"
+
+
+@pytest.mark.parametrize("arity", [22, 24])
+def test_high_arity_sat_is_verified(arity):
+    # some regulator grids hold more points than the extension budget, and
+    # decode and verify never list them
+    params = GeneratorParams(n_vars=40, max_arity=arity, essential_ratio=0.25, n_observations=2)
+    problem = generate_instance(9000 + arity, params)
+    for strategy in (Strategy.INST_EAGER, Strategy.INST_LAZY):
+        record, tables = run_single(problem, strategy, verify=True)
+        assert record.verdict == "sat"
+        assert record.verified is True, record.detail
+        assert max(t.grid_size for t in tables) > MAX_EXTENSION_STATES
+
+
+def test_verification_stops_at_the_deadline():
+    # only a is observed and each x copies it, so the one fixed point sets
+    # every x true: the last of the 2^20 extensions the search lists, which
+    # takes seconds to reach, while encoding and solving take milliseconds
+    a = NetworkVariable("a", BOOL)
+    copies = [NetworkVariable(f"x{i}", BOOL) for i in range(20)]
+    problem = InferenceProblem(
+        [a, *copies],
+        [Regulation(a, x, Sign.MONOTONE, essential=True) for x in copies],
+        [FixedPointObservation.of([(a, True)])],
+    )
+    record, tables = run_single(problem, Strategy.INST_LAZY, time_limit_ms=1500, verify=True)
+    assert record.verdict == "sat"
+    assert record.verified is None
+    assert record.detail == "verification unavailable: timeout"
+    with pytest.raises(TimeoutError):
+        verify_solution(problem, tables, deadline=time.monotonic())
 
 
 def test_run_single_timeout_recorded(fig1):
@@ -358,9 +401,10 @@ end
 """
 
 
-def test_cli_huge_argument_domain_is_refused_by_grid_size(tmp_path):
-    # b's table has a row per value of a: neither decode nor the oracle can
-    # tabulate it, and both refuse before listing a's axis
+def test_cli_huge_argument_domain_verifies_and_oracle_refuses(tmp_path):
+    # b's grid has a point per value of a: decode and verify keep only the
+    # model's rows and never list a's axis, while the oracle, which
+    # enumerates whole grids, refuses it by size
     path = tmp_path / "huge.problem"
     path.write_text(HUGE_ARGUMENT_DOMAIN)
     for strategy in ("instantiated-eager", "instantiated-lazy"):
@@ -369,7 +413,8 @@ def test_cli_huge_argument_domain_is_refused_by_grid_size(tmp_path):
             expect=0, memory_mb=2048,
         )
         assert f"{strategy}: sat" in proc.stdout
-        assert "verification unavailable: f_b: grid of 1000000000000001 points" in proc.stdout
+        assert "verified: True" in proc.stdout
+        assert re.search(r"f_b: \d+ rows, grid 1000000000000001 points", proc.stdout)
     proc = _cli("oracle", "--problem", str(path), expect=2, memory_mb=2048)
     assert "f_b: grid of 1000000000000001 points exceeds the budget" in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -1,5 +1,4 @@
 import itertools
-import operator
 import random
 
 import pytest
@@ -10,7 +9,7 @@ from conftest import free_vars, subterms
 from monoinfer import network, terms
 from monoinfer.encode import Strategy, encode, encode_eager, solve
 from monoinfer.generate import PERTURBED, PLANTED, GeneratorParams, generate_instance
-from monoinfer.model import FunctionTable, Model
+from monoinfer.model import FunctionTable, Model, dominates
 from monoinfer.network import (
     FixedPointObservation,
     InferenceProblem,
@@ -467,9 +466,10 @@ def test_decode_fig1_forced_rows(fig1):
     assert f_b.lookup((0, 0)) == 0
     assert f_b.lookup((0, 1)) == 1
     assert f_b.lookup((1, 2)) == 2
-    assert len(f_b.rows) == 16
-    assert len(tables["f_a"].rows) == 64
-    assert len(tables["f_c"].rows) == 4
+    # a table holds the model's rows, not its grid
+    for name, size in (("f_a", 64), ("f_b", 16), ("f_c", 4)):
+        assert tables[name].grid_size == size
+        assert tables[name].rows.items() <= model.functions[name].rows.items()
 
 
 def test_decode_then_verify_round_trip(fig1):
@@ -581,28 +581,37 @@ def test_table_from_shuffled_rows_matches_grid_order(fig1):
         for table, other in zip(grid_order, shuffled):
             assert list(other.rows.items()) == list(table.rows.items())
             assert all(other.lookup(point) == out for point, out in table.rows.items())
-            assert UpdateFunctionTable.from_outputs(table.symbol, other.outputs) == table
+            grid = itertools.product(*(s.values() for s in table.symbol.arg_sorts))
+            assert list(other.rows) == list(grid)
         assert verify_solution(fig1, shuffled) == verify_solution(fig1, grid_order)
     assert not verify_solution(fig1, broken).ok
 
 
-def test_table_rejects_missing_row_and_foreign_output(fig1):
+def test_table_completes_missing_rows_and_clamps_foreign_outputs(fig1):
     f_c = _intro_solution_tables(fig1)[2]
-    rows = dict(f_c.rows)
-    del rows[(2,)]
-    with pytest.raises(ProblemError, match="has 3 rows, expected 4"):
-        UpdateFunctionTable(f_c.symbol, rows)
-    rows[(7,)] = 2  # the right count, but one point off the grid
-    with pytest.raises(ProblemError, match="no row"):
-        UpdateFunctionTable(f_c.symbol, rows)
-    rows = dict(f_c.rows)
-    rows[(2,)] = 4
-    with pytest.raises(ProblemError, match="outside the target domain"):
-        UpdateFunctionTable(f_c.symbol, rows)
-    with pytest.raises(ProblemError, match="outside the target domain"):
-        UpdateFunctionTable.from_outputs(f_c.symbol, [0, 1, 2, -1])
-    with pytest.raises(ProblemError, match="has 3 rows, expected 4"):
-        UpdateFunctionTable.from_outputs(f_c.symbol, [0, 1, 2])
+    # (0,) and (2,) are missing, (3,) maps outside 0..3 and (-4,) is off the grid
+    rows = {(1,): 1, (3,): 7, (-4,): 5}
+    table = UpdateFunctionTable(f_c.symbol, rows, mono=frozenset({1}))
+    # under the monotone sign (-4,) moves up to (0,), and outputs are clamped
+    assert table.rows == {(0,): 3, (1,): 1, (3,): 3}
+    assert table.lookup((2,)) == 3  # the largest output among (0,) and (1,)
+    assert table.default == 1 and table.grid_size == 4
+    # unsigned, the off-grid row is dropped and a missing row is the default
+    table = UpdateFunctionTable(f_c.symbol, rows)
+    assert table.rows == {(1,): 1, (3,): 3}
+    assert table.lookup((0,)) == table.lookup((2,)) == 1
+    # a row that moves onto a row the model gives leaves that row as it is
+    table = UpdateFunctionTable(f_c.symbol, {(0,): 2, (-1,): 3}, mono=frozenset({1}))
+    assert table.rows == {(0,): 2}
+    # two rows that move onto one point take the completion there, their maximum
+    g = terms.FunctionSymbol("g", [bounded_int(0, 3)] * 2, bounded_int(0, 3))
+    table = UpdateFunctionTable(g, {(-1, 0): 1, (0, -1): 2}, mono=frozenset({1, 2}))
+    assert table.rows == {(0, 0): 2}
+    u, a = NetworkVariable("u", terms.INT), _bool_var("a")
+    signature = InferenceProblem([u, a], [Regulation(u, a)], []).signature
+    for symbol in (signature[u], signature[a]):  # an unbounded result, then argument
+        with pytest.raises(ProblemError, match="bounded domains"):
+            UpdateFunctionTable(symbol, {})
 
 
 def _all_pairs_verdict(problem, table):
@@ -659,33 +668,134 @@ def test_verify_agrees_with_all_pairs_check(case):
     assert kind == _all_pairs_verdict(problem, tables[-1])
 
 
-def _neighbour_steps(table, position):
-    """The steps along `position` as (point, out, point', out'), where point'
-    holds the next larger value there, found by walking the rows in grid
-    order and building each neighbour point."""
-    i = position - 1
-    values = table.symbol.arg_sorts[i].values()
+def _grid_completion(table):
+    """The table's completion written out over its grid: a row's own output
+    at its point, else the largest output among the rows the point
+    dominates under the table's signs, else the default."""
+    mono, anti = table.mono, table.anti
+    grid = itertools.product(*(s.values() for s in table.symbol.arg_sorts))
+    return {
+        x: table.rows[x]
+        if x in table.rows
+        else max(
+            (out for p, out in table.rows.items() if dominates(p, x, mono, anti)),
+            default=table.default,
+        )
+        for x in grid
+    }
+
+
+def _grid_reference_verdict(problem, tables):
+    """The first violation's kind, found over complete grids: sign and
+    essentiality per variable, per regulation, read off the steps between
+    grid points that differ by one value at one position, then fixed
+    points by enumerating the unobserved variables."""
+    grids = {t.symbol.name: _grid_completion(t) for t in tables}
+    for var in problem.variables:
+        grid = grids[problem.signature[var].name]
+        for i, reg in enumerate(problem.inputs[var]):
+            values = reg.source.values()
+            up = dict(zip(values, values[1:]))
+            steps = [
+                (out, grid[x[:i] + (up[x[i]],) + x[i + 1 :]])
+                for x, out in grid.items()
+                if x[i] in up
+            ]
+            if reg.sign == Sign.MONOTONE and any(a > b for a, b in steps):
+                return "monotonicity"
+            if reg.sign == Sign.ANTI_MONOTONE and any(a < b for a, b in steps):
+                return "monotonicity"
+            if reg.essential and all(a == b for a, b in steps):
+                return "essentiality"
+    for obs in problem.observations:
+        free = [v for v in problem.variables if obs.value_of(v) is None]
+        for combo in itertools.product(*(v.values() for v in free)):
+            state = {v: obs.value_of(v) for v in problem.variables}
+            state.update(zip(free, combo))
+            if all(
+                grids[problem.signature[v].name][tuple(state[r] for r in problem.regulators_of(v))]
+                == state[v]
+                for v in problem.variables
+            ):
+                break
+        else:
+            return "fixed-point"
+    return "ok"
+
+
+@st.composite
+def _compact_case(draw):
+    # one target with 1..4 regulators over Bool or 0..3, whose table is
+    # drawn as compact rows: none, a few, off the grid, outputs outside the
+    # domain; the regulators are constant, and an observation may fix some
+    # of the variables
+    domains = st.sampled_from([BOOL, bounded_int(0, 3)])
+    sources = [NetworkVariable(f"r{i}", draw(domains)) for i in range(draw(st.integers(1, 4)))]
+    target = NetworkVariable("t", draw(domains))
+    regulations = [
+        Regulation(s, target, draw(st.sampled_from(Sign.ALL)), draw(st.booleans()))
+        for s in sources
+    ]
+    variables = sources + [target]
+    observed = draw(st.lists(st.sampled_from(variables), unique=True))
+    observations = [
+        FixedPointObservation.of([(v, draw(st.sampled_from(v.values()))) for v in observed])
+    ] if observed else []
+    problem = InferenceProblem(variables, regulations, observations)
+
+    def values(var):
+        return st.booleans() if var.is_boolean else st.integers(-1, 5)
+
+    points = st.tuples(*(values(s) for s in sources))
+    rows = draw(st.dictionaries(points, values(target), max_size=8))
+    func, spec = problem.signature[target], problem.spec
+    tables = [
+        UpdateFunctionTable(problem.signature[s], {(): draw(st.sampled_from(s.values()))})
+        for s in sources
+    ]
+    tables.append(
+        UpdateFunctionTable(func, rows, mono=spec.monotone(func), anti=spec.anti_monotone(func))
+    )
+    return problem, tables
+
+
+def _kind(result):
+    return "ok" if result.ok else result.violation.kind
+
+
+@settings(max_examples=400, deadline=None)
+@given(_compact_case())
+def test_row_verifier_agrees_with_grid_reference(case):
+    problem, tables = case
+    table = tables[-1]
+    assert all(table.lookup(x) == out for x, out in _grid_completion(table).items())
+    assert _kind(verify_solution(problem, tables)) == _grid_reference_verdict(problem, tables)
+    hi = table.symbol.result_sort.values()[-1]
     rows = table.rows
-    steps = []
-    for p, out in rows.items():
-        if p[i] != values[-1]:
-            q = p[:i] + (values[values.index(p[i]) + 1],) + p[i + 1 :]
-            steps.append((p, out, q, rows[q]))
-    return steps
-
-
-@settings(max_examples=200, deadline=None)
-@given(_verify_case(max_regulators=5))
-def test_strided_step_checks_agree_with_neighbour_walk(case):
-    # up to five regulators, so both ways of slicing the steps are taken
-    # with strides above 1; every position is checked under both signs
-    table = case[1][-1]
-    for position in range(1, table.symbol.arity + 1):
-        steps = _neighbour_steps(table, position)
-        for sign, broken in ((Sign.MONOTONE, operator.gt), (Sign.ANTI_MONOTONE, operator.lt)):
-            first = next((step for step in steps if broken(step[1], step[3])), None)
-            assert network._sign_violation(table, position, sign) == first
-        assert network._is_essential(table, position) == any(s[1] != s[3] for s in steps)
+    # raising a row above a row that dominates it breaks a sign
+    pairs = [
+        (p, q)
+        for p, q in itertools.permutations(rows, 2)
+        if rows[q] < hi and dominates(p, q, table.mono, table.anti)
+    ]
+    if pairs:
+        p, q = pairs[0]
+        raised = dict(rows)
+        raised[p] = True if table.symbol.result_sort.is_bool else rows[q] + 1
+        broken = tables[:-1] + [
+            UpdateFunctionTable(table.symbol, raised, mono=table.mono, anti=table.anti)
+        ]
+        result = verify_solution(problem, broken)
+        assert not result.ok
+        assert _kind(result) == _grid_reference_verdict(problem, broken)
+    # without the rows above the least output, the table ignores every argument
+    least = min(rows.values(), default=table.default)
+    kept = {p: out for p, out in rows.items() if out == least}
+    flat = tables[:-1] + [UpdateFunctionTable(table.symbol, kept, table.mono, table.anti)]
+    result = verify_solution(problem, flat)
+    assert _kind(result) == _grid_reference_verdict(problem, flat)
+    if any(reg.essential for reg in problem.inputs[problem.variables[-1]]):
+        assert not result.ok
 
 
 # -- propagation equivalence ------------------------------------------------------------------
