@@ -54,6 +54,7 @@ from .terms import (
     Term,
     TermError,
     Var,
+    antecedent_plan,
     is_quantifier_free,
     iter_subterms,
     lemma_antecedent,
@@ -131,32 +132,6 @@ def encode_quant_individual(formula: Term, spec: MonotonicitySpec) -> EncodedPro
     return EncodedProblem(mk_and(conjuncts), count, Strategy.QUANT_INDIVIDUAL)
 
 
-def _aggregated_body(
-    spec: MonotonicitySpec,
-    t: Apply,
-    s: Apply,
-    atoms: Optional[dict[tuple[str, Term, Term], Term]] = None,
-) -> Term:
-    """The aggregated implication between two applications t = f(xs) and
-    s = f(ys) of one symbol:
-    (/\\ mono x_i <= y_i) /\\ (/\\ anti y_i <= x_i) /\\ (/\\ rest x_i = y_i)
-    -> t <= s.
-    Each antecedent atom is taken from `atoms`, keyed on its comparison, and
-    stored there when missing, so lemmas built with one table share it."""
-    mono, anti = spec.monotone(t.func), spec.anti_monotone(t.func)
-    if atoms is None:
-        atoms = {}
-    antecedent: list[Term] = []
-    for key in lemma_antecedent(t.args, s.args, mono, anti):
-        atom = atoms.get(key)
-        if atom is None:
-            op, x, y = key
-            atom = ordering_atom(x, y) if op == "<=" else Cmp(CmpOp.EQ, x, y)
-            atoms[key] = atom
-        antecedent.append(atom)
-    return mk_implies(antecedent, ordering_atom(t, s))
-
-
 def encode_quant_aggregated(formula: Term, spec: MonotonicitySpec) -> EncodedProblem:
     """One aggregated universal constraint per constrained symbol."""
     conjuncts = [formula]
@@ -164,22 +139,30 @@ def encode_quant_aggregated(formula: Term, spec: MonotonicitySpec) -> EncodedPro
     for func in _application_index(formula, spec):
         xs = _bound_vars(func, "x")
         ys = _bound_vars(func, "y")
-        body = _aggregated_body(spec, Apply(func, xs), Apply(func, ys))
-        conjuncts.append(Forall(xs + ys, body))
+        conjuncts.append(Forall(xs + ys, monotonicity_lemma(func, xs, ys, spec)))
         count += 1
     return EncodedProblem(mk_and(conjuncts), count, Strategy.QUANT_AGGREGATED)
 
 
+def _atom(op: str, x: Term, y: Term) -> Term:
+    """One antecedent comparison of a lemma as a Term."""
+    return ordering_atom(x, y) if op == "<=" else Cmp(CmpOp.EQ, x, y)
+
+
 def monotonicity_lemma(
     func: FunctionSymbol,
-    t: ArgVector,
-    s: ArgVector,
+    t: Sequence[Term],
+    s: Sequence[Term],
     spec: MonotonicitySpec,
 ) -> Term:
-    """Ground instance of the aggregated implication at argument vectors (t, s)."""
+    """The aggregated implication at argument vectors t and s of `func`:
+    (/\\ mono t_i <= s_i) /\\ (/\\ anti s_i <= t_i) /\\ (/\\ rest t_i = s_i)
+    -> f(t) <= f(s).  Over bound variables it is the aggregated axiom's body."""
     if len(t) != func.arity or len(s) != func.arity:
         raise EncodingError(f"argument vectors must have arity {func.arity}")
-    return _aggregated_body(spec, Apply(func, t), Apply(func, s))
+    mono, anti = spec.monotone(func), spec.anti_monotone(func)
+    antecedent = [_atom(*c) for c in lemma_antecedent(t, s, mono, anti)]
+    return mk_implies(antecedent, ordering_atom(Apply(func, t), Apply(func, s)))
 
 
 def lemma_pairs(formula: Term, spec: MonotonicitySpec) -> Iterator[tuple[Apply, Apply]]:
@@ -194,9 +177,25 @@ def ground_lemmas(formula: Term, spec: MonotonicitySpec) -> list[Term]:
     """The lemma of every pair of `lemma_pairs`, in emission order, equal to
     `monotonicity_lemma` at the pair's argument vectors.  The consequent
     compares the pair's own applications, and each distinct antecedent
-    comparison is one Term shared by every lemma that uses it."""
-    atoms: dict[tuple[str, Term, Term], Term] = {}
-    return [_aggregated_body(spec, t, s, atoms) for t, s in lemma_pairs(formula, spec)]
+    comparison, keyed by its op and its argument Terms' numbers, is one Term
+    shared by every lemma that uses it."""
+    number: dict[Term, int] = {}
+    atoms: dict[tuple[str, int, int], Term] = {}
+    lemmas = []
+    for func, apps in _application_index(formula, spec).items():
+        plan = antecedent_plan(func.arity, spec.monotone(func), spec.anti_monotone(func))
+        numbered = [(app, [number.setdefault(a, len(number)) for a in app.args]) for app in apps]
+        for (t, nt), (s, ns) in itertools.permutations(numbered, 2):
+            antecedent = []
+            for op, i, flipped in plan:
+                key = (op, ns[i], nt[i]) if flipped else (op, nt[i], ns[i])
+                atom = atoms.get(key)
+                if atom is None:
+                    x, y = (s.args[i], t.args[i]) if flipped else (t.args[i], s.args[i])
+                    atom = atoms[key] = _atom(op, x, y)
+                antecedent.append(atom)
+            lemmas.append(mk_implies(antecedent, ordering_atom(t, s)))
+    return lemmas
 
 
 def eager_lemma_count(formula: Term, spec: MonotonicitySpec) -> int:

@@ -58,7 +58,12 @@ before the left.
 
 The engine grounds and searches; it does not build models.  Nothing is
 declared ahead: a constant gets its SAT variable, ladder or difference-logic
-node where grounding first meets it.  After a sat answer, `Engine.value`
+node where grounding first meets it, and is recorded there in
+`Engine.declared`, the dict a session passes in, as is a function symbol
+once an application's arguments are grounded.  Only what grounding skips, a
+consequent dropped at a false antecedent literal and a quantifier before its
+expansion, is walked with `terms.collect_declarations`.  A name recorded as
+two different items raises `Redeclared`.  After a sat answer, `Engine.value`
 values any application or constant, and `Engine.app_points` groups each
 symbol's applications by their point in that answer, which is all a session
 needs to tabulate a Model.  A constant that no assertion grounded (declared
@@ -105,6 +110,7 @@ from .terms import (
     Const,
     Exists,
     Forall,
+    FunctionSymbol,
     Implies,
     IntLit,
     Neg,
@@ -113,6 +119,7 @@ from .terms import (
     Sub,
     Term,
     Var,
+    collect_declarations,
     iter_subterms,
     lemma_antecedent,
     lit as value_lit,
@@ -127,6 +134,10 @@ Form = Union[int, tuple[dict[Node, int], int]]
 
 class EngineUnsupported(Exception):
     """Input outside the engine's decidable fragment."""
+
+
+class Redeclared(Exception):
+    """One name grounded as two different constants or function symbols."""
 
 
 MAX_QUANTIFIER_INSTANCES = 1 << 16
@@ -152,7 +163,9 @@ _REFLEXIVE = (CmpOp.LE, CmpOp.GE, CmpOp.EQ)
 class Engine:
     """One incremental solving context (assertions are cumulative)."""
 
-    def __init__(self):
+    def __init__(self, declared: Optional[dict[str, Union[Const, FunctionSymbol]]] = None):
+        # each constant and function symbol grounded, by name
+        self.declared = {} if declared is None else declared
         self.sat = SatSolver()
         self.true_var = self.sat.new_var()
         self.sat.add_clause([self.true_var])
@@ -306,9 +319,11 @@ class Engine:
                     else:
                         self._register_int_node(node, term.sort.bounds)
                     self.app_args[term] = tuple([self.ground(arg) for arg in term.args])
+                    self._declare(term.func)
                     self.apps_by_symbol.setdefault(term.func.name, []).append(term)
                 return self.bool_unknowns[node] if term.sort.is_bool else ({node: 1}, 0)
             case Const():
+                self._declare(term)
                 node = ("c", term.name)
                 if term.sort.is_bool:
                     return self._bool_var(node)
@@ -359,6 +374,16 @@ class Engine:
                 raise EngineUnsupported(f"unsupported term {type(term).__name__}")
         self.gate_cache[term] = lit
         return lit
+
+    def _declare(self, item: Union[Const, FunctionSymbol]) -> None:
+        known = self.declared.setdefault(item.name, item)
+        if known is not item and known != item:
+            raise Redeclared(f"conflicting redeclaration of {item.name}")
+
+    def _declare_skipped(self, term: Term) -> None:
+        """Declare the constants and symbols in `term`, which grounding skips."""
+        for item in collect_declarations([term]):
+            self._declare(item)
 
     def _is_laddered(self, node: Optional[Node]) -> bool:
         return self.node_bounds.get(node) is not None
@@ -572,27 +597,32 @@ class Engine:
                         raise TimeoutError("grounding passed the deadline")
                     self.assert_term(a, deadline)
             case Forall():
+                self._declare_skipped(term)
                 self._expand_forall(term, deadline)
             case Exists():
                 raise EngineUnsupported("existential quantifier; skolemize first")
             case Implies(lhs=l, rhs=r):
-                self._assert_implies(l.args if isinstance(l, And) else (l,), r)
+                if not self._assert_implies(l.args if isinstance(l, And) else (l,), r):
+                    self._declare_skipped(r)
             case Or(args=args):
                 self.sat.add_clause([self.ground(a) for a in args])
             case _:
                 self._add_clause([], term)
 
-    def _assert_implies(self, antecedent: Sequence[Term], consequent: Term) -> None:
+    def _assert_implies(self, antecedent: Sequence[Term], consequent: Term) -> bool:
         """One clause for the conjunction `antecedent` implying `consequent`,
-        flattening a consequent implication (lemma shape); a false antecedent
-        literal satisfies it, and then the consequent is never grounded."""
-        negs = [-self.ground(a) for a in antecedent]
+        flattening a consequent implication (lemma shape).  A conjunct grounded
+        before (a lemma atom that other lemmas share) is read from `gate_cache`.
+        False when a false antecedent literal drops the consequent ungrounded."""
+        cached = self.gate_cache.get
+        negs = [-(cached(a) or self.ground(a)) for a in antecedent]
         if self.true_var in negs:
-            return
+            return False
         if isinstance(consequent, Implies):
             negs.append(-self.ground(consequent.lhs))
             consequent = consequent.rhs
         self._add_clause(negs, consequent)
+        return True
 
     def assert_lemma(
         self, t: Apply, s: Apply, mono: frozenset[int], anti: frozenset[int]

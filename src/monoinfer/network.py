@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -66,6 +66,8 @@ class Sign:
 class NetworkVariable:
     name: str
     domain: Sort
+    # the inference layer keys its dicts by variable: hash (name, domain) once
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_symbol_name(self.name)
@@ -76,6 +78,10 @@ class NetworkVariable:
                     raise ProblemError(
                         f"{self.name}: integer domains must be 0..max with max >= 1"
                     )
+        object.__setattr__(self, "_hash", hash((self.name, self.domain)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_boolean(self) -> bool:

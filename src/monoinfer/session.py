@@ -17,13 +17,17 @@ session a specification's signs for the lazy strategy: InternalSession
 passes them to its engine, which checks the lemmas in the theory rounds of
 one `check_sat`; every other session declines, and the lazy loop stays
 above it.  `assert_formula` declares what `terms.collect_declarations`
-lists.  Both sessions refuse the same way (`SolverSession._guard`): input
-outside the engine's fragment is `unsupported: ...`, a term too deep for a
-recursive walk (the engine's grounding, the process driver's serializer,
-Term equality) is `unsupported: term nested too deeply`, and a step cut
-off by the deadline, or due after it, is `timeout`.  After a refusal
-nothing more is sent or grounded, and every check answers unknown with that
-reason.
+lists: InternalSession's engine records what it grounds in the session's
+`declared` and walks only what grounding skips; ProcessSession walks each
+assertion, to send its declarations before it.  A conflicting redeclaration
+raises SessionUsageError; in-process, grounding may have begun by then, so
+every later check answers unknown.  Both sessions refuse the same way
+(`SolverSession._guard`): input outside the engine's fragment is
+`unsupported: ...`, a term too deep for a recursive walk (the engine's
+grounding, the process driver's serializer, Term equality) is
+`unsupported: term nested too deeply`, and a step cut off by the deadline,
+or due after it, is `timeout`.  After a refusal nothing more is sent or
+grounded, and every check answers unknown with that reason.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import threading
 import time
 from typing import Optional, Sequence, Union
 
-from .engine import Engine, EngineUnsupported
+from .engine import Engine, EngineUnsupported, Redeclared
 from .model import Model, Value, evaluate_with, tabulate
 from .sat import SAT, UNKNOWN, UNSAT
 from .smtlib import (
@@ -137,7 +141,7 @@ class SolverSession:
 
     def assert_formula(self, term: Term) -> None:
         self._state = "fresh"
-        self._guard(self._assert_declared, term)
+        self._guard(self._assert, term)
 
     def assert_lemma(self, t: Apply, s: Apply, spec: MonotonicitySpec) -> None:
         """Assert the monotonicity lemma at two applications of one
@@ -196,19 +200,15 @@ class SolverSession:
             reason = "unsupported: term nested too deeply"
         except TimeoutError:
             reason = TIMEOUT
+        except Redeclared as err:  # grounding may have begun: refuse from here
+            self._refused = self.unknown_reason = str(err)
+            raise SessionUsageError(str(err)) from None
         self._refused = self.unknown_reason = reason
         return None
 
     # -- implementation hooks ----------------------------------------------------
 
     _deadline: Optional[float] = None
-
-    def _assert_declared(self, term: Term) -> None:
-        # The walk only fills `declared`, which the model is tabulated over
-        # and a redeclaration is checked against.
-        for item in collect_declarations([term]):
-            self.declare(item)
-        self._assert(term)
 
     def _declare_new(self, item: Union[Const, FunctionSymbol]) -> None:
         pass
@@ -228,7 +228,7 @@ class InternalSession(SolverSession):
 
     def __init__(self) -> None:
         super().__init__()
-        self.engine = Engine()
+        self.engine = Engine(self.declared)
 
     def _assert(self, term: Term) -> None:
         self.engine.assert_term(term, self._deadline)
@@ -368,6 +368,8 @@ class ProcessSession(SolverSession):
         self._send(declaration_to_sexpr(item))
 
     def _assert(self, term: Term) -> None:
+        for item in collect_declarations([term]):
+            self.declare(item)
         self._send(f"(assert {term_to_sexpr(term)})")
         stack = [term]
         while stack:

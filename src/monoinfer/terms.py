@@ -10,6 +10,7 @@ engine -- is built on this module.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
@@ -555,20 +556,32 @@ def subst_at(vector: ArgVector, index: int, value: Term) -> ArgVector:
 _Arg = TypeVar("_Arg")
 
 
+@functools.lru_cache(maxsize=1024)
+def antecedent_plan(
+    arity: int, mono: frozenset[int], anti: frozenset[int]
+) -> tuple[tuple[str, int, bool], ...]:
+    """The monotonicity lemma's comparisons for one signature, in order, as
+    (op, 0-based position, flipped): "<=" at each monotone position, then
+    "<=" flipped (y_i <= x_i) at each anti-monotone one, then "=" at the rest."""
+    signed = mono | anti
+    return (
+        *(("<=", i - 1, False) for i in sorted(mono)),
+        *(("<=", i - 1, True) for i in sorted(anti)),
+        *(("=", i, False) for i in range(arity) if i + 1 not in signed),
+    )
+
+
 def lemma_antecedent(
     xs: Sequence[_Arg], ys: Sequence[_Arg], mono: frozenset[int], anti: frozenset[int]
 ) -> list[tuple[str, _Arg, _Arg]]:
-    """The comparisons of the monotonicity lemma at argument vectors xs and
-    ys, in the lemma's order: ("<=", x, y) at each monotone position, then
-    ("<=", y, x) at each anti-monotone one, then ("=", x, y) at the rest.
-    It only reorders and pairs its inputs, so the vectors may hold argument
-    Terms or their grounded forms."""
-    out = [("<=", xs[i - 1], ys[i - 1]) for i in sorted(mono)]
-    out += [("<=", ys[i - 1], xs[i - 1]) for i in sorted(anti)]
-    if len(out) < len(xs):
-        signed = mono | anti
-        out += [("=", x, y) for i, (x, y) in enumerate(zip(xs, ys), 1) if i not in signed]
-    return out
+    """The comparisons (op, x, y) of the monotonicity lemma at argument
+    vectors xs and ys, as `antecedent_plan` orders them.  It only reorders
+    and pairs its inputs, so the vectors may hold argument Terms or their
+    grounded forms."""
+    return [
+        (op, ys[i], xs[i]) if flipped else (op, xs[i], ys[i])
+        for op, i, flipped in antecedent_plan(len(xs), mono, anti)
+    ]
 
 
 # -- structural utilities ------------------------------------------------------

@@ -364,9 +364,10 @@ def test_ground_lemmas_equal_the_lemma_of_each_pair(kind):
     pairs = list(lemma_pairs(formula, spec))
     if kind == "boolean":
         assert max(t.func.arity for t, _ in pairs) >= 6
-    assert ground_lemmas(formula, spec) == [
-        monotonicity_lemma(t.func, t.args, s.args, spec) for t, s in pairs
-    ]
+    lemmas = ground_lemmas(formula, spec)
+    expected = [monotonicity_lemma(t.func, t.args, s.args, spec) for t, s in pairs]
+    assert lemmas == expected
+    assert list(map(repr, lemmas)) == list(map(repr, expected))
 
 
 @pytest.mark.parametrize("kind", sorted(_LEMMA_SET_INSTANCES))

@@ -80,6 +80,16 @@ def test_problem_validation():
         NetworkVariable("x", bounded_int(1, 3))  # integer domains start at 0
 
 
+def test_variable_equality_and_hash_are_by_name_and_domain():
+    # the hash is taken once, at construction; it joins neither equality
+    # nor the repr
+    a = NetworkVariable("a", BOOL)
+    same, other = NetworkVariable("a", BOOL), NetworkVariable("a", bounded_int(0, 1))
+    assert a == same and hash(a) == hash(same) == hash(("a", BOOL))
+    assert a != other and len({a, same, other}) == 2
+    assert repr(a) == "NetworkVariable(name='a', domain=Bool)"
+
+
 # -- signature ---------------------------------------------------------------------
 
 

@@ -1,16 +1,20 @@
+import gc
 import io
 import itertools
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GOLDEN_DIR, REPL_SOLVER_CMD, sessions
+from test_terms import _bool_terms
 
-from monoinfer.encode import LazyRunStats, encode_eager, solve_lazy
+from monoinfer import engine as engine_module
+from monoinfer.encode import LazyRunStats, encode_eager, encode_quant_aggregated, solve_lazy
 from monoinfer.model import evaluate
 from monoinfer.session import (
     InternalSession,
@@ -31,11 +35,17 @@ from monoinfer.terms import (
     Cmp,
     CmpOp,
     Const,
+    Forall,
     FunctionSymbol,
     Implies,
     IntLit,
+    MonotonicitySpec,
+    Not,
     Term,
+    Var,
     bounded_int,
+    collect_declarations,
+    lit,
     mk_and,
 )
 
@@ -127,6 +137,119 @@ def test_constants_grounded_only_where_an_assertion_reaches_them():
     model = session.extract_model()
     assert model.constants == {"p": True, "b": False, "x": 1, "u": 0}
     assert evaluate(formula, model) is True
+
+
+def _assert_declares_what_the_walk_lists(terms):
+    """After asserting `terms`, the session's declarations are what
+    `collect_declarations` lists; a refused assertion declares no more."""
+    session = InternalSession()
+    for term in terms:
+        session.assert_formula(term)
+    listed = {item.name: item for item in collect_declarations(terms)}
+    if session.unknown_reason is None:
+        assert session.declared == listed
+    else:
+        assert session.declared.items() <= listed.items()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_bool_terms(3), min_size=1, max_size=3))
+def test_declared_equals_the_walk_on_random_terms(terms):
+    _assert_declares_what_the_walk_lists(terms)
+
+
+_ARG_SORTS = [BOOL, bounded_int(0, 2)]
+
+
+# a quantifier whose guards admit no assignment, so its expansion grounds
+# nothing of its body
+_B = Var("b", BOOL)
+_VACUOUS = Forall([_B], Implies(
+    And([_B, Not(_B)]), Apply(FunctionSymbol("h", [BOOL], BOOL), (Const("k", BOOL),))
+))
+
+
+@st.composite
+def _lemma_problems(draw):
+    """Applications of one symbol over literals and constants, with random
+    signs, and a consequent under a false antecedent that holds a constant
+    and a symbol nothing else mentions."""
+    arg_sorts = draw(st.lists(st.sampled_from(_ARG_SORTS), min_size=1, max_size=3))
+    f = FunctionSymbol("f", arg_sorts, BOOL)
+    args = [
+        st.one_of(st.sampled_from(sort.values()).map(lit), st.just(Const(f"c{i}", sort)))
+        for i, sort in enumerate(arg_sorts)
+    ]
+    apps = draw(st.lists(st.tuples(*args).map(lambda a: Apply(f, a)), min_size=2, max_size=4))
+    signs = draw(st.lists(st.sampled_from(["mono", "anti", None]), min_size=len(arg_sorts),
+                          max_size=len(arg_sorts)))
+    spec = MonotonicitySpec({f: (
+        [i for i, s in enumerate(signs, 1) if s == "mono"],
+        [i for i, s in enumerate(signs, 1) if s == "anti"],
+    )})
+    hidden = Apply(FunctionSymbol("g", [INT], BOOL), (Const("hidden", INT),))
+    folded = Implies(Cmp(CmpOp.EQ, IntLit(0), IntLit(1)), hidden)
+    return mk_and([*apps, folded]), spec
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lemma_problems())
+def test_declared_equals_the_walk_on_eager_and_aggregated_encodings(problem):
+    formula, spec = problem
+    _assert_declares_what_the_walk_lists([encode_eager(formula, spec).formula])
+    aggregated = encode_quant_aggregated(formula, spec).formula
+    _assert_declares_what_the_walk_lists([aggregated, _VACUOUS])
+
+
+def test_declarations_walk_only_what_grounding_skips(monkeypatch):
+    walked = []
+
+    def spy(assertions):
+        walked.extend(assertions)
+        return collect_declarations(assertions)
+
+    monkeypatch.setattr(engine_module, "collect_declarations", spy)
+    f = FunctionSymbol("f", [BOOL, BOOL], BOOL)
+    x, y = Const("x", BOOL), Const("y", BOOL)
+    formula = And([Apply(f, (x, y)), Not(Apply(f, (y, x)))])
+    spec = MonotonicitySpec({f: ({1}, {2})})
+    session = InternalSession()
+    session.assert_formula(encode_eager(formula, spec).formula)
+    assert walked == [] and set(session.declared) == {"x", "y", "f"}
+    # a consequent dropped at a false antecedent literal is walked, alone
+    dropped = Apply(FunctionSymbol("g", [BOOL], BOOL), (Const("z", BOOL),))
+    session.assert_formula(Implies(And([x, BoolLit(False)]), dropped))
+    assert walked == [dropped] and set(session.declared) == {"x", "y", "f", "z", "g"}
+    # a quantifier is walked before its expansion, which here grounds nothing
+    session.assert_formula(_VACUOUS)
+    assert walked == [dropped, _VACUOUS] and {"h", "k"} <= set(session.declared)
+    assert ("c", "k") not in session.engine.bool_unknowns
+
+
+def test_conflicting_redeclaration_in_one_assertion_refuses_the_session():
+    session = InternalSession()
+    formula = And([Cmp(CmpOp.LE, Const("x", INT), IntLit(0)), Const("x", BOOL)])
+    with pytest.raises(SessionUsageError):
+        session.assert_formula(formula)
+    for _ in range(2):
+        assert session.check_sat() == "unknown"
+    assert session.unknown_reason == "conflicting redeclaration of x"
+
+
+def test_engine_is_freed_with_its_session(ex1):
+    # the engine fills the session's `declared` dict and holds no reference
+    # back to the session, so no collector is needed to free either
+    gc.disable()
+    try:
+        session = InternalSession()
+        session.assert_formula(encode_eager(ex1.phi, ex1.spec_relaxed).formula)
+        assert session.check_sat() == "sat"
+        session.extract_model()
+        engine = weakref.ref(session.engine)
+        del session
+        assert engine() is None
+    finally:
+        gc.enable()
 
 
 def test_lazy_loop_through_process_session(ex1):

@@ -331,6 +331,33 @@ def test_lemma_antecedent_order():
         ("=", xs[0], ys[0]),
     ]
 
+
+def _sorted_antecedent(xs, ys, mono, anti):
+    """The per-pair reference that the cached plan of lemma_antecedent must
+    match: the signs sorted afresh for every pair."""
+    out = [("<=", xs[i - 1], ys[i - 1]) for i in sorted(mono)]
+    out += [("<=", ys[i - 1], xs[i - 1]) for i in sorted(anti)]
+    out += [("=", x, y) for i, (x, y) in enumerate(zip(xs, ys), 1) if i not in mono | anti]
+    return out
+
+
+@st.composite
+def _signatures(draw):
+    arity = draw(st.integers(1, 12))
+    signs = draw(st.lists(st.sampled_from("+-="), min_size=arity, max_size=arity))
+    mono = frozenset(i for i, s in enumerate(signs, 1) if s == "+")
+    anti = frozenset(i for i, s in enumerate(signs, 1) if s == "-")
+    return arity, mono, anti
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_signatures(), min_size=1, max_size=4))
+def test_lemma_antecedent_plan_matches_a_per_pair_sort(signatures):
+    # signatures repeat across examples, so most calls read a cached plan
+    for arity, mono, anti in signatures:
+        xs, ys = tuple(range(arity)), tuple(range(100, 100 + arity))
+        assert lemma_antecedent(xs, ys, mono, anti) == _sorted_antecedent(xs, ys, mono, anti)
+
 # -- property tests ------------------------------------------------------------------
 
 _FN_INT = FunctionSymbol("F", [INT, INT], INT)
